@@ -775,7 +775,7 @@ def _render_top(snapshot: dict) -> str:
     header = (
         f"{'region':<12} {'schedule':>9} {'ops':>5} {'applied':>7} "
         f"{'dups':>5} {'sync t/o':>8} {'lag ms':>8} {'keys':>6} "
-        f"{'syncs':>6} {'conflicts':>18}"
+        f"{'syncs':>6} {'conflicts':>18} {'rescan/rebuild':>15}"
     )
     lines = [header, "-" * len(header)]
     for region, frame in sorted(snapshot["regions"].items()):
@@ -784,8 +784,15 @@ def _render_top(snapshot: dict) -> str:
             continue
         stats = frame.get("stats", {})
         store = frame.get("store", {})
-        gauges = frame.get("registry", {}).get("gauges", {})
-        lag = gauges.get("store.convergence.lag_ms")
+        registry = frame.get("registry", {})
+        lag = registry.get("gauges", {}).get("store.convergence.lag_ms")
+        counters = registry.get("counters", {})
+        # The detector's work: keys re-read / whole-replica re-reads
+        # (process-global like the client counters below).
+        detector_txt = (
+            f"{counters.get('store.conflicts.keys_rescanned', 0)}/"
+            f"{counters.get('store.conflicts.full_rebuilds', 0)}"
+        )
         conflicts = frame.get("conflicts", {})
         conflict_txt = (
             " ".join(
@@ -804,7 +811,8 @@ def _render_top(snapshot: dict) -> str:
             f"{lag if lag is not None else float('nan'):>8.1f} "
             f"{store.get('store.shard.keys_total', 0):>6} "
             f"{store.get('store.engine.syncs', 0):>6} "
-            f"{conflict_txt:>18}"
+            f"{conflict_txt:>18} "
+            f"{detector_txt:>15}"
         )
     lines.append("")
     health_header = (

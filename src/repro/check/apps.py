@@ -14,7 +14,12 @@ needs to run and judge a trial:
   their visible members, Compensated Counters their value net of
   pending corrections, and the rem-wins Twitter strategy filters every
   reference through existence (its reads hide dangling entries -- the
-  read-side compensation of §5.1.2);
+  read-side compensation of §5.1.2).  It is two steps, so the live
+  conflict detector can redo the first for only the keys a record
+  touched: ``rows`` maps one object to the raw ``(relation, row)``
+  pairs it contributes (a function of that object alone), and ``view``
+  turns the folded rows into the observed model (rem-wins reference
+  hiding, IPA capacity trims -- whatever needs more than one object);
 - ``probes``: numeric-bound data points for the compensation-debt
   oracle;
 - ``generate``: a seeded, contention-heavy operation trace.  Traces
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterable
 
 from repro.apps.common import Variant
 from repro.apps.ticket import TicketApp, ticket_registry, ticket_spec
@@ -136,10 +141,39 @@ class AppAdapter:
             raise CheckError(f"{self.name} has no operation {op!r}")
         handler(self, app, region, args, done)
 
+    #: Every raw relation ``rows`` can emit; the fold seeds each empty.
+    raw_relations: tuple[str, ...] = ()
+
+    def rows(
+        self, key: str, obj, variant: Variant
+    ) -> Iterable[tuple[str, tuple]]:
+        """The raw ``(relation, row)`` pairs the object at ``key`` adds.
+
+        Must depend on nothing but ``obj`` (and the variant): the live
+        detector re-runs it for the keys a commit record names and
+        keeps every other key's rows.
+        """
+        raise NotImplementedError
+
+    def view(
+        self, raw: dict[str, set[tuple]], variant: Variant, params: dict
+    ) -> Interpretation:
+        """The observed model over the folded raw rows (``raw`` is not
+        mutated; its sets may be shared into the result)."""
+        raise NotImplementedError
+
     def extract(
         self, replica: Replica, variant: Variant, params: dict
     ) -> Interpretation:
-        raise NotImplementedError
+        """``view`` over the fold of ``rows`` across ``replica.keys()``."""
+        raw: dict[str, set[tuple]] = {
+            name: set() for name in self.raw_relations
+        }
+        get_object = replica.get_object
+        for key in replica.keys():
+            for name, row in self.rows(key, get_object(key), variant):
+                raw[name].add(row)
+        return self.view(raw, variant, params)
 
     def probes(
         self, replica: Replica, variant: Variant, params: dict
@@ -219,48 +253,61 @@ class TournamentAdapter(AppAdapter):
 
     # -- state extraction ----------------------------------------------------
 
-    def extract(
-        self, replica: Replica, variant: Variant, params: dict
-    ) -> Interpretation:
-        enrolled = set(replica.get_object("enrolled").value())
-        in_match = set(replica.get_object("inMatch").value())
-        if variant is Variant.IPA:
+    raw_relations = (
+        "player", "tournament", "enrolled", "active", "finished",
+        "inMatch", "trimmed",
+    )
+    _UNARY = {
+        "players": "player",
+        "tournaments": "tournament",
+        "active": "active",
+        "finished": "finished",
+    }
+
+    def rows(self, key, obj, variant):
+        name = self._UNARY.get(key)
+        if name is not None:
+            return [(name, (x,)) for x in obj.value()]
+        if key in ("enrolled", "inMatch"):
+            return [(key, row) for row in obj.value()]
+        if (
+            variant is Variant.IPA
+            and key.startswith("capacity:")
+            and isinstance(obj, CompensationSet)
+        ):
+            # Pending capacity trims: (victim, tournament) pairs the
+            # view drops from enrolments and matches.
+            t = key.split(":", 1)[1]
+            return [("trimmed", (v, t)) for v in obj.raw_value() - obj.value()]
+        return ()
+
+    def view(self, raw, variant, params):
+        enrolled = raw["enrolled"]
+        in_match = raw["inMatch"]
+        trimmed = raw["trimmed"]
+        if trimmed:
             # The observed view applies pending capacity trims exactly
             # as a reading transaction would: trimmed players drop out
             # of the tournament's enrolments and matches.
-            for key in replica.keys():
-                if not key.startswith("capacity:"):
-                    continue
-                obj = replica.get_object(key)
-                if not isinstance(obj, CompensationSet):
-                    continue
-                t = key.split(":", 1)[1]
-                victims = obj.raw_value() - obj.value()
-                enrolled -= {(v, t) for v in victims}
-                in_match = {
-                    (p, q, mt)
-                    for p, q, mt in in_match
-                    if mt != t or (p not in victims and q not in victims)
-                }
+            enrolled = enrolled - trimmed
+            in_match = {
+                (p, q, t)
+                for p, q, t in in_match
+                if (p, t) not in trimmed and (q, t) not in trimmed
+            }
         return Interpretation(
             relations={
-                "player": {
-                    (p,) for p in replica.get_object("players").value()
-                },
-                "tournament": {
-                    (t,) for t in replica.get_object("tournaments").value()
-                },
-                "enrolled": set(enrolled),
-                "active": {
-                    (t,) for t in replica.get_object("active").value()
-                },
-                "finished": {
-                    (t,) for t in replica.get_object("finished").value()
-                },
+                "player": raw["player"],
+                "tournament": raw["tournament"],
+                "enrolled": enrolled,
+                "active": raw["active"],
+                "finished": raw["finished"],
                 "inMatch": in_match,
             },
             params={"Capacity": params["capacity"]},
         )
+
+    extract = AppAdapter.extract  # own attribute: per-class timing shims
 
     def probes(
         self, replica: Replica, variant: Variant, params: dict
@@ -417,26 +464,24 @@ class TicketAdapter(AppAdapter):
     def op_view(self, app, region, args, done):
         app.view_event(region, args[0], done)
 
-    def extract(
-        self, replica: Replica, variant: Variant, params: dict
-    ) -> Interpretation:
-        sold: set[tuple[str, str]] = set()
-        for key in replica.keys():
-            if not key.startswith("sold:"):
-                continue
+    raw_relations = ("event", "sold")
+
+    def rows(self, key, obj, variant):
+        if key == "events":
+            return [("event", (e,)) for e in obj.value()]
+        if key.startswith("sold:"):
             event = key.split(":", 1)[1]
             # CompensationSet.value() is already the compensated view.
-            for ticket in replica.get_object(key).value():
-                sold.add((ticket, event))
+            return [("sold", (ticket, event)) for ticket in obj.value()]
+        return ()
+
+    def view(self, raw, variant, params):
         return Interpretation(
-            relations={
-                "event": {
-                    (e,) for e in replica.get_object("events").value()
-                },
-                "sold": sold,
-            },
+            relations={"event": raw["event"], "sold": raw["sold"]},
             params={"EventCapacity": params["capacity"]},
         )
+
+    extract = AppAdapter.extract  # own attribute: per-class timing shims
 
     def probes(
         self, replica: Replica, variant: Variant, params: dict
@@ -535,15 +580,16 @@ class TpcwAdapter(AppAdapter):
     def op_browse(self, app, region, args, done):
         app.browse(region, args[0], done)
 
-    def extract(
-        self, replica: Replica, variant: Variant, params: dict
-    ) -> Interpretation:
-        stock: dict[tuple[str, ...], int] = {}
-        for key in replica.keys():
-            if not key.startswith("stock:"):
-                continue
-            product = key.split(":", 1)[1]
-            obj = replica.get_object(key)
+    raw_relations = ("product", "order", "orderOf", "stock")
+    _UNARY = {"products": "product", "orders": "order"}
+
+    def rows(self, key, obj, variant):
+        name = self._UNARY.get(key)
+        if name is not None:
+            return [(name, (x,)) for x in obj.value()]
+        if key == "orderOf":
+            return [("orderOf", row) for row in obj.value()]
+        if key.startswith("stock:"):
             value = obj.value()
             if isinstance(obj, CompensatedCounter):
                 # The observed stock includes the correction the next
@@ -551,19 +597,24 @@ class TpcwAdapter(AppAdapter):
                 pending = obj.check_violation()
                 if pending is not None:
                     value += pending.amount
-            stock[(product,)] = value
+            # One (product, level) row per counter; the view turns the
+            # rows into the numeric predicate's cells.
+            return [("stock", (key.split(":", 1)[1], value))]
+        return ()
+
+    def view(self, raw, variant, params):
         return Interpretation(
             relations={
-                "product": {
-                    (i,) for i in replica.get_object("products").value()
-                },
-                "order": {
-                    (o,) for o in replica.get_object("orders").value()
-                },
-                "orderOf": set(replica.get_object("orderOf").value()),
+                "product": raw["product"],
+                "order": raw["order"],
+                "orderOf": raw["orderOf"],
             },
-            numerics={"stock": stock},
+            numerics={
+                "stock": {(product,): level for product, level in raw["stock"]}
+            },
         )
+
+    extract = AppAdapter.extract  # own attribute: per-class timing shims
 
     def probes(
         self, replica: Replica, variant: Variant, params: dict
@@ -717,51 +768,61 @@ class TwitterAdapter(AppAdapter):
     def op_timeline(self, app, region, args, done):
         app.timeline(region, args[0], done)
 
-    def extract(
-        self, replica: Replica, variant: Variant, params: dict
-    ) -> Interpretation:
-        users = set(replica.get_object("users").value())
-        tweets = set(replica.get_object("tweets").value())
-        authored: set[tuple[str, str]] = set()
-        follows: set[tuple[str, str]] = set()
-        in_timeline: set[tuple[str, str]] = set()
-        for key in replica.keys():
-            if key.startswith("authored:"):
-                author = key.split(":", 1)[1]
-                for tweet in replica.get_object(key).value():
-                    authored.add((author, tweet))
-            elif key.startswith("followers:"):
-                followee = key.split(":", 1)[1]
-                for follower in replica.get_object(key).value():
-                    follows.add((follower, followee))
-            elif key.startswith("timeline:"):
-                for tweet, author in replica.get_object(key).value():
-                    in_timeline.add((tweet, author))
+    raw_relations = ("user", "tweet", "authored", "follows", "inTimeline")
+
+    def rows(self, key, obj, variant):
+        if key == "users":
+            return [("user", (u,)) for u in obj.value()]
+        if key == "tweets":
+            return [("tweet", (w,)) for w in obj.value()]
+        prefix, _, owner = key.partition(":")
+        if prefix == "authored":
+            return [("authored", (owner, w)) for w in obj.value()]
+        if prefix == "followers":
+            return [("follows", (u, owner)) for u in obj.value()]
+        if prefix == "timeline":
+            # (tweet, author) pairs: every follower's timeline holds the
+            # same pair, so several keys contribute one row.
+            return [("inTimeline", pair) for pair in obj.value()]
+        return ()
+
+    def view(self, raw, variant, params):
+        users = raw["user"]
+        tweets = raw["tweet"]
+        authored = raw["authored"]
+        follows = raw["follows"]
+        in_timeline = raw["inTimeline"]
         if variant is Variant.REM_WINS:
             # The rem-wins strategy's reads hide references to removed
             # entities (the lazy compensation the timeline read commits
             # in §5.1.2) -- the observed state filters them the same
             # way.
             authored = {
-                (u, w) for u, w in authored if u in users and w in tweets
+                (u, w)
+                for u, w in authored
+                if (u,) in users and (w,) in tweets
             }
             follows = {
-                (u, v) for u, v in follows if u in users and v in users
+                (u, v)
+                for u, v in follows
+                if (u,) in users and (v,) in users
             }
             in_timeline = {
                 (w, u)
                 for w, u in in_timeline
-                if w in tweets and u in users
+                if (w,) in tweets and (u,) in users
             }
         return Interpretation(
             relations={
-                "user": {(u,) for u in users},
-                "tweet": {(w,) for w in tweets},
+                "user": users,
+                "tweet": tweets,
                 "authored": authored,
                 "follows": follows,
                 "inTimeline": in_timeline,
             },
         )
+
+    extract = AppAdapter.extract  # own attribute: per-class timing shims
 
     def generate(self, seed, regions, n_ops, params):
         rng = random.Random(seed)

@@ -49,7 +49,7 @@ from repro.spec.application import ApplicationSpec
 
 #: Bump when the code generator's output (or anything affecting the
 #: meaning of a cached source) changes; older entries become stale.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2  # 2: guard-driven enumeration of `forall x :- P(x) => Q`
 
 _ENABLED: bool | None = None
 

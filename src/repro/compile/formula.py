@@ -90,7 +90,7 @@ class _Codegen:
         self._numerics: dict[str, str] = {}
         self._params: dict[str, str] = {}
         self._groups: dict[tuple[str, tuple[int, ...]], str] = {}
-        self._domains: dict[str, str] = {}
+        self.domains: dict[str, str] = {}
         self._header_done: set[str] = set()
         self._n_vars = 0
 
@@ -147,10 +147,10 @@ class _Codegen:
             raise Uncompilable(
                 f"quantified sort {name} is not declared in the schema"
             )
-        local = self._domains.get(name)
+        local = self.domains.get(name)
         if local is None:
-            local = f"d{len(self._domains)}"
-            self._domains[name] = local
+            local = f"d{len(self.domains)}"
+            self.domains[name] = local
             self.prologue.append(f"{local} = doms[{name!r}]")
         return local
 
@@ -262,12 +262,15 @@ class CompiledInvariant:
 
     ``fn(interp, doms, region, max_witnesses, out)`` appends
     :class:`~repro.check.oracles.Violation` records to ``out`` exactly
-    as the interpreter's :class:`InvariantOracle` would.
+    as the interpreter's :class:`InvariantOracle` would.  ``doms`` is
+    only read when ``uses_domains`` (the source's ``USES_DOMAINS``
+    line): guard-driven invariants never enumerate a domain pool.
     """
 
     name: str
     source: str
     fn: Callable
+    uses_domains: bool
 
 
 def _witness_expr(formula: ForAll, env: dict[Var, str]) -> str:
@@ -286,6 +289,35 @@ def _witness_expr(formula: ForAll, env: dict[Var, str]) -> str:
     return f"tuple(sorted({_tuple_literal(pairs)}))"
 
 
+def _guard_atom(formula: ForAll, schema: Schema) -> Atom | None:
+    """The atom that can drive enumeration of ``formula``, if any.
+
+    ``forall x̄ :- P(x̄) => Q`` qualifies when ``P``'s arguments are
+    exactly the quantified variables, each once, and the schema
+    declares this very ``P``.  Every binding the product loop could
+    falsify then satisfies ``P``, so it is one of ``P``'s rows -- and
+    each row's constants sit in the binders' domain pools (an atom is
+    well-sorted against its own declaration, and the pools are filled
+    from the schema's), which is what makes the two enumerations visit
+    the same bindings.  A constant, a repeated variable, a binder the
+    guard leaves out or a declaration the schema does not share breaks
+    that bijection: those keep the product loop.
+    """
+    body = formula.body
+    if not isinstance(body, Implies) or not isinstance(body.lhs, Atom):
+        return None
+    guard = body.lhs
+    if schema.predicates.get(guard.pred.name) != guard.pred:
+        return None
+    # ``formula.vars`` are distinct, so equal length + equal sets means
+    # a permutation (a constant argument makes the sets differ).
+    if len(guard.args) != len(formula.vars) or set(guard.args) != set(
+        formula.vars
+    ):
+        return None
+    return guard
+
+
 def generate_invariant_source(invariant, schema: Schema) -> str:
     """Emit the Python source of one invariant's ``check`` closure."""
     formula = invariant.formula
@@ -295,37 +327,58 @@ def generate_invariant_source(invariant, schema: Schema) -> str:
     if isinstance(formula, ForAll) and formula.vars:
         if len(set(formula.vars)) != len(formula.vars):
             raise Uncompilable("duplicate bound variable in invariant")
-        env: dict[Var, str] = {}
-        loops: list[tuple[str, str]] = []
-        for var in formula.vars:
-            pool = gen.domain_local(var)
-            local = gen.fresh_var()
-            env[var] = local
-            loops.append((local, pool))
-        condition = gen.expr(formula.body, env)
+        env = {var: gen.fresh_var() for var in formula.vars}
         witness = _witness_expr(formula, env)
-        body.append("    count = 0")
-        body.append("    _append = out.append")
-        indent = "    "
-        for local, pool in loops:
-            body.append(f"{indent}for {local} in {pool}:")
-            indent += "    "
-        body.append(f"{indent}if {condition}:")
-        body.append(f"{indent}    continue")
-        body.append(
-            f"{indent}_append(_Violation('invariant', region, "
-            f"{name!r}, {witness}))"
-        )
-        body.append(f"{indent}count += 1")
-        body.append(f"{indent}if count >= max_witnesses:")
-        body.append(f"{indent}    return")
+        emit = f"_append(_Violation('invariant', region, {name!r}, {witness}))"
+        guard = _guard_atom(formula, schema)
+        if guard is not None:
+            # Guard-driven enumeration: loop over the guard's rows, not
+            # the domain product.  Falsifying bindings are collected as
+            # tuples in binder order; sorting them gives the product's
+            # own order (lexicographic over name-sorted pools), so
+            # truncation keeps the same witnesses in the same order.
+            rows = gen.relation_local(guard.pred.name)
+            condition = gen.expr(formula.body.rhs, env)
+            binders = _tuple_literal([env[var] for var in formula.vars])
+            row = _tuple_literal([env[arg] for arg in guard.args])
+            body.append("    bad = []")
+            body.append(f"    for {row} in {rows}:")
+            body.append(f"        if not {condition}:")
+            body.append(f"            bad.append({binders})")
+            body.append("    if bad:")
+            body.append("        bad.sort()")
+            body.append("        _append = out.append")
+            # The product loop appends before it tests the count, so a
+            # non-positive limit still yields one witness.
+            body.append(
+                f"        for {binders} in bad[:max(max_witnesses, 1)]:"
+            )
+            body.append(f"            {emit}")
+        else:
+            pools = [gen.domain_local(var) for var in formula.vars]
+            condition = gen.expr(formula.body, env)
+            body.append("    count = 0")
+            body.append("    _append = out.append")
+            indent = "    "
+            for var, pool in zip(formula.vars, pools):
+                body.append(f"{indent}for {env[var]} in {pool}:")
+                indent += "    "
+            body.append(f"{indent}if {condition}:")
+            body.append(f"{indent}    continue")
+            body.append(f"{indent}{emit}")
+            body.append(f"{indent}count += 1")
+            body.append(f"{indent}if count >= max_witnesses:")
+            body.append(f"{indent}    return")
     else:
         condition = gen.expr(formula, {})
         body.append(f"    if not {condition}:")
         body.append(
             f"        out.append(_Violation('invariant', region, {name!r}))"
         )
-    lines = ["def check(interp, doms, region, max_witnesses, out):"]
+    lines = [
+        f"USES_DOMAINS = {bool(gen.domains)}",
+        "def check(interp, doms, region, max_witnesses, out):",
+    ]
     lines.extend("    " + p for p in gen.prologue)
     lines.extend(body)
     return "\n".join(lines) + "\n"
@@ -359,7 +412,12 @@ def load_invariant(name: str, source: str) -> CompiledInvariant:
     code = compile(source, f"<compiled-invariant {name!r}>", "exec")
     namespace = dict(_namespace())
     exec(code, namespace)  # noqa: S102 - self-generated source only
-    return CompiledInvariant(name=name, source=source, fn=namespace["check"])
+    return CompiledInvariant(
+        name=name,
+        source=source,
+        fn=namespace["check"],
+        uses_domains=namespace["USES_DOMAINS"],
+    )
 
 
 def compile_invariant(invariant, schema: Schema) -> CompiledInvariant:
@@ -418,7 +476,7 @@ class CompiledSpec:
     same witnesses, same order.
     """
 
-    __slots__ = ("key", "invariants", "_extract")
+    __slots__ = ("key", "invariants", "_extract", "_uses_domains")
 
     def __init__(
         self,
@@ -429,12 +487,15 @@ class CompiledSpec:
         self.key = key
         self.invariants = invariants
         self._extract = domain_extractor
+        self._uses_domains = any(i.uses_domains for i in invariants)
 
     def domains(self, interp) -> dict[str, tuple[str, ...]]:
         return self._extract(interp)
 
     def check(self, interp, region: str, max_witnesses: int = 5) -> list:
-        doms = self._extract(interp)
+        # Walking every row for the pools is the one O(state) step
+        # left; a spec of guard-driven invariants skips it.
+        doms = self._extract(interp) if self._uses_domains else None
         out: list = []
         for invariant in self.invariants:
             _FORMULA_EVALS.value += 1

@@ -517,6 +517,13 @@ async def run_live(
     with a crash window this is the full self-healing scenario: kill,
     corrupt, detect, restart, salvage, scrub, converge.
     """
+    if not time_scale > 0:
+        # Every live clock (proxy trace time, client pacing, fault
+        # windows) multiplies or divides by it.
+        raise HarnessError(
+            f"time_scale must be > 0 (live seconds per simulated "
+            f"second), got {time_scale!r}"
+        )
     trial = deployment["trial"]
     regions = tuple(trial["regions"])
     plan = FaultPlan.from_dict(trial.get("plan", {}))

@@ -775,7 +775,11 @@ class ReplicaServer:
             await asyncio.sleep(self.scrub_ms / 1000.0)
             try:
                 self.node.store.storage.sync()
-                self._note_scrub(scrub_replica(self.node.store))
+                report = scrub_replica(self.node.store)
+                self._note_scrub(report)
+                if not report.clean and self.detector is not None:
+                    # A heal is a state change no commit record names.
+                    self.detector.invalidate()
             except asyncio.CancelledError:
                 raise
             except Exception as exc:

@@ -18,6 +18,7 @@ tag objects:
 ``{"fs": [...]}``       frozenset (same ordering)
 ``{"d": [[k, v], ...]}``  dict (keys may be any encodable value)
 ``{"c": name, "f": {...}}``  registered dataclass
+``{"w": null}``         the pattern wildcard singleton
 ======================  =========================================
 
 Primitives (``None``/bool/int/float/str) pass through untagged.  The
@@ -41,6 +42,7 @@ import json
 import struct
 from typing import Any
 
+from repro.crdts.pattern import WILDCARD
 from repro.errors import ReproError
 
 
@@ -62,7 +64,17 @@ def _build_registry() -> dict[str, type]:
     types are registered explicitly.  Imports are local so importing
     :mod:`repro.net.wire` from the store layer cannot cycle.
     """
-    from repro.crdts import awset, base, bcounter, clock, counter, lww, ormap, rwset
+    from repro.crdts import (
+        awset,
+        base,
+        bcounter,
+        clock,
+        counter,
+        lww,
+        ormap,
+        pattern,
+        rwset,
+    )
     from repro.store import antientropy, replication, transaction
 
     registry: dict[str, type] = {}
@@ -83,6 +95,9 @@ def _build_registry() -> dict[str, type]:
                 register(obj)
 
     register(base.Dot)
+    # IPA wildcard removes (``enrolled(*, t) = false``) ship a Pattern;
+    # its WILDCARD positions travel as the ``w`` tag.
+    register(pattern.Pattern)
     register(clock.VersionVector)
     register(transaction.CommitRecord)
     register(replication.ReplicationBatch)
@@ -118,6 +133,8 @@ def encode(value: Any) -> Any:
         return {("fs" if isinstance(value, frozenset) else "s"): encoded}
     if isinstance(value, dict):
         return {"d": [[encode(k), encode(v)] for k, v in value.items()]}
+    if value is WILDCARD:
+        return {"w": None}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         name = type(value).__name__
         registered = _registry().get(name)
@@ -151,6 +168,8 @@ def decode(obj: Any) -> Any:
             if cls is None:
                 raise WireError(f"unknown wire class {obj['c']!r}")
             return cls(**{k: decode(v) for k, v in obj["f"].items()})
+        if "w" in obj and len(obj) == 1:
+            return WILDCARD
     raise WireError(f"cannot decode wire value {obj!r}")
 
 

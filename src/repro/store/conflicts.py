@@ -31,9 +31,10 @@ store.
 
 :class:`ConflictDetector` is the live-path driver: it re-grounds the
 application's invariants (compiled closures, PR-8) against a replica's
-observed state after every state change, diffs the violation set
-against the previous check, and appends violation records on first
-sighting and repair records when a violation clears.
+observed state after every state change -- re-reading only the objects
+the change touched -- diffs the violation set against the previous
+check, and appends violation records on first sighting and repair
+records when a violation clears.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
-from repro.obs import TRACER
+from repro.obs import REGISTRY, TRACER
 from repro.store.engine import make_engine
 
 #: Lineage window: dots applied since the last clean check, capped so
@@ -50,6 +51,9 @@ from repro.store.engine import make_engine
 LINEAGE_CAP = 32
 
 LEDGER_SCHEMA = 1
+
+_KEYS_RESCANNED = REGISTRY.counter("store.conflicts.keys_rescanned")
+_FULL_REBUILDS = REGISTRY.counter("store.conflicts.full_rebuilds")
 
 
 @dataclass(frozen=True)
@@ -269,6 +273,26 @@ class ConflictDetector:
     - appends a ``repair`` record (``resolution="converged"``) when a
       previously-active violation disappears -- under weak consistency
       that means later operations or anti-entropy merges healed it.
+
+    **The delta contract.**  A check costs what changed, not the whole
+    replica.  The observed model is the adapter's ``view`` over raw
+    rows that each object contributes through the adapter's ``rows``
+    (the two steps ``extract`` itself is made of).  The detector keeps
+    every key's rows, reference-counted because several keys can
+    contribute one row, and re-reads only the keys named in the
+    ``record.updates`` it was told about, plus keys a read
+    materialised without a record.  That is exact only while every
+    state change arrives as a record, so anything else drops the kept
+    rows and the next check re-reads every key:
+
+    - a new detector (process start, crash recovery) has no rows yet;
+    - ``replica.commits_applied`` moving by anything other than the
+      records noted (``install_snapshot``, ``rebuild_from_log``);
+    - :meth:`invalidate`, which the server calls after a scrub healed
+      something.
+
+    ``store.conflicts.keys_rescanned`` and
+    ``store.conflicts.full_rebuilds`` count both kinds of work.
     """
 
     def __init__(self, server) -> None:
@@ -280,20 +304,77 @@ class ConflictDetector:
         )
         self._active: dict[tuple, ConflictRecord] = {}
         self._lineage: deque = deque(maxlen=LINEAGE_CAP)
+        #: key -> the (relation, row) pairs it contributes; ``None``
+        #: until the first check and after :meth:`invalidate`.
+        self._rows: dict[str, frozenset] | None = None
+        #: relation -> row -> number of keys contributing it
+        self._counts: dict[str, dict[tuple, int]] = {}
+        self._touched: set[str] = set()
+        #: ``replica.commits_applied`` as the noted records predict it
+        self._applied = 0
 
     def note_commit(self, record) -> None:
         self._lineage.append((record.origin, record.dot.counter))
+        self._touched.update(key for key, _payload in record.updates)
+        self._applied += 1
 
-    def note_apply(self, record) -> None:
-        self._lineage.append((record.origin, record.dot.counter))
+    note_apply = note_commit
+
+    def invalidate(self) -> None:
+        """State changed without a record: re-read every key next check."""
+        self._rows = None
+
+    def _rescan(self, keys, replica) -> None:
+        server = self._server
+        extract_rows = server.adapter.rows
+        variant = server.variant
+        kept = self._rows
+        counts = self._counts
+        for key in keys:
+            rows = frozenset(
+                extract_rows(key, replica.get_object(key), variant)
+            )
+            old = kept.get(key, frozenset())
+            kept[key] = rows
+            for name, row in old - rows:
+                bucket = counts[name]
+                if bucket[row] == 1:
+                    del bucket[row]
+                else:
+                    bucket[row] -= 1
+            for name, row in rows - old:
+                bucket = counts[name]
+                bucket[row] = bucket.get(row, 0) + 1
+        _KEYS_RESCANNED.inc(len(keys))
+
+    def model(self):
+        """The replica's observed model, equal to a fresh ``extract``."""
+        server = self._server
+        replica = server.node.store
+        keys = replica.keys()
+        if self._rows is None or self._applied != replica.commits_applied:
+            _FULL_REBUILDS.inc()
+            self._rows = {}
+            self._counts = {
+                name: {} for name in server.adapter.raw_relations
+            }
+            self._applied = replica.commits_applied
+            self._rescan(keys, replica)
+        else:
+            self._rescan(self._touched, replica)
+            if len(keys) != len(self._rows):
+                # A read materialised objects no record named (keys
+                # are never deleted, so the counts differ iff so).
+                self._rescan(
+                    [key for key in keys if key not in self._rows], replica
+                )
+        self._touched.clear()
+        raw = {name: set(bucket) for name, bucket in self._counts.items()}
+        return server.adapter.view(raw, server.variant, server.params)
 
     def check(self) -> None:
         server = self._server
-        replica = server.node.store
-        interp = server.adapter.extract(
-            replica, server.variant, server.params
-        )
-        found = self._oracle.check(interp, server.region)
+        found = self._oracle.check(self.model(), server.region)
         now_ms = server.now_ms()
         current: dict[tuple, object] = {}
         for violation in found:

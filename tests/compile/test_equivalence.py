@@ -8,6 +8,10 @@ without it.  This suite drives both implementations with
 - hypothesis-generated random formulas (nested quantifiers including
   shadowed re-binding, cardinalities with wildcards, numeric sums,
   every connective) over random interpretations;
+- hypothesis-generated *guarded* invariants ``forall x :- P(x) => Q``:
+  the shapes the code generator enumerates from ``P``'s rows, and the
+  near-misses (constant or repeated variable in the guard, a binder the
+  guard leaves out, a sort mismatch) that must keep the product loop;
 - hand-picked regression shapes the generator is unlikely to weight
   (colliding variable names across sorts, empty domains, witness
   truncation);
@@ -49,6 +53,7 @@ from repro.logic.ast import (
     NumPred,
     Or,
     Param,
+    PredicateDecl,
     Sort,
     Var,
     Wildcard,
@@ -65,6 +70,9 @@ VB = Var("b", B)
 #: Same *name* as VA but a different sort: exercises the runtime-sorted
 #: witness path (colliding names cannot be ordered at compile time).
 VA2 = Var("a", B)
+#: A second A-sorted variable, for guards over a same-sort predicate.
+VC = Var("c", A)
+
 
 def build_fuzz_schema() -> Schema:
     schema = Schema("fuzz")
@@ -73,6 +81,7 @@ def build_fuzz_schema() -> Schema:
     schema.predicate("p", "A")
     schema.predicate("q", "A", "B")
     schema.predicate("r", "B")
+    schema.predicate("s", "A", "A")
     schema.predicate("n", "A", numeric=True)
     schema.predicate("m", "A", "B", numeric=True)
     schema.parameter("P", 3)
@@ -83,6 +92,9 @@ SCHEMA = build_fuzz_schema()
 P_PRED = SCHEMA.predicates["p"]
 Q_PRED = SCHEMA.predicates["q"]
 R_PRED = SCHEMA.predicates["r"]
+S_PRED = SCHEMA.predicates["s"]
+#: Shares a name with the schema's ``p(A)`` but not its sorts.
+FOREIGN_P = PredicateDecl("p", (B,))
 N_PRED = SCHEMA.predicates["n"]
 M_PRED = SCHEMA.predicates["m"]
 
@@ -167,13 +179,73 @@ def invariants():
     )
 
 
+#: (builder, takes the guard-driven path) per guarded shape.  Bodies
+#: mention VA and VB; shapes that bind only VA close VB themselves.
+GUARDED_SHAPES = (
+    (lambda x: ForAll((VA, VB), Implies(Q_PRED(VA, VB), x)), True),
+    # Guard arguments in non-binder order: rows unpack as (a, b) while
+    # witnesses and their sort order follow the binders (b, a).
+    (lambda x: ForAll((VB, VA), Implies(Q_PRED(VA, VB), x)), True),
+    (lambda x: ForAll((VA,), Implies(P_PRED(VA), Exists((VB,), x))), True),
+    (
+        lambda x: ForAll(
+            (VC, VA), Implies(S_PRED(VA, VC), Exists((VB,), x))
+        ),
+        True,
+    ),
+    # Near-misses: each must keep the product loop.
+    (  # a repeated variable
+        lambda x: ForAll((VA,), Implies(S_PRED(VA, VA), Exists((VB,), x))),
+        False,
+    ),
+    (  # a constant in the guard
+        lambda x: ForAll(
+            (VA,),
+            Implies(Q_PRED(VA, Const("y0", B)), Exists((VB,), x)),
+        ),
+        False,
+    ),
+    (  # a binder the guard leaves out
+        lambda x: ForAll((VA, VB), Implies(P_PRED(VA), x)),
+        False,
+    ),
+    (
+        lambda x: ForAll(
+            (VA2,), Implies(R_PRED(VA2), Exists((VA, VB), x))
+        ),
+        True,
+    ),
+    (  # same, but over a "p" the schema declares differently: p's
+        # rows are A-constants the B-sorted binder never ranges over
+        lambda x: ForAll(
+            (VA2,), Implies(FOREIGN_P(VA2), Exists((VA, VB), x))
+        ),
+        False,
+    ),
+)
+
+
+def guarded_invariants():
+    return st.builds(
+        lambda shape, body: (shape[0](body), shape[1]),
+        st.sampled_from(GUARDED_SHAPES),
+        bodies(),
+    )
+
+
+def uses_guard_loop(spec) -> bool:
+    (invariant,) = compile_spec(spec).invariants
+    return "bad = []" in invariant.source
+
+
 def interpretations():
-    def build(p_rows, q_rows, r_rows, n_cells, m_cells, param):
+    def build(p_rows, q_rows, r_rows, s_rows, n_cells, m_cells, param):
         return Interpretation(
             relations={
                 "p": {(x,) for x in p_rows},
                 "q": set(q_rows),
                 "r": {(y,) for y in r_rows},
+                "s": set(s_rows),
             },
             numerics={
                 "n": {(x,): v for x, v in n_cells.items()},
@@ -190,6 +262,9 @@ def interpretations():
         st.sets(st.sampled_from(A_NAMES)),
         st.sets(pairs),
         st.sets(st.sampled_from(B_NAMES)),
+        st.sets(
+            st.tuples(st.sampled_from(A_NAMES), st.sampled_from(A_NAMES))
+        ),
         st.dictionaries(
             st.sampled_from(A_NAMES), st.integers(-3, 6), max_size=4
         ),
@@ -221,6 +296,19 @@ class TestRandomFormulas:
     @settings(max_examples=150, deadline=None)
     def test_verdicts_and_witnesses_agree(self, formula, interp, max_w):
         spec = spec_of(formula)
+        compiled, interpreted = check_both(spec, interp, max_witnesses=max_w)
+        assert compiled == interpreted
+
+    # max_witnesses 0 included: the product loop appends before it
+    # tests the count, and the guard loop must truncate the same way.
+    @given(guarded_invariants(), interpretations(), st.integers(0, 6))
+    @settings(max_examples=250, deadline=None)
+    def test_guarded_invariants_agree_on_either_path(
+        self, shaped, interp, max_w
+    ) -> None:
+        formula, guard_driven = shaped
+        spec = spec_of(formula)
+        assert uses_guard_loop(spec) == guard_driven
         compiled, interpreted = check_both(spec, interp, max_witnesses=max_w)
         assert compiled == interpreted
 
@@ -299,6 +387,44 @@ class TestRegressionShapes:
             )
             assert compiled == interpreted
             assert len(compiled) == min(max_w, len(A_NAMES))
+
+    def test_guard_loop_truncates_like_the_product(self) -> None:
+        # Twelve falsifying rows, guard arguments in non-binder order:
+        # the survivors must be the product's first ``max_w`` bindings
+        # in (b, a) order, not the first rows the set happens to yield.
+        formula = ForAll((VB, VA), Implies(Q_PRED(VA, VB), P_PRED(VA)))
+        spec = spec_of(formula)
+        assert uses_guard_loop(spec)
+        interp = Interpretation(
+            relations={"q": {(x, y) for x in A_NAMES for y in B_NAMES}},
+            params={"P": 3},
+        )
+        for max_w in (1, 2, 5, 12, 20):
+            compiled, interpreted = check_both(
+                spec, interp, max_witnesses=max_w
+            )
+            assert compiled == interpreted
+            assert len(compiled) == min(max_w, 12)
+        assert compiled[0].witness == (("a", "x0"), ("b", "y0"))
+        assert compiled[1].witness == (("a", "x1"), ("b", "y0"))
+
+    def test_guard_free_spec_skips_domain_extraction(self) -> None:
+        guarded = compile_spec(
+            spec_of(ForAll((VA, VB), Implies(Q_PRED(VA, VB), P_PRED(VA))))
+        )
+        assert not any(i.uses_domains for i in guarded.invariants)
+        product = compile_spec(spec_of(ForAll((VA,), P_PRED(VA))))
+        assert all(i.uses_domains for i in product.invariants)
+        # A domain needed only inside the consequent still counts.
+        nested = compile_spec(
+            spec_of(
+                ForAll(
+                    (VA, VB),
+                    Implies(Q_PRED(VA, VB), Exists((VA,), P_PRED(VA))),
+                )
+            )
+        )
+        assert all(i.uses_domains for i in nested.invariants)
 
     def test_card_memo_agrees_with_fresh_count(self) -> None:
         interp = Interpretation(

@@ -10,17 +10,24 @@ fails the job instead of hanging it.
 """
 
 import asyncio
+import hashlib
+import json
+import os
 
 import pytest
 
 from repro.check.explorer import PLAN_KINDS, build_trial
-from repro.net.harness import run_live
+from repro.net.harness import HarnessError, run_live
 from repro.net.oracle import record_trial
 from repro.net.server import resume_position
+from repro.store.conflicts import ConflictDetector, open_ledgers
 
 
-def run(tmp_path, index, n_ops=25, time_scale=0.02, **kwargs):
-    spec = build_trial("tournament", "Causal", 11, index, n_ops=n_ops)
+def run(
+    tmp_path, index, n_ops=25, time_scale=0.02, app="tournament",
+    config="Causal", **kwargs
+):
+    spec = build_trial(app, config, 11, index, n_ops=n_ops)
     _, deployment = record_trial(spec)
     report = asyncio.run(
         run_live(
@@ -72,6 +79,76 @@ class TestLiveDigestEquality:
         _, report = run(tmp_path, index=4, time_scale=0.05)
         assert report.ok, report.reason
         assert report.digest_match
+
+
+    def test_ipa_twitter_replays_wildcard_removes(self, tmp_path, monkeypatch):
+        """IPA configs ship ``Pattern`` payloads (unregistered on the
+        wire until PR 13), and rem-wins Twitter is the one live run
+        that drives the detector's reference-hiding view: every check's
+        incremental model must equal a fresh ``extract``."""
+        checks = []
+        incremental = ConflictDetector.model
+
+        def model(detector):
+            interp = incremental(detector)
+            server = detector._server
+            assert interp == server.adapter.extract(
+                server.node.store, server.variant, server.params
+            )
+            checks.append(server.region)
+            return interp
+
+        monkeypatch.setattr(ConflictDetector, "model", model)
+        _, report = run(
+            tmp_path, index=2, n_ops=60, app="twitter", config="IPA"
+        )
+        assert report.ok, report.reason
+        assert report.digest_match
+        assert len(set(checks)) == 3 and len(checks) > 60
+
+    def test_nonpositive_time_scale_is_rejected_up_front(self, tmp_path):
+        for bad in (0, 0.0, -1.0, float("nan")):
+            with pytest.raises(HarnessError, match="time_scale must be > 0"):
+                run(tmp_path / "never", index=0, time_scale=bad)
+        assert not (tmp_path / "never").exists()  # before any side effect
+
+
+def _ledger_sha(data_dir: str) -> tuple[int, str]:
+    """(record count, sha) of every region ledger minus the wall clock."""
+    rows = []
+    for _region, ledger in sorted(open_ledgers(data_dir).items()):
+        for record in ledger.records():
+            blob = record.to_dict()
+            del blob["detected_at_ms"]
+            rows.append(blob)
+        ledger.close()
+    body = json.dumps(rows, sort_keys=True)
+    return len(rows), hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+@pytest.mark.timeout(90)
+class TestConflictLedgerPinned:
+    """The ledger's records are the detector's contract: the delta
+    detector (PR 13) must write what the full-extract one wrote.  The
+    shas were taken at the parent commit (b71872e) with this exact
+    recipe; everything but ``detected_at_ms`` is schedule-determined."""
+
+    @pytest.mark.parametrize(
+        "app, index, expected",
+        [
+            ("twitter", 3, (45, "f44bf494433aebef")),
+            ("tournament", 1, (24, "0fafd10e971d9acb")),
+        ],
+    )
+    def test_records_match_the_parent_commit(
+        self, tmp_path, app, index, expected
+    ):
+        _, report = run(
+            tmp_path, index=index, n_ops=80, time_scale=0.002, app=app
+        )
+        assert report.ok, report.reason
+        assert report.digest_match
+        assert _ledger_sha(os.path.join(str(tmp_path), "data")) == expected
 
 
 @pytest.mark.timeout(90)

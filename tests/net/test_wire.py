@@ -7,6 +7,7 @@ import pytest
 from repro.crdts import AWSet
 from repro.crdts.base import Dot
 from repro.crdts.clock import VersionVector
+from repro.crdts.pattern import WILDCARD, Pattern
 from repro.net import wire
 from repro.store.registry import TypeRegistry
 from repro.store.replica import Replica
@@ -61,6 +62,23 @@ class TestValueCodec:
         assert wire.decode(wire.encode(dot)) == dot
         vv = VersionVector({"us-east": 4, "eu-west": 1})
         assert wire.decode(wire.encode(vv)) == vv
+
+    def test_pattern_round_trip_keeps_the_wildcard_singleton(self):
+        # IPA wildcard removes (``enrolled(*, t) = false``) ship these.
+        pattern = Pattern.of("*", "t1")
+        decoded = wire.load_frame(wire.encode_body({"p": pattern}))["p"]
+        assert decoded == pattern
+        assert decoded.fields[0] is WILDCARD
+        assert decoded.matches(("anyone", "t1"))
+        assert not decoded.matches(("anyone", "t2"))
+        exact = Pattern.exact(("a", "b"))
+        assert wire.decode(wire.encode(exact)) == exact
+
+    def test_pattern_set_encoding_is_deterministic(self):
+        patterns = [Pattern.of("*", "t1"), Pattern.of("p", "*"), Pattern.of("*")]
+        a = wire.dump_frame({"v": set(patterns)})
+        b = wire.dump_frame({"v": set(reversed(patterns))})
+        assert a == b
 
     def test_commit_record_round_trip(self):
         record = make_record()
