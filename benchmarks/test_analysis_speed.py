@@ -6,10 +6,10 @@ the full IPA loop on each application spec and reports wall-clock,
 round and solver-query counts; it also ablates the analysis domain
 bound (DESIGN.md decision 1).
 
-``test_warm_cache_parallel_speedup`` is the acceptance benchmark of the
-analysis-performance work: the 4-app suite with ``jobs=4`` and a warm
-solver cache must run >=2x faster than the cold sequential baseline,
-while producing byte-identical results (fingerprints).
+``test_warm_cache_speedup`` is the acceptance benchmark of the solver
+cache: the 4-app suite on a warm cache must run >=2x faster than the
+uncached baseline, while producing byte-identical results
+(fingerprints).
 """
 
 import tempfile
@@ -41,7 +41,7 @@ def test_analysis_speed_all_apps(benchmark, record_bench):
     record_bench(
         "analysis_all_apps",
         wall_ms=sum(t.seconds for t in timings) * 1000.0,
-        params={"apps": len(timings), "jobs": 1},
+        params={"apps": len(timings)},
         solver_calls=sum(t.solver_solves for t in timings),
         cache_hits=sum(t.cache_hits for t in timings),
     )
@@ -52,14 +52,14 @@ def test_analysis_speed_all_apps(benchmark, record_bench):
         assert timing.fully_resolved, timing.application
 
 
-def test_warm_cache_parallel_speedup(benchmark, record_bench):
-    """4 apps, ``--jobs 4`` + warm cache: >=2x over cold sequential."""
+def test_warm_cache_speedup(benchmark, record_bench):
+    """4 apps on a warm solver cache: >=2x over the uncached run."""
 
     def suite():
-        cold = analysis_speed(jobs=1, cache=False)
+        cold = analysis_speed(cache=False)
         with tempfile.TemporaryDirectory() as cache_dir:
-            analysis_speed(jobs=1, cache_dir=cache_dir)  # fill the cache
-            warm = analysis_speed(jobs=4, cache_dir=cache_dir)
+            analysis_speed(cache_dir=cache_dir)  # fill the cache
+            warm = analysis_speed(cache_dir=cache_dir)
         return cold, warm
 
     cold, warm = benchmark.pedantic(suite, rounds=1, iterations=1)
@@ -68,20 +68,20 @@ def test_warm_cache_parallel_speedup(benchmark, record_bench):
     speedup = cold_s / warm_s
     print()
     print(
-        f"analysis suite: cold sequential {cold_s:.2f}s, "
-        f"warm jobs=4 {warm_s:.2f}s -> {speedup:.2f}x"
+        f"analysis suite: uncached {cold_s:.2f}s, "
+        f"warm cache {warm_s:.2f}s -> {speedup:.2f}x"
     )
     record_bench(
         "analysis_cold_sequential",
         wall_ms=cold_s * 1000.0,
-        params={"apps": len(cold), "jobs": 1, "cache": "off"},
+        params={"apps": len(cold), "cache": "off"},
         solver_calls=sum(t.solver_solves for t in cold),
         cache_hits=sum(t.cache_hits for t in cold),
     )
     record_bench(
-        "analysis_warm_jobs4",
+        "analysis_warm",
         wall_ms=warm_s * 1000.0,
-        params={"apps": len(warm), "jobs": 4, "cache": "warm"},
+        params={"apps": len(warm), "cache": "warm"},
         solver_calls=sum(t.solver_solves for t in warm),
         cache_hits=sum(t.cache_hits for t in warm),
     )

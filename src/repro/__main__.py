@@ -137,7 +137,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         spec,
         max_effects=args.max_effects,
         allow_rule_changes=not args.no_rule_changes,
-        jobs=args.jobs,
         cache=not args.no_cache,
         cache_dir=None if args.no_cache else args.cache_dir,
     )
@@ -512,7 +511,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     spec = load_specfile(args.specfile)
     obs.configure(enabled=True)
-    result = run_ipa(spec, jobs=args.jobs, cache=False)
+    result = run_ipa(spec, cache=False)
     print(
         f"analysis: {result.rounds} round(s), "
         f"{result.solver_queries} solver queries, "
@@ -663,7 +662,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             subprocess_servers=args.subprocess,
             fsync=args.fsync,
             trace_dir=args.trace_dir,
-            supervise=not args.no_supervise,
             max_restart_attempts=args.max_restart_attempts,
             corrupt_regions=tuple(args.corrupt or ()),
             heartbeat_ms=args.heartbeat_ms,
@@ -926,11 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only repair under the declared convergence rules",
     )
     analyze.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the conflict scan (default 1; "
-        "results are identical for any value)",
-    )
-    analyze.add_argument(
         "--no-cache", action="store_true",
         help="disable the solver-query cache",
     )
@@ -1090,11 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output Chrome trace-event JSON (default trace.json)",
     )
     trace.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the conflict scan (default 1); "
-        "worker spans stitch into the same trace",
-    )
-    trace.add_argument(
         "--clients", type=int, default=8, metavar="N",
         help="closed-loop clients per region (default 8)",
     )
@@ -1212,11 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed mid-file bit rot into REGION's commit log and "
         "object log while it is down in a crash window; the salvage "
         "path and scrubber must heal it (repeatable)",
-    )
-    load.add_argument(
-        "--no-supervise", action="store_true",
-        help="disable the supervisor: crash windows restart replicas "
-        "from the harness directly (legacy behaviour)",
     )
     load.add_argument(
         "--max-restart-attempts", type=int, default=5, metavar="N",

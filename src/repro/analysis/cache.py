@@ -13,7 +13,7 @@ bound), and stores the outcome in two tiers:
   cache instance (a single ``run_ipa`` call, or a long-lived checker);
 - an optional **on-disk** store (``.ipa-cache/`` by default), sharded by
   key prefix, so repeated analyses of the same specifications across
-  processes -- including the parallel scan workers -- are near-instant.
+  processes are near-instant.
 
 Disk entries are JSON documents carrying their own schema version, the
 key they claim to answer, and a checksum over the payload.  A corrupted,
@@ -190,9 +190,9 @@ class SolverCache:
 
     ``directory=None`` keeps the cache purely in memory.  A directory
     enables the persistent tier; it is created lazily on first write.
-    One instance may be shared by any number of checkers; the parallel
-    scan workers each hold their own instance pointed at the same
-    directory, so results flow between processes through the disk tier.
+    One instance may be shared by any number of checkers; instances in
+    other processes pointed at the same directory share results through
+    the disk tier.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
@@ -208,10 +208,6 @@ class SolverCache:
         self._writes = REGISTRY.counter("analysis.cache.writes")
         self._rejects = REGISTRY.counter("analysis.cache.rejected")
 
-    @property
-    def directory(self) -> Path | None:
-        return self._dir
-
     def key(
         self,
         domain: Domain,
@@ -223,22 +219,16 @@ class SolverCache:
 
     # -- lookup -------------------------------------------------------------
 
-    def get(
-        self, key: str, need_model: bool = False, record: bool = True
-    ) -> CacheEntry | None:
+    def get(self, key: str, need_model: bool = False) -> CacheEntry | None:
         """The stored entry, or None on miss.
 
         ``need_model=True`` rejects SAT entries stored without their
         model (the caller will recompute and upgrade the entry).
-        ``record=False`` keeps the lookup out of the hit/miss counters
-        -- used by probes that only ask *whether* a result is cached
-        (the parallel scan, deciding which pairs need a worker).
         """
         entry = self._memory.get(key)
         if entry is not None and self._usable(entry, need_model):
-            if record:
-                self.stats.memory_hits += 1
-                self._hits_memory.value += 1
+            self.stats.memory_hits += 1
+            self._hits_memory.value += 1
             return entry
         if self._dir is not None:
             disk = self._load_disk(key)
@@ -248,13 +238,11 @@ class SolverCache:
                 if entry is None or (disk.has_model and not entry.has_model):
                     self._memory[key] = disk
                 if self._usable(disk, need_model):
-                    if record:
-                        self.stats.disk_hits += 1
-                        self._hits_disk.value += 1
+                    self.stats.disk_hits += 1
+                    self._hits_disk.value += 1
                     return disk
-        if record:
-            self.stats.misses += 1
-            self._misses.value += 1
+        self.stats.misses += 1
+        self._misses.value += 1
         return None
 
     @staticmethod

@@ -15,9 +15,7 @@ alone, and the merge), which the report generator renders.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import pickle
 from dataclasses import dataclass
 
 from repro.logic.ast import Atom, NumPred
@@ -188,8 +186,8 @@ class ConflictChecker:
         """Number of solver queries issued so far (for the speed bench).
 
         Queries are counted *logically*: a query answered from the cache
-        still counts, so the number is identical between cold, warm and
-        parallel runs of the same analysis.
+        still counts, so the number is identical between cold and warm
+        runs of the same analysis.
         """
         return self._queries
 
@@ -201,23 +199,6 @@ class ConflictChecker:
     @property
     def cache(self) -> SolverCache | None:
         return self._cache
-
-    @property
-    def extra(self) -> int:
-        return self._extra
-
-    @property
-    def int_bound(self) -> int:
-        return self._int_bound
-
-    def add_external_queries(self, count: int) -> None:
-        """Account for logical queries issued on this checker's behalf
-        by a scan worker process (parallel mode)."""
-        self._queries += count
-
-    def add_external_counters(self, counts: dict[str, int]) -> None:
-        """Fold a worker process's solver-effort counters in."""
-        self.solver_counters.add(SolverCounters(**counts))
 
     # -- the core query -----------------------------------------------------
 
@@ -376,40 +357,6 @@ class ConflictChecker:
             if sat:
                 return True
         return False
-
-    def scan_from_cache(
-        self, op1: Operation, op2: Operation
-    ) -> tuple[bool, "ConflictWitness | None", int]:
-        """Resolve :meth:`is_conflicting` purely from the cache.
-
-        Returns ``(resolved, witness, bindings_consumed)``.  The query
-        counter is deliberately *not* committed -- the parallel scan
-        consumes results in deterministic pair order and must discard
-        resolutions past the first conflict, so the caller accounts the
-        consumed bindings itself (:meth:`add_external_queries`).  Any
-        cache miss aborts with ``resolved=False``; such pairs go to a
-        worker process.
-        """
-        if self._cache is None:
-            return False, None, 0
-        from repro.analysis.cache import deserialize_model
-
-        consumed = 0
-        for binding, query in self._pair_queries(op1, op2, None, None):
-            consumed += 1
-            key = self._cache.key(
-                binding.domain, self._params, self._int_bound, query
-            )
-            entry = self._cache.get(key, need_model=True, record=False)
-            if entry is None:
-                return False, None, 0
-            if entry.sat:
-                model = deserialize_model(
-                    entry.model_blob, binding.domain, self._params
-                )
-                witness = self._witness(op1, op2, binding, model)
-                return True, witness, consumed
-        return True, None, consumed
 
     def _ground_precondition(self, operation, binding, domain):
         from repro.logic.ast import TrueF
@@ -649,78 +596,3 @@ class PairSessions:
 
     def __len__(self) -> int:
         return len(self._sessions)
-
-
-# ---------------------------------------------------------------------------
-# Parallel scan workers
-# ---------------------------------------------------------------------------
-#
-# ``run_ipa(jobs=N)`` fans the candidate pairs of each scan round out to a
-# process pool.  Every task ships the pickled working specification (a
-# few kilobytes) plus the checker configuration; workers memoise the
-# rebuilt checker on the spec digest so one round's tasks share grounding
-# caches, and keep a single SolverCache alive for the whole worker
-# lifetime so the memory tier persists across rounds.  Results for pairs
-# *after* the first conflicting one (in deterministic pair order) are
-# speculative and discarded by the caller -- except that their solver
-# work has already warmed the shared on-disk cache.
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_cache(cache_dir: str | None) -> SolverCache | None:
-    if cache_dir is None:
-        return None
-    cache = _WORKER_STATE.get("cache")
-    if cache is None or _WORKER_STATE.get("cache_dir") != cache_dir:
-        cache = SolverCache(cache_dir)
-        _WORKER_STATE["cache"] = cache
-        _WORKER_STATE["cache_dir"] = cache_dir
-    return cache
-
-
-def scan_pair_task(
-    spec_blob: bytes,
-    spec_digest: str,
-    pair: tuple[str, str],
-    extra: int,
-    int_bound: int,
-    params: dict[str, int],
-    cache_dir: str | None,
-) -> tuple[tuple[str, str], "ConflictWitness | None", int, dict[str, int]]:
-    """Check one operation pair in a worker process.
-
-    Returns ``(pair, witness_or_None, logical_queries_issued,
-    solver_counters)``; the caller folds the query count and solver
-    effort into its own checker for pairs it actually consumes, keeping
-    counts identical to a sequential run.  Spans recorded here land in
-    the worker tracer's spool file and are stitched back by the parent
-    (see :meth:`repro.obs.Tracer.drain_workers`).
-    """
-    checker = _WORKER_STATE.get("checker")
-    if checker is None or _WORKER_STATE.get("digest") != spec_digest:
-        spec = pickle.loads(spec_blob)
-        checker = ConflictChecker(
-            spec,
-            extra=extra,
-            int_bound=int_bound,
-            params=params,
-            cache=_worker_cache(cache_dir),
-        )
-        _WORKER_STATE["checker"] = checker
-        _WORKER_STATE["digest"] = spec_digest
-    op1 = checker.spec.operation(pair[0])
-    op2 = checker.spec.operation(pair[1])
-    before = checker.queries_issued
-    counters_before = checker.solver_counters.as_dict()
-    witness = checker.is_conflicting(op1, op2)
-    delta = {
-        name: value - counters_before[name]
-        for name, value in checker.solver_counters.as_dict().items()
-    }
-    return pair, witness, checker.queries_issued - before, delta
-
-
-def spec_digest(blob: bytes) -> str:
-    """Digest used to key worker-side checker memoisation."""
-    return hashlib.sha256(blob).hexdigest()

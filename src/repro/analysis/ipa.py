@@ -11,10 +11,8 @@ coordination (the escape hatch of Step 3 of the recipe).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
-import pickle
 from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError, UnsolvableConflictError
@@ -24,12 +22,7 @@ from repro.spec.application import ApplicationSpec
 
 from repro.analysis.cache import SolverCache
 from repro.analysis.compensation import Compensation, generate_compensations
-from repro.analysis.conflicts import (
-    ConflictChecker,
-    ConflictWitness,
-    scan_pair_task,
-    spec_digest,
-)
+from repro.analysis.conflicts import ConflictChecker, ConflictWitness
 from repro.analysis.repair import (
     PickPolicy,
     Resolution,
@@ -42,27 +35,23 @@ from repro.analysis.repair import (
 class AnalysisStats:
     """Per-stage instrumentation of one ``run_ipa`` call.
 
-    Everything here is *observational* -- wall-clock, cache traffic,
-    degree of parallelism -- and explicitly excluded from
-    :meth:`IpaResult.fingerprint`, which covers only the deterministic
-    outcome.
+    Everything here is *observational* -- wall-clock, cache traffic --
+    and explicitly excluded from :meth:`IpaResult.fingerprint`, which
+    covers only the deterministic outcome.
     """
 
-    jobs: int = 1
     scan_seconds: float = 0.0
     repair_seconds: float = 0.0
     compensation_seconds: float = 0.0
     scan_queries: int = 0
     repair_queries: int = 0
     solver_solves: int = 0
-    speculative_pairs: int = 0
     cache_memory_hits: int = 0
     cache_disk_hits: int = 0
     cache_misses: int = 0
     cache_rejected: int = 0
     #: CDCL search effort (decisions, propagations, conflicts, restarts,
-    #: learned clauses) summed over every solver the analysis ran,
-    #: including parallel scan workers for consumed pairs.
+    #: learned clauses) summed over every solver the analysis ran.
     solver: SolverCounters = field(default_factory=SolverCounters)
 
     @property
@@ -80,14 +69,12 @@ class AnalysisStats:
 
     def as_dict(self) -> dict:
         return {
-            "jobs": self.jobs,
             "scan_seconds": self.scan_seconds,
             "repair_seconds": self.repair_seconds,
             "compensation_seconds": self.compensation_seconds,
             "scan_queries": self.scan_queries,
             "repair_queries": self.repair_queries,
             "solver_solves": self.solver_solves,
-            "speculative_pairs": self.speculative_pairs,
             "cache_memory_hits": self.cache_memory_hits,
             "cache_disk_hits": self.cache_disk_hits,
             "cache_misses": self.cache_misses,
@@ -113,11 +100,6 @@ class AnalysisStats:
             f"{self.solver.restarts} restart(s), "
             f"{self.solver.learned_clauses} learned clause(s)",
         ]
-        if self.jobs > 1:
-            lines.append(
-                f"parallel scan: {self.jobs} worker(s), "
-                f"{self.speculative_pairs} speculative pair check(s)"
-            )
         if self.cache_rejected:
             lines.append(
                 f"cache entries rejected (corrupt/stale): "
@@ -232,9 +214,9 @@ class IpaResult:
     def fingerprint(self) -> str:
         """Content hash of the deterministic outcome of the analysis.
 
-        Sequential, parallel and cache-warmed runs of the same
-        specification produce the same fingerprint; timings and cache
-        counters (which legitimately differ between runs) are excluded.
+        Cold and cache-warmed runs of the same specification produce
+        the same fingerprint; timings and cache counters (which
+        legitimately differ between runs) are excluded.
         The repair search is exhaustive and pair order is fixed, so this
         covers the modified spec, every applied repair with its witness,
         every flagged conflict with its compensations, the round count
@@ -282,21 +264,24 @@ def run_ipa(
     :class:`~repro.errors.UnsolvableConflictError` instead of flagging a
     pair that not even a compensation covers.
 
-    Performance knobs (the outcome is identical for every setting, see
+    The solver cache (the outcome is identical with or without it, see
     :meth:`IpaResult.fingerprint`):
 
-    - ``jobs``: number of worker processes for the conflict-detection
-      scan.  ``1`` (default) scans sequentially; higher values check the
-      remaining pairs of each round concurrently and consume the results
-      in deterministic pair order.
     - ``cache``: a :class:`~repro.analysis.cache.SolverCache` to share,
       ``False`` to disable caching, or ``None``/``True`` to create one
       (with a persistent tier under ``cache_dir`` if given).
-    - ``cache_dir``: directory for the on-disk cache tier; required for
-      parallel workers to share results with the main process.
+    - ``cache_dir``: directory for the on-disk cache tier.
+
+    ``jobs`` accepts only ``1``: ``benchmarks/ledger`` still passes it
+    by keyword; a later benchmark-only PR drops the argument and then
+    the parameter.
     """
+    if jobs != 1:
+        raise AnalysisError(
+            f"run_ipa scans sequentially: jobs must be 1, got {jobs!r}"
+        )
     started = monotonic()
-    run_span = TRACER.start("analysis.run", spec=spec.name, jobs=max(1, jobs))
+    run_span = TRACER.start("analysis.run", spec=spec.name)
     work = spec.copy()
     if cache is False:
         cache = None
@@ -308,8 +293,7 @@ def run_ipa(
         checker = ConflictChecker(
             work, params=checker.params, cache=checker.cache or cache
         )
-    stats = AnalysisStats(jobs=max(1, jobs))
-    executor = _make_executor(jobs)
+    stats = AnalysisStats()
     applied: list[AppliedResolution] = []
     flagged: list[FlaggedConflict] = []
     skip: set[tuple[str, str]] = set()
@@ -318,94 +302,85 @@ def run_ipa(
     # is replaced (any rule change clears the whole set).
     clean: set[tuple[str, str]] = set()
     rounds = 0
-    try:
-        while rounds < max_rounds:
-            rounds += 1
-            scan_started = monotonic()
-            scan_span = TRACER.start("analysis.scan", round=rounds)
-            queries_before = checker.queries_issued
-            if executor is not None:
-                witness = _find_first_parallel(
-                    executor, checker, work, skip, clean, stats
-                )
-            else:
-                witness = _find_first(checker, skip, clean)
-            stats.scan_seconds += monotonic() - scan_started
-            stats.scan_queries += checker.queries_issued - queries_before
-            TRACER.end(
-                scan_span,
-                queries=checker.queries_issued - queries_before,
-                conflict=witness is not None,
-            )
-            if witness is None:
-                break
-            repair_started = monotonic()
-            repair_span = TRACER.start(
-                "analysis.repair",
-                round=rounds,
+    while rounds < max_rounds:
+        rounds += 1
+        scan_started = monotonic()
+        scan_span = TRACER.start("analysis.scan", round=rounds)
+        queries_before = checker.queries_issued
+        witness = _find_first(checker, skip, clean)
+        stats.scan_seconds += monotonic() - scan_started
+        stats.scan_queries += checker.queries_issued - queries_before
+        TRACER.end(
+            scan_span,
+            queries=checker.queries_issued - queries_before,
+            conflict=witness is not None,
+        )
+        if witness is None:
+            break
+        repair_started = monotonic()
+        repair_span = TRACER.start(
+            "analysis.repair",
+            round=rounds,
+            op1=witness.op1.name,
+            op2=witness.op2.name,
+        )
+        queries_before = checker.queries_issued
+        solutions = repair_conflict(
+            work,
+            checker,
+            witness,
+            max_effects=max_effects,
+            allow_rule_changes=allow_rule_changes,
+            require_semantics_preserving=require_semantics_preserving,
+        )
+        stats.repair_seconds += monotonic() - repair_started
+        stats.repair_queries += checker.queries_issued - queries_before
+        TRACER.end(repair_span, candidates=len(solutions))
+        chosen = pick(witness, solutions)
+        if chosen is None:
+            comp_started = monotonic()
+            comp_span = TRACER.start(
+                "analysis.compensation",
                 op1=witness.op1.name,
                 op2=witness.op2.name,
             )
-            queries_before = checker.queries_issued
-            solutions = repair_conflict(
-                work,
-                checker,
-                witness,
-                max_effects=max_effects,
-                allow_rule_changes=allow_rule_changes,
-                require_semantics_preserving=require_semantics_preserving,
-            )
-            stats.repair_seconds += monotonic() - repair_started
-            stats.repair_queries += checker.queries_issued - queries_before
-            TRACER.end(repair_span, candidates=len(solutions))
-            chosen = pick(witness, solutions)
-            if chosen is None:
-                comp_started = monotonic()
-                comp_span = TRACER.start(
-                    "analysis.compensation",
-                    op1=witness.op1.name,
-                    op2=witness.op2.name,
+            compensations = generate_compensations(work, witness)
+            stats.compensation_seconds += monotonic() - comp_started
+            TRACER.end(comp_span, compensations=len(compensations))
+            entry = FlaggedConflict(witness, compensations)
+            if strict and entry.needs_coordination:
+                raise UnsolvableConflictError(
+                    f"no repair or compensation for "
+                    f"{witness.op1.name} || {witness.op2.name}"
                 )
-                compensations = generate_compensations(work, witness)
-                stats.compensation_seconds += monotonic() - comp_started
-                TRACER.end(comp_span, compensations=len(compensations))
-                entry = FlaggedConflict(witness, compensations)
-                if strict and entry.needs_coordination:
-                    raise UnsolvableConflictError(
-                        f"no repair or compensation for "
-                        f"{witness.op1.name} || {witness.op2.name}"
-                    )
-                flagged.append(entry)
-                skip.add((witness.op1.name, witness.op2.name))
-                continue
-            if chosen.rule_changes:
-                clean.clear()
-            for name, policy in chosen.rule_changes:
-                work.rules.set(name, policy)
-            if chosen.new_op1 is not witness.op1:
-                work.replace_operation(witness.op1.name, chosen.new_op1)
-                clean = {
-                    pair for pair in clean if witness.op1.name not in pair
-                }
-            if chosen.new_op2 is not witness.op2:
-                work.replace_operation(witness.op2.name, chosen.new_op2)
-                clean = {
-                    pair for pair in clean if witness.op2.name not in pair
-                }
-            applied.append(
-                AppliedResolution(
-                    witness=witness,
-                    resolution=chosen,
-                    alternatives=len(solutions),
-                )
+            flagged.append(entry)
+            skip.add((witness.op1.name, witness.op2.name))
+            continue
+        if chosen.rule_changes:
+            clean.clear()
+        for name, policy in chosen.rule_changes:
+            work.rules.set(name, policy)
+        if chosen.new_op1 is not witness.op1:
+            work.replace_operation(witness.op1.name, chosen.new_op1)
+            clean = {
+                pair for pair in clean if witness.op1.name not in pair
+            }
+        if chosen.new_op2 is not witness.op2:
+            work.replace_operation(witness.op2.name, chosen.new_op2)
+            clean = {
+                pair for pair in clean if witness.op2.name not in pair
+            }
+        applied.append(
+            AppliedResolution(
+                witness=witness,
+                resolution=chosen,
+                alternatives=len(solutions),
             )
-        else:
-            raise AnalysisError(
-                f"IPA did not converge within {max_rounds} rounds"
-            )
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        )
+    else:
+        raise AnalysisError(
+            f"IPA did not converge within {max_rounds} rounds"
+        )
     stats.solver_solves = checker.solver_solves
     stats.solver.add(checker.solver_counters)
     stats.snapshot_cache(checker.cache)
@@ -416,8 +391,6 @@ def run_ipa(
         applied=len(applied),
         flagged=len(flagged),
     )
-    # Stitch spans that scan workers spooled to disk into this trace.
-    TRACER.drain_workers()
     return IpaResult(
         original=spec,
         modified=work,
@@ -428,24 +401,6 @@ def run_ipa(
         solver_queries=checker.queries_issued,
         stats=stats,
     )
-
-
-def _make_executor(jobs: int):
-    """A process pool for the parallel scan, or None for sequential."""
-    if jobs <= 1:
-        return None
-    import multiprocessing
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = multiprocessing.get_context()
-    try:
-        return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
-    except OSError:  # pragma: no cover - restricted environments
-        return None
 
 
 def _find_first(
@@ -465,103 +420,6 @@ def _find_first(
             return witness
         clean.add(key)
     return None
-
-
-def _find_first_parallel(
-    executor,
-    checker: ConflictChecker,
-    work: ApplicationSpec,
-    skip: set[tuple[str, str]],
-    clean: set[tuple[str, str]],
-    stats: AnalysisStats,
-) -> ConflictWitness | None:
-    """Parallel ``findConflictingPair`` with sequential semantics.
-
-    Every candidate pair of the round is checked concurrently
-    (*speculatively*), but results are consumed strictly in the
-    deterministic pair order of :meth:`ConflictChecker.pairs`: pairs up
-    to the first conflict contribute their clean verdicts and query
-    counts exactly as a sequential scan would; results past the first
-    conflict are discarded (a sequential scan would not have checked
-    those pairs this round), leaving the ``clean`` memo and the logical
-    query count byte-identical to sequential mode.  The discarded work
-    is not entirely wasted: it ran through the shared on-disk cache, so
-    re-checks in later rounds are hits.
-    """
-    pending = []
-    for op1, op2 in checker.pairs():
-        key = (op1.name, op2.name)
-        if key in skip or (op2.name, op1.name) in skip:
-            continue
-        if key in clean:
-            continue
-        pending.append((op1, op2))
-    if not pending:
-        return None
-    # Pairs whose full query sequence is already cached are resolved in
-    # the main process -- shipping them to a worker would pay pickling
-    # and process latency for zero solver work.  Only actual misses fan
-    # out.  On a fully warm cache no worker is touched at all (the pool
-    # spawns its processes lazily).  Resolutions hold their binding
-    # (query) counts back until consumption so discarded speculative
-    # results never skew the deterministic counters.
-    resolved: dict[tuple[str, str], tuple[ConflictWitness | None, int]] = {}
-    uncached = []
-    for op1, op2 in pending:
-        hit, witness, queries = checker.scan_from_cache(op1, op2)
-        if hit:
-            resolved[(op1.name, op2.name)] = (witness, queries)
-        else:
-            uncached.append((op1, op2))
-    futures = {}
-    if uncached:
-        blob = pickle.dumps(work)
-        digest = spec_digest(blob)
-        cache = checker.cache
-        cache_dir = (
-            str(cache.directory)
-            if cache is not None and cache.directory is not None
-            else None
-        )
-        futures = {
-            (op1.name, op2.name): executor.submit(
-                scan_pair_task,
-                blob,
-                digest,
-                (op1.name, op2.name),
-                checker.extra,
-                checker.int_bound,
-                checker.params,
-                cache_dir,
-            )
-            for op1, op2 in uncached
-        }
-    found: ConflictWitness | None = None
-    for op1, op2 in pending:
-        key = (op1.name, op2.name)
-        future = futures.get(key)
-        if found is not None:
-            if future is not None:
-                future.cancel()
-                stats.speculative_pairs += 1
-            continue
-        if future is None:
-            witness, queries = resolved[key]
-            checker.add_external_queries(queries)
-        else:
-            _, witness, queries, counters = future.result()
-            checker.add_external_queries(queries)
-            checker.add_external_counters(counters)
-            if witness is not None:
-                # Re-anchor the unpickled witness on the working spec's
-                # own operation objects so downstream identity checks
-                # and repairs see the canonical instances.
-                witness = dataclasses.replace(witness, op1=op1, op2=op2)
-        if witness is None:
-            clean.add(key)
-        else:
-            found = witness
-    return found
 
 
 class IpaTool:

@@ -395,13 +395,12 @@ class AnalysisTiming:
 
 
 def analysis_speed(
-    jobs: int = 1,
     cache: "object | None" = None,
     cache_dir: "str | None" = None,
 ) -> list[AnalysisTiming]:
     """Wall-clock of the full IPA analysis per application (§5.1.3).
 
-    ``jobs``/``cache``/``cache_dir`` are forwarded to
+    ``cache``/``cache_dir`` are forwarded to
     :func:`~repro.analysis.run_ipa`; the returned timings carry each
     result's :meth:`~repro.analysis.IpaResult.fingerprint` so callers
     can assert that differently-configured runs agree.
@@ -416,7 +415,7 @@ def analysis_speed(
         ("tpcw", tpcw_spec()),
     ):
         started = monotonic()
-        result = run_ipa(spec, jobs=jobs, cache=cache, cache_dir=cache_dir)
+        result = run_ipa(spec, cache=cache, cache_dir=cache_dir)
         timings.append(
             AnalysisTiming(
                 application=name,

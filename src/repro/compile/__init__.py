@@ -1,8 +1,8 @@
 """Spec compilation: invariants, effects and clocks as closures.
 
 One-time, per-spec compilation of the checker's hot paths.  Invariant
-formulas become specialized Python closures (:mod:`.formula`), cached
-content-addressed in two tiers (:mod:`.cache`).  The companion fast
+formulas become specialized Python closures (:mod:`.formula`), memoised
+process-wide by spec content (:mod:`.cache`).  The companion fast
 paths -- CRDT effect dispatch tables (:mod:`repro.crdts.base`) and
 packed version vectors (:class:`repro.crdts.clock.ClockDomain`) -- live
 next to the types they specialize.
@@ -14,7 +14,6 @@ witnesses and trial fingerprints.
 """
 
 from repro.compile.cache import (
-    CACHE_SCHEMA,
     SpecCache,
     canonical_spec_text,
     compilation_enabled,
@@ -35,7 +34,6 @@ from repro.compile.formula import (
 )
 
 __all__ = [
-    "CACHE_SCHEMA",
     "CompiledInvariant",
     "CompiledSpec",
     "SpecCache",

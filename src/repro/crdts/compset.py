@@ -21,6 +21,7 @@ replicas converge and the bound holds in every observed state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.errors import CRDTError
@@ -45,13 +46,25 @@ class CompensatedRead:
     victims: tuple
 
 
+# The default rules are module-level functions bound with ``partial``,
+# not closures: a capacity object must pickle for the durable engines.
+
+
+def _within_limit(limit: int, elements: set) -> bool:
+    return len(elements) <= limit
+
+
+def _beyond_smallest(limit: int, elements: set) -> tuple:
+    try:
+        ordered = sorted(elements)
+    except TypeError:  # mixed types: fall back to a stable string key
+        ordered = sorted(elements, key=lambda e: (str(type(e)), str(e)))
+    return tuple(ordered[limit:])
+
+
 def max_size_constraint(limit: int) -> Callable[[set], bool]:
     """The aggregation bound of the paper's examples: ``|S| <= limit``."""
-
-    def check(elements: set) -> bool:
-        return len(elements) <= limit
-
-    return check
+    return partial(_within_limit, limit)
 
 
 def keep_smallest(limit: int) -> Callable[[set], tuple]:
@@ -61,15 +74,7 @@ def keep_smallest(limit: int) -> Callable[[set], tuple]:
     keeps the earliest identifiers, which matches "cancel the most
     recent oversold tickets" when ids are ordered by issue time.
     """
-
-    def select(elements: set) -> tuple:
-        try:
-            ordered = sorted(elements)
-        except TypeError:  # mixed types: fall back to a stable string key
-            ordered = sorted(elements, key=lambda e: (str(type(e)), str(e)))
-        return tuple(ordered[limit:])
-
-    return select
+    return partial(_beyond_smallest, limit)
 
 
 class CompensationSet(CRDT):

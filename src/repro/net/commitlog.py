@@ -33,7 +33,7 @@ objects instead of wire-JSON records under the same crash contract.
 log across N per-shard files, routing each record by the consistent
 hash of its first updated key; every record carries a monotonically
 increasing sequence number (``seq``) so recovery can replay the shard
-files in parallel and merge them back into the exact application
+files one by one and merge them back into the exact application
 order.  With one shard the on-disk format is byte-identical to the
 historical single-file log (no ``seq`` tag, legacy filename).
 """
@@ -44,7 +44,6 @@ import logging
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.errors import ReproError
@@ -305,10 +304,10 @@ class ShardedCommitLog:
     Appends route each record to the shard owning its first updated
     key (commitless records route by origin), tagged with a global
     monotonic sequence number.  :meth:`replay` reads every shard file
-    concurrently and merges by sequence, reproducing the exact
-    application order a single log would have preserved; the sequence
-    counter resumes past the highest replayed tag, so appends after a
-    crash stay totally ordered.
+    and merges by sequence, reproducing the exact application order a
+    single log would have preserved; the sequence counter resumes past
+    the highest replayed tag, so appends after a crash stay totally
+    ordered.
 
     With ``shards == 1`` this degenerates to the classic single-file
     log: legacy filename, no sequence tags, byte-identical format.
@@ -343,7 +342,7 @@ class ShardedCommitLog:
         return tuple(self._paths)
 
     def replay(self, salvage: bool = False) -> list[CommitRecord]:
-        """Replay every shard file in parallel, merged by sequence.
+        """Replay every shard file in turn, merged by sequence.
 
         ``salvage=True`` additionally truncates mid-file damage per
         shard (see :func:`read_frames`) and then cuts the *merged*
@@ -361,18 +360,9 @@ class ShardedCommitLog:
             records = replay(self._paths[0], salvage=salvage)
             self._next_seq = len(records)
             return records
-        with ThreadPoolExecutor(
-            max_workers=min(self.shards, 8)
-        ) as pool:
-            per_shard = list(
-                pool.map(
-                    lambda path: replay_indexed(path, salvage=salvage),
-                    self._paths,
-                )
-            )
         tagged: list[tuple[int, CommitRecord]] = []
-        for path, indexed in zip(self._paths, per_shard):
-            for seq, record in indexed:
+        for path in self._paths:
+            for seq, record in replay_indexed(path, salvage=salvage):
                 if seq is None:
                     raise CommitLogError(
                         f"{path}: record without a sequence tag in a "

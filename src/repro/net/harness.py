@@ -335,10 +335,10 @@ async def _rot_live_region(
 class Supervisor:
     """Watches the fleet's nodes; restarts the dead, gives up loudly.
 
-    The harness half of the self-healing tentpole: crash windows under
-    supervision only *kill* -- bringing the replica back is this
-    class's job, with capped decorrelated-jitter backoff between
-    attempts.  Every incident records its MTTR timestamps
+    The harness half of the self-healing tentpole: crash windows only
+    *kill* -- bringing the replica back is this class's job, with
+    capped decorrelated-jitter backoff between attempts.  Every
+    incident records its MTTR timestamps
     (killed -> detected -> restarted-and-ready); a replica that cannot
     be revived within the attempt budget flips ``failed_event`` with a
     diagnostic instead of letting the run stall to the deadline.
@@ -492,7 +492,6 @@ async def run_live(
     subprocess_servers: bool = False,
     fsync: bool = False,
     trace_dir: str | None = None,
-    supervise: bool = True,
     max_restart_attempts: int = 5,
     corrupt_regions: tuple[str, ...] = (),
     heartbeat_ms: float = 25.0,
@@ -509,10 +508,10 @@ async def run_live(
     dumps at the end, and everything is stitched into one
     Perfetto-loadable ``trace.json`` under ``trace_dir``.
 
-    Under ``supervise`` (the default) crash windows only *kill*;
-    detection and restart belong to the :class:`Supervisor`, whose
-    incident log (MTTR timestamps, restart attempts) lands in
-    ``report.supervisor``.  ``corrupt_regions`` seeds mid-file bit rot
+    Crash windows only *kill*; detection and restart belong to the
+    :class:`Supervisor`, whose incident log (MTTR timestamps, restart
+    attempts) lands in ``report.supervisor``.  ``corrupt_regions``
+    seeds mid-file bit rot
     into those regions' durable state while they are down -- combined
     with a crash window this is the full self-healing scenario: kill,
     corrupt, detect, restart, salvage, scrub, converge.
@@ -569,7 +568,6 @@ async def run_live(
 
     crash_tasks: list[asyncio.Task] = []
     rot_tasks: list[asyncio.Task] = []
-    supervisor: Supervisor | None = None
     supervisor_task: asyncio.Task | None = None
     started = time.time()
     try:
@@ -577,15 +575,14 @@ async def run_live(
             await node.start()
         await _await_ready(topology, regions, deadline_s)
 
-        if supervise:
-            supervisor = Supervisor(
-                nodes,
-                topology,
-                data_dir,
-                max_attempts=max_restart_attempts,
-                corrupt_regions=corrupt_regions,
-            )
-            supervisor_task = asyncio.ensure_future(supervisor.run())
+        supervisor = Supervisor(
+            nodes,
+            topology,
+            data_dir,
+            max_attempts=max_restart_attempts,
+            corrupt_regions=corrupt_regions,
+        )
+        supervisor_task = asyncio.ensure_future(supervisor.run())
 
         epoch_unix_ms = time.time() * 1000.0
         proxy.set_epoch(epoch_unix_ms)
@@ -594,7 +591,7 @@ async def run_live(
                 asyncio.ensure_future(
                     _crash_window(
                         nodes[window.region], window, epoch_unix_ms,
-                        time_scale, supervisor=supervisor,
+                        time_scale, supervisor,
                     )
                 )
             )
@@ -617,19 +614,14 @@ async def run_live(
         fleet = ClientFleet(deployment, topology, time_scale=time_scale)
         remaining = deadline_s - (time.time() - started)
         fleet_task = asyncio.ensure_future(fleet.run())
-        failed_task = (
-            asyncio.ensure_future(supervisor.failed_event.wait())
-            if supervisor is not None
-            else None
-        )
-        waiters = {fleet_task} | ({failed_task} if failed_task else set())
+        failed_task = asyncio.ensure_future(supervisor.failed_event.wait())
         try:
             done, _pending = await asyncio.wait(
-                waiters,
+                {fleet_task, failed_task},
                 timeout=max(remaining, 1.0),
                 return_when=asyncio.FIRST_COMPLETED,
             )
-            if failed_task is not None and failed_task in done:
+            if failed_task in done:
                 # A replica died for good: fail fast with the
                 # supervisor's diagnosis instead of stalling the fleet
                 # against its op deadlines.
@@ -670,13 +662,10 @@ async def run_live(
                 proxy=proxy.stats(),
                 crashes=len(plan.crashes),
                 mode=mode,
-                supervisor=(
-                    supervisor.summary() if supervisor is not None else {}
-                ),
+                supervisor=supervisor.summary(),
             )
         finally:
-            if failed_task is not None:
-                failed_task.cancel()
+            failed_task.cancel()
 
         # The fleet is done; let every crash window play out (a restart
         # may still be pending) and every schedule drain.
@@ -719,25 +708,23 @@ async def run_live(
             digests_live.get(region) == digests_sim.get(region)
             for region in regions
         )
-        supervisor_summary: dict = {}
-        if supervisor is not None:
-            supervisor_summary = supervisor.summary()
-            # MTTR closes at convergence: the revived replica's own
-            # schedule draining means it caught back up with the run.
-            mttrs = []
-            for incident in supervisor_summary["incidents"]:
-                completed = statuses.get(incident["region"], {}).get(
-                    "_completed_unix_s"
-                )
-                anchor = (
-                    incident.get("killed_unix_s")
-                    or incident["detected_unix_s"]
-                )
-                if completed is not None and anchor is not None:
-                    incident["mttr_s"] = completed - anchor
-                    mttrs.append(incident["mttr_s"])
-            if mttrs:
-                supervisor_summary["mttr_s"] = max(mttrs)
+        supervisor_summary = supervisor.summary()
+        # MTTR closes at convergence: the revived replica's own
+        # schedule draining means it caught back up with the run.
+        mttrs = []
+        for incident in supervisor_summary["incidents"]:
+            completed = statuses.get(incident["region"], {}).get(
+                "_completed_unix_s"
+            )
+            anchor = (
+                incident.get("killed_unix_s")
+                or incident["detected_unix_s"]
+            )
+            if completed is not None and anchor is not None:
+                incident["mttr_s"] = completed - anchor
+                mttrs.append(incident["mttr_s"])
+        if mttrs:
+            supervisor_summary["mttr_s"] = max(mttrs)
         if rotted:
             supervisor_summary.setdefault("corrupted_files", []).extend(
                 rotted
@@ -796,28 +783,19 @@ async def run_live(
 
 
 async def _crash_window(
-    node, window, epoch_unix_ms, time_scale, supervisor=None
+    node, window, epoch_unix_ms, time_scale, supervisor
 ) -> None:
-    """Kill at the window's open; who restarts depends on supervision.
+    """Kill at the window's open, and nothing else.
 
-    Unsupervised (legacy), the window restarts its own victim at the
-    close.  Supervised, the window only kills -- recovery is the
-    :class:`Supervisor`'s job, which is the point: the fleet heals
-    with zero restart intervention from the harness.
+    Recovery is the :class:`Supervisor`'s job, which is the point: the
+    fleet heals with zero restart intervention from the harness.
     """
     now_ms = time.time() * 1000.0 - epoch_unix_ms
     await asyncio.sleep(
         max(0.0, (window.start_ms * time_scale - now_ms) / 1000.0)
     )
     await node.crash()
-    if supervisor is not None:
-        supervisor.note_kill(window.region)
-        return
-    now_ms = time.time() * 1000.0 - epoch_unix_ms
-    await asyncio.sleep(
-        max(0.0, (window.end_ms * time_scale - now_ms) / 1000.0)
-    )
-    await node.restart()
+    supervisor.note_kill(window.region)
 
 
 async def _await_ready(topology, regions, deadline_s: float) -> None:

@@ -196,6 +196,10 @@ class HintQueue:
     the memory mirror and the file; redelivery is idempotent upstream
     (servers dedup records by version vector), so a crash between
     drain and delivery at worst re-sends.
+
+    Hints are regenerable (anti-entropy covers whatever is lost), so
+    loading salvages: a damaged hint truncates the file there, and the
+    hints cut count into ``dropped`` like the bound's evictions.
     """
 
     def __init__(self, path: str, limit: int = 512) -> None:
@@ -203,10 +207,12 @@ class HintQueue:
             raise ValueError("hint limit must be >= 1")
         self.path = os.fspath(path)
         self.limit = limit
-        self.dropped = 0
         self._messages: deque[dict] = deque()
         self._fh: Any = None
-        for _offset, _end, body in commitlog.read_frames(self.path):
+        intact, damaged = commitlog.scan_frames(self.path)
+        frames = commitlog.read_frames(self.path, salvage=True)
+        self.dropped = len(intact) + len(damaged) - len(frames)
+        for _offset, _end, body in frames:
             try:
                 message = wire.load_frame(body)
             except wire.WireError:

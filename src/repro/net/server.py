@@ -570,6 +570,7 @@ class ReplicaServer:
                 os.path.join(data_dir, f"{region}-hints-{peer}.log"),
                 limit=self.hint_limit,
             )
+            self._count_dropped_hints(self._hints[peer].dropped)
 
     # -- clocks ---------------------------------------------------------------
 
@@ -863,10 +864,12 @@ class ReplicaServer:
         hints.append(message)
         self.stats["net.handoff.queued"] += 1
         _handoff_queued.inc()
-        evicted = hints.dropped - before
-        if evicted:
-            self.stats["net.handoff.dropped"] += evicted
-            _handoff_dropped.inc(evicted)
+        self._count_dropped_hints(hints.dropped - before)
+
+    def _count_dropped_hints(self, count: int) -> None:
+        if count:
+            self.stats["net.handoff.dropped"] += count
+            _handoff_dropped.inc(count)
 
     async def _park_outbound(self, peer: str, queue, breaker) -> None:
         """Hold the link while its circuit is open, hinting payloads.

@@ -267,21 +267,20 @@ async def write_frame(writer: Any, message: dict[str, Any]) -> None:
 def peek_trace_context(raw: bytes) -> tuple[str | None, str | None]:
     """``(type, tc)`` of a raw frame, without the tagged decode.
 
-    For observers that hold frame *bytes* (the chaos proxy): both keys
-    are untagged top-level strings, so a plain JSON parse suffices --
-    no dataclass registry, and no risk of perturbing what is relayed.
-    Returns ``(None, None)`` for anything unparseable; peeking is
-    best-effort annotation, never validation.
+    For observers that hold frame *bytes* (the chaos proxy): a message
+    dict travels as ``{"d": [[key, value], ...]}`` and both values are
+    untagged strings, so a plain JSON parse suffices -- no dataclass
+    registry, and no risk of perturbing what is relayed.  Returns
+    ``None`` for whatever cannot be read; peeking is best-effort
+    annotation, never validation.
     """
     try:
         blob = json.loads(raw[_LEN.size :].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
+        found = {
+            key: value
+            for key, value in blob["d"]
+            if key in ("type", "tc") and isinstance(value, str)
+        }
+    except (UnicodeDecodeError, ValueError, TypeError, KeyError):
         return None, None
-    if not isinstance(blob, dict):
-        return None, None
-    kind = blob.get("type")
-    tc = blob.get("tc")
-    return (
-        kind if isinstance(kind, str) else None,
-        tc if isinstance(tc, str) else None,
-    )
+    return found.get("type"), found.get("tc")

@@ -4,7 +4,6 @@ The one place wall-clock time and metric naming live.  Three pieces:
 
 - :mod:`repro.obs.tracer` -- nested spans with monotonic timestamps,
   attributes and process/thread identity; zero overhead while disabled;
-  worker-process spans spool to disk and stitch into the parent trace;
 - :mod:`repro.obs.registry` -- typed counters / gauges / histograms
   under ``dotted.namespace`` names, plus the single shared
   :func:`quantile` implementation;

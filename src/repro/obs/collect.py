@@ -20,9 +20,8 @@ one Perfetto-loadable trace:
 - :func:`write_stitched` writes the stitched Chrome trace with
   per-replica track names and cross-process flow arrows.
 
-Unlike :meth:`Tracer.drain_workers`, stitching never deletes the
-spool files -- the raw per-process JSONL stays on disk as the archive
-(and the CI artifact).
+Stitching never deletes the spool files -- the raw per-process JSONL
+stays on disk as the archive (and the CI artifact).
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 Three views of the same span list:
 
 - :func:`write_jsonl` -- one :class:`~repro.obs.tracer.SpanRecord` per
-  line, the stable machine-readable archive format (workers spool the
-  same layout);
+  line, the stable machine-readable archive format (live servers spool
+  the same layout);
 - :func:`chrome_trace` / :func:`write_chrome_trace` -- the Chrome
   trace-event format (``{"traceEvents": [...]}`` with complete ``"X"``
   events), loadable in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing``; each process/worker renders as its own track;
+  ``chrome://tracing``; each process renders as its own track;
 - :func:`summarize` -- an aligned per-span-name table (count, total,
   mean, max wall time) for terminal output.
 

@@ -22,7 +22,7 @@ is a normal outcome for short or faulty runs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def quantile(samples: Sequence[float], q: float) -> float | None:
@@ -191,11 +191,6 @@ class MetricsRegistry:
                 for name, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_counters(self, counts: Iterable[tuple[str, int]]) -> None:
-        """Fold externally-accumulated counts in (worker processes)."""
-        for name, value in counts:
-            self.counter(name).value += value
 
     def clear(self) -> None:
         self._counters.clear()

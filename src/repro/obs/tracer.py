@@ -23,28 +23,20 @@ Span names use the repo-wide ``dotted.namespace`` convention; the first
 segment (``analysis``, ``solver``, ``store``, ``sim``, ``client``)
 becomes the Chrome-trace category.
 
-**Worker and server processes.**  Two spool modes share one format:
-
-- *Forked workers* (the parallel conflict scan): the forked tracer
-  detects that its pid differs from the configuring process and
-  appends every finished span to a JSONL *spool file* instead of the
-  in-memory list.  The parent stitches the spool back in with
-  :meth:`Tracer.drain_workers`.
-- *Independently-started processes* (live ``repro serve`` replicas):
-  ``configure(..., spool=True)`` write-throughs every span to the
-  spool file as it closes (flushed per span, so a SIGKILL loses
-  nothing), and :mod:`repro.obs.collect` stitches the files of a whole
-  fleet into one trace after the run.
+**Server processes.**  Independently-started processes (live ``repro
+serve`` replicas) call ``configure(..., spool=True)``: every span is
+written through to a JSONL *spool file* as it closes (flushed per span,
+so a SIGKILL loses nothing), and :mod:`repro.obs.collect` stitches the
+files of a whole fleet into one trace after the run.
 
 Every spool file begins with a *meta line* carrying the writing
 process's identity: a process-unique prefix (:attr:`Tracer.proc`,
 ``pid-starttime``, which never collides even across pid reuse), a
 display name, and the wall-clock instant of the tracer's monotonic
 epoch (``epoch_unix_us``).  Each process timestamps spans against its
-*own* monotonic epoch; the meta line is what lets a stitcher shift
+*own* monotonic epoch; the meta line is what lets the stitcher shift
 every file onto one shared timeline (see
-:func:`repro.obs.export.align_spans`).  Within a single process tree
-(fork workers) the epochs coincide and the shift is zero.
+:func:`repro.obs.export.align_spans`).
 
 Spans may carry ``flow_in`` / ``flow_out`` attributes naming a *flow
 id*: a string shared by the producing and consuming span of one
@@ -164,7 +156,6 @@ class Tracer:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self._pid = os.getpid()
         self._epoch = 0.0
         self.epoch_unix_us = 0
         self.process_name: str | None = None
@@ -186,20 +177,16 @@ class Tracer:
     ) -> None:
         """Switch tracing on (or off) and reset the collected trace.
 
-        ``spool_dir`` receives worker-process span files; by default a
-        fresh temporary directory is created per configuration, so two
-        traced runs never see each other's worker spans.
-
         ``spool=True`` selects write-through mode for independently
         started processes (live servers): every span is appended to
-        this process's spool file as it closes instead of the
-        in-memory list, flushed per span so even a SIGKILL loses
-        nothing already recorded.  ``process`` names this process in
-        the stitched trace (defaults to ``repro-<pid>``).
+        this process's spool file under ``spool_dir`` (default: a fresh
+        temporary directory) as it closes instead of the in-memory
+        list, flushed per span so even a SIGKILL loses nothing already
+        recorded.  ``process`` names this process in the stitched trace
+        (defaults to ``repro-<pid>``).
         """
         self._drop_spool_handle()
         self.enabled = enabled
-        self._pid = os.getpid()
         self._spool_all = bool(spool and enabled)
         self.process_name = process
         self._flow_seq = 0
@@ -207,11 +194,11 @@ class Tracer:
         if enabled:
             self._epoch = monotonic()
             self.epoch_unix_us = int(time.time() * 1e6)
+        self._spool_dir = None
+        if self._spool_all:
             self._spool_dir = spool_dir or tempfile.mkdtemp(
                 prefix="repro-obs-"
             )
-        else:
-            self._spool_dir = None
 
     @property
     def proc(self) -> str:
@@ -300,9 +287,9 @@ class Tracer:
         )
 
     def _record(self, record: SpanRecord) -> None:
-        if self._spool_all or os.getpid() != self._pid:
-            # Forked worker or write-through live server: spool to
-            # disk for a stitcher to merge.
+        if self._spool_all:
+            # Write-through live server: spool to disk for the
+            # stitcher to merge.
             self._spool(record)
             return
         with self._lock:
@@ -319,8 +306,6 @@ class Tracer:
         }
 
     def _spool(self, record: SpanRecord) -> None:
-        if self._spool_dir is None:  # pragma: no cover - defensive
-            return
         handle = self._spool_handle
         if handle is None:
             path = os.path.join(
@@ -331,9 +316,8 @@ class Tracer:
                 json.dumps(self.spool_meta(), sort_keys=True) + "\n"
             )
         handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-        # Workers can be torn down without notice (executor shutdown
-        # with cancel_futures, SIGKILL); flush per span so nothing is
-        # lost.
+        # Servers can be torn down without notice (SIGKILL); flush per
+        # span so nothing is lost.
         handle.flush()
 
     def _drop_spool_handle(self) -> None:
@@ -346,60 +330,8 @@ class Tracer:
 
     # -- reading the trace ---------------------------------------------------
 
-    def drain_workers(self) -> int:
-        """Merge spooled worker spans into the in-process trace.
-
-        Idempotent per worker file (consumed files are deleted);
-        returns the number of spans merged.  Merged spans are re-sorted
-        with the parent's by ``(start_us, pid, tid, name)``, so the
-        stitched trace is deterministic regardless of which worker
-        finished writing first.
-        """
-        if self._spool_dir is None or not os.path.isdir(self._spool_dir):
-            return 0
-        merged = 0
-        own = f"spans-{self.proc}.jsonl"
-        for entry in sorted(os.listdir(self._spool_dir)):
-            if not entry.endswith(".jsonl") or entry == own:
-                # Never consume the file this process is itself
-                # writing through (spool mode).
-                continue
-            path = os.path.join(self._spool_dir, entry)
-            try:
-                offset_us = 0
-                with open(path, encoding="utf-8") as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        blob = json.loads(line)
-                        if "meta" in blob:
-                            # Shift the writer's timestamps onto this
-                            # tracer's timeline (zero for fork workers,
-                            # which inherit the parent's epoch).
-                            offset_us = (
-                                int(blob.get("epoch_unix_us", 0))
-                                - self.epoch_unix_us
-                            )
-                            continue
-                        record = SpanRecord.from_dict(blob)
-                        record.start_us += offset_us
-                        with self._lock:
-                            self._spans.append(record)
-                        merged += 1
-                os.unlink(path)
-            except (OSError, ValueError):  # pragma: no cover - defensive
-                continue
-        if merged:
-            with self._lock:
-                self._spans.sort(
-                    key=lambda s: (s.start_us, s.pid, s.tid, s.name)
-                )
-        return merged
-
     def spans(self) -> list[SpanRecord]:
-        """A snapshot of the collected spans (worker spool included)."""
-        self.drain_workers()
+        """A snapshot of the spans collected in memory."""
         with self._lock:
             return list(self._spans)
 

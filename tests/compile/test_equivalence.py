@@ -32,11 +32,9 @@ from hypothesis import strategies as st
 from repro.check import build_trial, run_trial
 from repro.check.oracles import Interpretation, InvariantOracle, eval_formula
 from repro.compile import (
-    SpecCache,
     compile_spec,
     default_cache,
     set_compilation,
-    spec_cache_key,
 )
 from repro.logic.ast import (
     Add,
@@ -489,58 +487,11 @@ def test_live_deployment_spec_identical(compilation_toggle):
 
 
 # ---------------------------------------------------------------------------
-# Artifact cache round-trip
+# Artifact cache
 # ---------------------------------------------------------------------------
 
 
 class TestArtifactCache:
-    def test_disk_round_trip_is_behaviour_identical(self, tmp_path) -> None:
-        from repro.apps.tournament import tournament_spec
-
-        spec = tournament_spec(capacity=2)
-        interp = Interpretation(
-            relations={
-                "player": {("p1",), ("p2",), ("p3",)},
-                "tournament": {("t1",)},
-                "enrolled": {
-                    ("p1", "t1"), ("p2", "t1"), ("p3", "t1"),
-                },
-            },
-            params={"Capacity": 2},
-        )
-        warm = SpecCache(tmp_path)
-        fresh_build = warm.get_or_build(spec)
-        assert fresh_build is not None
-        key = spec_cache_key(spec)
-        assert (tmp_path / key[:2] / f"{key}.json").exists()
-
-        hit_counter = REGISTRY.counter("compile.cache.hit")
-        before = hit_counter.value
-        cold = SpecCache(tmp_path)  # new process, same directory
-        from_disk = cold.get_or_build(spec)
-        assert from_disk is not None
-        assert hit_counter.value == before + 1
-        assert [i.source for i in from_disk.invariants] == [
-            i.source for i in fresh_build.invariants
-        ]
-        assert from_disk.check(
-            copy.deepcopy(interp), "r0"
-        ) == fresh_build.check(copy.deepcopy(interp), "r0")
-
-    def test_corrupt_disk_entry_is_rejected_and_rebuilt(
-        self, tmp_path
-    ) -> None:
-        from repro.apps.tournament import tournament_spec
-
-        spec = tournament_spec(capacity=2)
-        SpecCache(tmp_path).get_or_build(spec)
-        key = spec_cache_key(spec)
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text(path.read_text()[:40], encoding="utf-8")
-        rebuilt = SpecCache(tmp_path).get_or_build(spec)
-        assert rebuilt is not None
-        assert len(rebuilt.invariants) > 0
-
     def test_default_cache_shares_artifacts(self) -> None:
         from repro.apps.tournament import tournament_spec
 

@@ -36,6 +36,18 @@ class TestConstruction:
         assert outcome.victims == ("forbidden",)
 
 
+class TestPickle:
+    def test_round_trip_keeps_bound_and_victim_rule(self):
+        """The durable engines pickle every object they persist."""
+        import pickle
+
+        over = filled()
+        clone = pickle.loads(pickle.dumps(over))
+        assert clone.value() == over.value()
+        assert clone.read().victims == over.read().victims == ("t3",)
+        assert clone.read().visible == {"t1", "t2"}
+
+
 class TestCompensatingRead:
     def test_within_bounds_no_compensation(self):
         s = filled(limit=3)

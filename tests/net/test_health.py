@@ -212,6 +212,25 @@ class TestHintQueue:
         queue.append(make_hint(1))
         assert [m["seq"] for m in queue.drain()] == [0, 1]
 
+    def test_mid_file_bit_flip_is_salvaged_and_counted(self, tmp_path):
+        """Hints are regenerable: rot in a non-final hint must cut the
+        file there, not stop the holding replica from starting."""
+        from repro.store.engine import flip_bit_in_frame
+
+        path = str(tmp_path / "peer.hints")
+        queue = HintQueue(path)
+        for n in range(4):
+            queue.append(make_hint(n))
+        queue.close()
+        flip_bit_in_frame(path, 1)
+        reborn = HintQueue(path)
+        assert reborn.dropped == 3
+        reborn.append(make_hint(9))
+        reborn.close()
+        again = HintQueue(path)
+        assert again.dropped == 0
+        assert [m["seq"] for m in again.drain()] == [0, 9]
+
     def test_limit_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             HintQueue(str(tmp_path / "peer.hints"), limit=0)

@@ -129,6 +129,67 @@ class TestFraming:
             wire.load_frame(json.dumps({"l": [1, 2]}).encode())
 
 
+def replication_frame():
+    return wire.dump_frame(
+        {"type": "records", "source": "A",
+         "records": (make_record(),), "tc": "rec:A:1"}
+    )
+
+
+class TestPeekTraceContext:
+    def test_reads_type_and_tc_of_a_real_frame(self):
+        assert wire.peek_trace_context(replication_frame()) == (
+            "records", "rec:A:1"
+        )
+        assert wire.peek_trace_context(
+            wire.dump_frame({"type": "op", "tc": "op:7"})
+        ) == ("op", "op:7")
+
+    def test_missing_or_non_string_values_are_none(self):
+        assert wire.peek_trace_context(
+            wire.dump_frame({"type": "heartbeat", "tc": None})
+        ) == ("heartbeat", None)
+        assert wire.peek_trace_context(
+            wire.dump_frame({"type": ("op",)})
+        ) == (None, None)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"", b"\x00\x00\x00\x02\xff\xfe", b"\x00\x00\x00\x02[]",
+         b'\x00\x00\x00\x08{"d": 1}', b'\x00\x00\x00\x0a{"d": [1]}'],
+    )
+    def test_garbage_is_none_never_an_error(self, raw):
+        assert wire.peek_trace_context(raw) == (None, None)
+
+    def test_dropped_replication_frame_instant_carries_its_tc(self):
+        """Proxy level: a frame the chaos link drops is annotated with
+        the flow it would have completed."""
+        from repro import obs
+        from repro.net.proxy import ChaosLink
+        from repro.sim.faults import FaultPlan
+
+        frame = replication_frame()
+
+        async def judge():
+            link = ChaosLink(
+                "A", "B", "127.0.0.1", 1, FaultPlan(seed=3, drop=1.0)
+            )
+            await link._judge(frame)
+            return link.injector.dropped
+
+        obs.configure(enabled=True)
+        try:
+            assert asyncio.run(judge()) == 1
+            instants = [
+                s for s in obs.TRACER.spans() if s.name == "net.chaos.drop"
+            ]
+        finally:
+            obs.configure(enabled=False)
+        assert [s.attrs for s in instants] == [
+            {"link": "A->B", "frame": "records", "tc": "rec:A:1"}
+        ]
+
+
 class TestStreamFraming:
     def _read(self, data: bytes, raw: bool = False):
         async def go():

@@ -105,13 +105,6 @@ class TestRegistry:
         registry.histogram("three")
         assert registry.names() == ["one", "three", "two"]
 
-    def test_merge_counters(self):
-        registry = MetricsRegistry()
-        registry.counter("shared").inc(1)
-        registry.merge_counters([("shared", 4), ("worker.only", 2)])
-        assert registry.counter_value("shared") == 5
-        assert registry.counter_value("worker.only") == 2
-
     def test_clear(self):
         registry = MetricsRegistry()
         registry.counter("x").inc()

@@ -1,4 +1,4 @@
-"""Tracer behaviour: spans, disabled fast path, worker stitching, export."""
+"""Tracer behaviour: spans, disabled fast path, export."""
 
 import json
 import os
@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs import (
     NULL_SPAN,
-    SpanRecord,
     Tracer,
     chrome_trace,
     read_jsonl,
@@ -104,43 +103,6 @@ class TestDisabled:
             pass
         tracer.configure(enabled=True)
         assert tracer.spans() == []
-
-
-class TestWorkerStitching:
-    def _spooled(self, tracer, pid, name, start_us):
-        """Write one spool line the way a forked worker would."""
-        record = SpanRecord(
-            name=name, start_us=start_us, dur_us=7, pid=pid, tid=1
-        )
-        path = os.path.join(tracer._spool_dir, f"spans-{pid}.jsonl")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-
-    def test_drain_merges_and_sorts_deterministically(self, tracer):
-        with tracer.span("analysis.run"):
-            pass
-        # Two "workers" whose files appear in either order must stitch
-        # into the same trace: spans() sorts by (start, pid, tid, name).
-        # Large timestamps keep the fakes after the parent's real span.
-        self._spooled(tracer, 99999, "analysis.pair", start_us=9_000_005)
-        self._spooled(tracer, 11111, "analysis.pair", start_us=9_000_005)
-        self._spooled(tracer, 99999, "analysis.pair", start_us=9_000_002)
-        merged = tracer.drain_workers()
-        assert merged == 3
-        spans = tracer.spans()
-        assert [(s.start_us, s.pid) for s in spans[-3:]] == [
-            (9_000_002, 99999),
-            (9_000_005, 11111),
-            (9_000_005, 99999),
-        ]
-        # Idempotent: the spool files were consumed.
-        assert tracer.drain_workers() == 0
-        assert len(tracer.spans()) == 4
-
-    def test_spans_snapshot_includes_spool(self, tracer):
-        self._spooled(tracer, 4242, "solver.check", start_us=1)
-        names = {s.name for s in tracer.spans()}
-        assert names == {"solver.check"}
 
 
 class TestExport:

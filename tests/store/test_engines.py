@@ -378,6 +378,51 @@ class TestShardedStore:
         assert {k: o.value() for k, o in merged.items()} == {key: {key} for key in keys}
         revived.close()
 
+    @pytest.mark.parametrize("engine", ["file", "sqlite"])
+    def test_ipa_tournament_checkpoint_survives_restart(
+        self, engine, tmp_path
+    ):
+        """The IPA tournament's capacity objects are Compensation Sets
+        with a bound and a victim rule attached: they must persist."""
+        from repro.apps.common import Variant
+        from repro.apps.tournament import TournamentApp, tournament_registry
+        from repro.crdts import CompensationSet
+        from repro.sim import Simulator
+        from repro.store import Cluster
+
+        sim = Simulator()
+        registry = tournament_registry(Variant.IPA, capacity=2)
+        cluster = Cluster(
+            sim, registry, engine=engine, data_dir=str(tmp_path)
+        )
+        app = TournamentApp(cluster, Variant.IPA, capacity=2)
+        app.setup(["p0", "p1", "p2"], ["t1"], region="us-east")
+        for player in ("p0", "p1"):
+            app.enroll("us-east", player, "t1", lambda _op: None)
+        assert cluster.run_until_converged() is not None
+        storage = cluster.replica("us-east").storage
+        live = storage.get("capacity:t1")
+        assert isinstance(live, CompensationSet)
+        storage.checkpoint()
+        storage.close()
+        revived = ShardedStore(
+            "us-east", registry, engine=engine,
+            data_dir=str(tmp_path / "us-east"),
+        )
+        merged = {}
+        for shard_map in revived.load_persisted():
+            merged.update(shard_map)
+        assert sorted(merged) == storage.keys()
+        stored = merged["capacity:t1"]
+        assert stored.value() == live.value() == {"p0", "p1"}
+        # The reloaded object still enforces its bound.
+        stored.effect(
+            stored.prepare_add("p2"),
+            EventContext(dot=Dot("r", 99), vv=VersionVector({"r": 99})),
+        )
+        assert stored.read().victims == ("p2",)
+        revived.close()
+
     def test_shard_digests_agree_for_equal_content(self):
         a, b = self.make(4), self.make(4)
         for key in (f"key-{i}" for i in range(40)):

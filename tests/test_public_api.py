@@ -1,6 +1,11 @@
 """Top-level public API tests."""
 
+import re
+from pathlib import Path
+
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPublicApi:
@@ -43,3 +48,15 @@ class TestPublicApi:
 
         with pytest.raises(repro.ReproError):
             repro.parse_specfile("nonsense")
+
+    def test_every_environment_variable_is_documented(self):
+        """An undocumented ``REPRO_*`` knob is a knob nobody can find
+        (``REPRO_COMPILE_CACHE_DIR`` lived that way for seven PRs)."""
+        named = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            named.update(
+                re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8"))
+            )
+        assert named, "the scan found no REPRO_* names at all"
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert sorted(n for n in named if n not in readme) == []
