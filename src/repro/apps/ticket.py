@@ -90,7 +90,7 @@ class TicketApp(AppHarness):
         """Sell one ticket (the contended operation of Figure 7)."""
 
         def body(txn: Transaction) -> str:
-            if event not in txn.get("events").value():
+            if event not in txn.get("events"):
                 # Sequential precondition: no sale without an event.
                 return "buy_rejected"
             sold = txn.get(f"sold:{event}")

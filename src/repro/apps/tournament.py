@@ -193,8 +193,8 @@ class TournamentApp(AppHarness):
     def enroll(self, region, p, t, done) -> None:
         def body(txn: Transaction) -> str:
             if (
-                t not in txn.get("tournaments").value()
-                or p not in txn.get("players").value()
+                t not in txn.get("tournaments")
+                or p not in txn.get("players")
                 or self._capacity_used(txn, t) >= self.capacity
             ):
                 return "enroll"
@@ -243,8 +243,8 @@ class TournamentApp(AppHarness):
         def body(txn: Transaction) -> str:
             if self.variant is not Variant.IPA and (
                 any(t == mt for _p, mt in txn.get("enrolled").value())
-                or t in txn.get("active").value()
-                or t in txn.get("finished").value()
+                or t in txn.get("active")
+                or t in txn.get("finished")
             ):
                 # A referenced tournament cannot be removed without the
                 # IPA cascade that clears the references with it.
@@ -273,8 +273,8 @@ class TournamentApp(AppHarness):
     def begin_tourn(self, region, t, done) -> None:
         def body(txn: Transaction) -> str:
             if self.variant is not Variant.IPA and (
-                t not in txn.get("tournaments").value()
-                or t in txn.get("finished").value()
+                t not in txn.get("tournaments")
+                or t in txn.get("finished")
             ):
                 # The IPA variant restores the tournament and retracts
                 # ``finished`` itself; without those effects, beginning
@@ -295,7 +295,7 @@ class TournamentApp(AppHarness):
         def body(txn: Transaction) -> str:
             if (
                 self.variant is not Variant.IPA
-                and t not in txn.get("active").value()
+                and t not in txn.get("active")
             ):
                 return "finish"
             txn.update("finished", lambda s: s.prepare_add(t))
@@ -311,12 +311,12 @@ class TournamentApp(AppHarness):
 
     def do_match(self, region, p, q, t, done) -> None:
         def body(txn: Transaction) -> str:
-            enrolled = txn.get("enrolled").value()
+            enrolled = txn.get("enrolled")
             if (
                 p == q
                 or (p, t) not in enrolled
                 or (q, t) not in enrolled
-                or t not in txn.get("active").value()
+                or t not in txn.get("active")
             ):
                 # Guarded in every variant: the IPA touches restore the
                 # enrolments but nothing restores ``active(t)``, so a

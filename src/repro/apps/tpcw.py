@@ -129,7 +129,7 @@ class TpcwApp(AppHarness):
 
     def new_order(self, region, order_id, product, done) -> None:
         def body(txn: Transaction) -> str:
-            if product not in txn.get("products").value():
+            if product not in txn.get("products"):
                 # Sequential precondition: no order for an unlisted
                 # product.  (The IPA touch below only defends against
                 # *concurrent* removals.)

@@ -130,7 +130,7 @@ class TwitterApp(AppHarness):
                     or txn.get(f"authored:{u}").value()
                     or txn.get(f"timeline:{u}").value()
                     or any(
-                        u in txn.get(key).value()
+                        u in txn.get(key)
                         for key in txn.replica.keys()
                         if key.startswith("followers:")
                         and key != f"followers:{u}"
@@ -178,7 +178,7 @@ class TwitterApp(AppHarness):
 
     def follow(self, region, u, v, done) -> None:
         def body(txn: Transaction) -> str:
-            users = txn.get("users").value()
+            users = txn.get("users")
             if u == v or u not in users or v not in users:
                 return "follow"
             txn.update(f"followers:{v}", lambda s: s.prepare_add(u))
@@ -200,7 +200,7 @@ class TwitterApp(AppHarness):
 
     def tweet(self, region, u, tweet_id, done) -> None:
         def body(txn: Transaction) -> str:
-            if u not in txn.get("users").value():
+            if u not in txn.get("users"):
                 return "tweet"
             txn.update("tweets", lambda s: s.prepare_add(tweet_id))
             txn.update(f"authored:{u}", lambda s: s.prepare_add(tweet_id))
@@ -229,8 +229,8 @@ class TwitterApp(AppHarness):
     def retweet(self, region, u, tweet_id, author, done) -> None:
         def body(txn: Transaction) -> str:
             if (
-                u not in txn.get("users").value()
-                or tweet_id not in txn.get("tweets").value()
+                u not in txn.get("users")
+                or tweet_id not in txn.get("tweets")
             ):
                 return "retweet"
             followers = sorted(txn.get(f"followers:{u}").value())
@@ -254,7 +254,7 @@ class TwitterApp(AppHarness):
 
     def del_tweet(self, region, u, tweet_id, done) -> None:
         def body(txn: Transaction) -> str:
-            if tweet_id not in txn.get("tweets").value():
+            if tweet_id not in txn.get("tweets"):
                 return "del_tweet"
             txn.update("tweets", lambda s: s.prepare_remove(tweet_id))
             txn.update(
@@ -288,7 +288,7 @@ class TwitterApp(AppHarness):
                 # was removed concurrently.  Checking every entry
                 # against the tweets set is the read-side cost the
                 # strategy trades for its cheap writes (Figure 6).
-                tweets = txn.get("tweets").value()
+                tweets = txn.get("tweets")
                 txn.charge_reads(len(entries))
                 dangling = sorted(
                     entry for entry in entries if entry[0] not in tweets

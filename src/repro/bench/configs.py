@@ -80,8 +80,8 @@ def build_tournament(
     :data:`TOURNAMENT_MIX`).
     ``stability_interval_ms`` runs the causal-stability service, which
     garbage-collects CRDT tombstones and compacts commit logs --
-    essential for long runs (rem-wins tombstone scans grow without
-    it); None disables.
+    essential for long runs (each arriving rem-wins add scans the live
+    tombstones, which only this collects); None disables.
     ``engine``/``shards`` select the per-replica storage backend and
     keyspace shard count (None defers to the REPRO_ENGINE /
     REPRO_SHARDS environment defaults).

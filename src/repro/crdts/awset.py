@@ -63,11 +63,11 @@ class AWSet(CRDT):
         return AWRemove(dots=((element, observed),))
 
     def prepare_remove_where(self, pattern: Pattern) -> AWRemove:
-        entries = []
-        for element, dots in sorted(self._dots.items(), key=lambda kv: str(kv[0])):
-            if pattern.matches(element):
-                entries.append((element, tuple(sorted(dots))))
-        return AWRemove(dots=tuple(entries))
+        matching = [e for e in self._dots if pattern.matches(e)]
+        matching.sort(key=str)
+        return AWRemove(
+            dots=tuple((e, tuple(sorted(self._dots[e]))) for e in matching)
+        )
 
     # -- effect (all replicas) ---------------------------------------------------
 

@@ -8,22 +8,35 @@ convergence rule IPA leans on for clearing effects -- e.g.
 enrolled in a removed tournament even if an ``enroll`` raced with it
 (Figure 2c).
 
-State per element: the set of alive add contexts and a merged version
-vector of all removes covering the element.  A single pointwise-max
-vector is equivalent to keeping every remove separately, because under
-causal delivery "add follows remove r" is ``add.vv >= r.vv``, and
-dominating the max dominates each.  The same argument lets wildcard
-removes be kept as a ``pattern -> merged vv`` dict rather than an
-append-only list: repeated removes with the same pattern fold into one
-pointwise-max tombstone, which bounds the tombstone scan that every add
-and visibility check performs.  Causal stability folds tombstones away
-entirely (:meth:`RWSet.compact`).
+State: per element, the add contexts still alive and one merged version
+vector of its targeted removes; per wildcard pattern, one merged vector
+of the removes shipped with it.  A pointwise-max vector stands for every
+remove folded into it because, under causal delivery, "add follows
+remove r" is ``add.vv >= r.vv`` and dominating the max dominates each.
+An element's *cover* is every remove vector applying to it: its targeted
+one and each matching pattern's.
+
+Representation invariant: after every effect, ``clone`` and ``compact``,
+every stored add context dominates all of its element's cover (and no
+element is stored without a context).  So ``_adds`` holds exactly the
+visible elements and reads are lookups: no tombstone is consulted,
+however many are live.  Effects keep the invariant by checking only
+what they changed -- an arriving add is tested once against its cover,
+a remove re-tests the contexts it covers against its own vector alone --
+and :meth:`RWSet.compact` only deletes tombstones, which shrinks covers.
+
+The invariant is about the state as stored, not about that state being
+right.  ROADMAP gap (d), compaction under an instantaneous stability
+vector, loses the tombstone itself, so an in-flight concurrent add
+finds no cover and is stored; reads that scanned tombstones saw the
+same missing tombstone.  Answering from ``_adds`` neither fixes nor
+hides it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Hashable
 
 from repro.crdts.base import CRDT, EventContext
 from repro.crdts.clock import VersionVector
@@ -82,11 +95,20 @@ class RWSet(CRDT):
     }
 
     def _apply_add(self, payload: RWAdd, ctx: EventContext) -> None:
-        adds = self._adds.get(payload.element)
+        # The one moment a context meets removes it was never tested
+        # against: store it only if it follows its whole cover.
+        element, vv = payload.element, ctx.vv
+        removed = self._removes.get(element)
+        if removed is not None and not vv.dominates(removed):
+            return
+        for pattern, tombstone in self._pattern_tombstones.items():
+            if pattern.matches(element) and not vv.dominates(tombstone):
+                return
+        adds = self._adds.get(element)
         if adds is None:
-            adds = self._adds[payload.element] = []
-        adds.append(ctx)
-        self._prune(payload.element)
+            self._adds[element] = [ctx]
+        else:
+            adds.append(ctx)
 
     def _apply_remove(self, payload: RWRemove, ctx: EventContext) -> None:
         merged = self._removes.get(payload.element)
@@ -94,7 +116,7 @@ class RWSet(CRDT):
             self._removes[payload.element] = ctx.vv.copy()
         else:
             merged.merge(ctx.vv)
-        self._prune(payload.element)
+        self._kill(payload.element, ctx.vv)
 
     def _apply_remove_where(
         self, payload: RWRemoveWhere, ctx: EventContext
@@ -106,73 +128,37 @@ class RWSet(CRDT):
             merged.merge(ctx.vv)
         matches = payload.pattern.matches
         for element in [e for e in self._adds if matches(e)]:
-            self._prune(element)
+            self._kill(element, ctx.vv)
 
-    def _cover(self, element: Hashable) -> VersionVector | None:
-        """Merged vv of every remove covering ``element``, or None.
+    def _kill(self, element: Hashable, removed: VersionVector) -> None:
+        """Drop ``element``'s adds that do not follow the new remove.
 
-        Computed once per prune/visibility check so each add context is
-        compared against a single vector instead of re-scanning all
-        tombstones per add.
-        """
-        cover = self._removes.get(element)
-        owned = False  # whether `cover` is a private copy we may mutate
-        for pattern, vv in self._pattern_tombstones.items():
-            if pattern.matches(element):
-                if cover is None:
-                    cover = vv
-                elif owned:
-                    cover.merge(vv)
-                else:
-                    cover = cover.merged(vv)
-                    owned = True
-        return cover
-
-    def _killed(self, element: Hashable, add: EventContext) -> bool:
-        """Is this add covered by some remove (targeted or pattern)?"""
-        cover = self._cover(element)
-        return cover is not None and not add.vv.dominates(cover)
-
-    def _prune(self, element: Hashable) -> None:
-        """Drop adds that can never become visible again.
-
-        Safe because removes' vectors only grow: once an add fails to
-        dominate the current remove vector it fails forever.
+        One comparison each restores the invariant: they dominated the
+        rest of their cover already.  A remove's vector only grows, so a
+        dropped add could never have become visible again.
         """
         adds = self._adds.get(element)
-        if not adds:
+        if adds is None:
             return
-        cover = self._cover(element)
-        if cover is None:
-            return
-        alive = [add for add in adds if add.vv.dominates(cover)]
-        if alive:
-            self._adds[element] = alive
-        else:
+        alive = [add for add in adds if add.vv.dominates(removed)]
+        if not alive:
             del self._adds[element]
+        elif len(alive) < len(adds):
+            self._adds[element] = alive
 
-    # -- queries -------------------------------------------------------------------
-
-    def _visible(self, element: Hashable) -> bool:
-        adds = self._adds.get(element)
-        if not adds:
-            return False
-        cover = self._cover(element)
-        if cover is None:
-            return True
-        return any(add.vv.dominates(cover) for add in adds)
+    # -- queries: lookups, by the module invariant ---------------------------------
 
     def value(self) -> set:
-        return {e for e in self._adds if self._visible(e)}
+        return set(self._adds)
 
     def __contains__(self, element: Hashable) -> bool:
-        return self._visible(element)
+        return element in self._adds
 
     def __len__(self) -> int:
-        return len(self.value())
+        return len(self._adds)
 
     def elements_matching(self, pattern: Pattern) -> set:
-        return {e for e in self.value() if pattern.matches(e)}
+        return {e for e in self._adds if pattern.matches(e)}
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -194,20 +180,18 @@ class RWSet(CRDT):
         return copied
 
     def compact(self, stable: VersionVector) -> None:
-        """Fold causally-stable pattern tombstones into element state.
+        """Drop causally-stable tombstones, pattern and targeted alike.
 
         A tombstone whose vector is dominated by the stable vector has
         been delivered everywhere; no future add can be concurrent with
-        it, so its effect is fully captured by the per-element prune it
-        already performed.
+        it, so its effect is fully captured by the adds it already
+        dropped.  Covers only shrink here, so every stored add still
+        dominates its cover.  Most calls find nothing stable and leave
+        both dicts untouched.
         """
-        self._pattern_tombstones = {
-            pattern: vv
-            for pattern, vv in self._pattern_tombstones.items()
-            if not stable.dominates(vv)
-        }
-        # Targeted remove vectors dominated by the stable vector can go
-        # too: every future add will dominate them.
-        for element in list(self._removes):
-            if stable.dominates(self._removes[element]):
-                del self._removes[element]
+        for tombstones in (self._pattern_tombstones, self._removes):
+            stale = [
+                key for key, vv in tombstones.items() if stable.dominates(vv)
+            ]
+            for key in stale:
+                del tombstones[key]
