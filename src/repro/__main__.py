@@ -303,7 +303,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             sessions.observe(
                 f"{client.region}#{client.client_id}",
                 serving,
-                dict(cluster.replica(serving).vv.entries),
+                cluster.replica(serving).vv_digest().entries,
             )
 
     clients = {region: args.clients for region in cluster.regions}

@@ -285,7 +285,7 @@ def run_trial(spec: TrialSpec, recorder=None, ledger=None) -> TrialResult:
             sessions.observe(
                 call.session,
                 serving,
-                dict(cluster.replica(serving).vv.entries),
+                cluster.replica(serving).vv_digest().entries,
             )
 
         counts["issued"] += 1
@@ -307,10 +307,10 @@ def run_trial(spec: TrialSpec, recorder=None, ledger=None) -> TrialResult:
         timeout_ms=spec.converge_timeout_ms
     )
 
-    violations: list[Violation] = []
-    violations.extend(ConvergenceOracle().check(cluster))
-
     digests = cluster.state_digest()
+    violations: list[Violation] = []
+    violations.extend(ConvergenceOracle().check(cluster, digests))
+
     # Converged replicas are observably identical: ground the invariant
     # and debt oracles once per distinct digest (the representative is
     # the lexicographically first region with that digest).

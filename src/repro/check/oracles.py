@@ -393,8 +393,14 @@ class InvariantOracle:
 class ConvergenceOracle:
     """Digest and vector equality across replicas after quiescence."""
 
-    def check(self, cluster) -> list[Violation]:
-        digests = cluster.state_digest()
+    def check(
+        self, cluster, digests: dict[str, str] | None = None
+    ) -> list[Violation]:
+        """Judge ``cluster``; ``digests`` is its ``state_digest()`` when
+        the caller already holds one (hashing every replica is the
+        expensive half of this check)."""
+        if digests is None:
+            digests = cluster.state_digest()
         found: list[Violation] = []
         reference_region = min(digests)
         reference = digests[reference_region]

@@ -1,11 +1,10 @@
-"""Spec compilation: invariants, effects and clocks as closures.
+"""Spec compilation: invariants and effects as closures.
 
 One-time, per-spec compilation of the checker's hot paths.  Invariant
 formulas become specialized Python closures (:mod:`.formula`), memoised
 process-wide by spec content (:mod:`.cache`).  The companion fast
-paths -- CRDT effect dispatch tables (:mod:`repro.crdts.base`) and
-packed version vectors (:class:`repro.crdts.clock.ClockDomain`) -- live
-next to the types they specialize.
+path -- CRDT effect dispatch tables (:mod:`repro.crdts.base`) -- lives
+next to the types it specializes.
 
 ``--no-compile`` / ``REPRO_NO_COMPILE=1`` disables formula compilation
 and falls back to the pure interpreter in :mod:`repro.check.oracles`;

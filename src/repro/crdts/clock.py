@@ -116,90 +116,3 @@ class VersionVector:
     def of(cls, entries: Mapping[str, int]) -> "VersionVector":
         return cls(dict(entries))
 
-
-class ClockDomain:
-    """A fixed region universe with packed-tuple vector comparisons.
-
-    A cluster's membership is known up front and never changes, so the
-    region-name -> small-int mapping can be built once and version
-    vectors packed into fixed-length integer tuples: ``packed[i]`` is
-    region ``regions[i]``'s counter.  Tuple comparisons then run as
-    C-level loops over machine ints -- no dict iteration, no string
-    hashing -- which is what the convergence poll and the anti-entropy
-    digest comparison want (they compare whole vectors many times per
-    simulated second).
-
-    Packing *normalises*: a zero counter and an absent entry produce
-    the same tuple, mirroring ``VersionVector.__eq__``.  Packed tuples
-    are interned (bounded) so the convergence fast path usually
-    compares identical objects.
-    """
-
-    __slots__ = ("regions", "index", "zero", "_interned")
-
-    #: Interning stops above this many distinct tuples (a runaway
-    #: workload must not turn the intern table into a leak).
-    MAX_INTERNED = 4096
-
-    def __init__(self, regions: Iterable[str]) -> None:
-        ordered: list[str] = []
-        seen: set[str] = set()
-        for region in regions:
-            if region not in seen:
-                seen.add(region)
-                ordered.append(region)
-        self.regions = tuple(ordered)
-        self.index = {region: i for i, region in enumerate(self.regions)}
-        self.zero = (0,) * len(self.regions)
-        self._interned: dict[tuple[int, ...], tuple[int, ...]] = {
-            self.zero: self.zero
-        }
-
-    def pack(self, vv: "VersionVector") -> tuple[int, ...]:
-        """``vv`` as an interned fixed-length counter tuple.
-
-        Raises ``KeyError`` for entries naming a region outside the
-        domain: a packed comparison must never silently drop counters.
-        """
-        counters = [0] * len(self.regions)
-        index = self.index
-        for region, counter in vv.entries.items():
-            if counter:
-                counters[index[region]] = counter
-        return self.intern(tuple(counters))
-
-    def intern(self, packed: tuple[int, ...]) -> tuple[int, ...]:
-        interned = self._interned
-        known = interned.get(packed)
-        if known is not None:
-            return known
-        if len(interned) < self.MAX_INTERNED:
-            interned[packed] = packed
-        return packed
-
-    def unpack(self, packed: tuple[int, ...]) -> "VersionVector":
-        return VersionVector(
-            {
-                region: counter
-                for region, counter in zip(self.regions, packed)
-                if counter
-            }
-        )
-
-    @staticmethod
-    def dominates(mine: tuple[int, ...], theirs: tuple[int, ...]) -> bool:
-        """``mine >= theirs`` pointwise over packed tuples."""
-        if mine is theirs:
-            return True
-        for a, b in zip(mine, theirs):
-            if a < b:
-                return False
-        return True
-
-    @staticmethod
-    def pointwise_min(
-        mine: tuple[int, ...], theirs: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        if mine is theirs:
-            return mine
-        return tuple(a if a < b else b for a, b in zip(mine, theirs))

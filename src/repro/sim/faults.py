@@ -47,13 +47,6 @@ class PartitionWindow:
         if set(self.side_a) & set(self.side_b):
             raise SimulationError(f"region on both sides: {self}")
 
-    def blocks(self, source: str, target: str, now: float) -> bool:
-        if not (self.start_ms <= now < self.end_ms):
-            return False
-        return (source in self.side_a and target in self.side_b) or (
-            source in self.side_b and target in self.side_a
-        )
-
 
 @dataclass(frozen=True)
 class CrashWindow:
@@ -192,15 +185,31 @@ class FaultInjector:
         # probabilities answers ``on_send`` without scanning windows or
         # touching the RNG.  Both are plan constants, so skipping draws
         # keeps the verdict stream deterministic for a given plan.
-        self._has_partitions = bool(plan.partitions)
+        # One (start, end, blocked directed edges) row per partition
+        # window: the per-message partition test is an interval check
+        # and a set lookup.
+        self._blocked = [
+            (
+                w.start_ms,
+                w.end_ms,
+                frozenset(
+                    edge
+                    for a in w.side_a
+                    for b in w.side_b
+                    for edge in ((a, b), (b, a))
+                ),
+            )
+            for w in plan.partitions
+        ]
         self._passive = not (plan.drop or plan.duplicate or plan.reorder)
 
     # -- queries the cluster/network make ------------------------------------
 
     def partitioned(self, source: str, target: str, now: float) -> bool:
-        return any(
-            w.blocks(source, target, now) for w in self.plan.partitions
-        )
+        for start, end, edges in self._blocked:
+            if start <= now < end and (source, target) in edges:
+                return True
+        return False
 
     def crashed(self, region: str, now: float) -> bool:
         return any(w.covers(region, now) for w in self.plan.crashes)
@@ -211,7 +220,7 @@ class FaultInjector:
         """Decide the fate of one inter-region message at send time."""
         if source == target:
             return CLEAN
-        if self._has_partitions and self.partitioned(source, target, now):
+        if self._blocked and self.partitioned(source, target, now):
             self.partition_drops += 1
             self.dropped += 1
             return Delivery(copies=(), partitioned=True)
@@ -228,6 +237,10 @@ class FaultInjector:
         if drop:
             self.dropped += 1
             return Delivery(copies=())
+        if not (reorder or duplicate):
+            # No fault fired: the shared verdict keeps ``Network.send``
+            # on its fast path.
+            return CLEAN
         copies: list[tuple[float, bool]] = []
         if reorder:
             self.reordered += 1

@@ -7,12 +7,11 @@ causal-delivery layer of the store relies on for per-origin ordering.
 
 Two properties matter for reproducible chaos runs:
 
-- **Stable tie-break.**  Every message carries a monotonically
-  increasing send sequence number, and deliveries that land at the
-  same simulated instant fire in send order: each ``send`` schedules
-  its deliveries immediately, and the simulator breaks equal-time ties
-  by insertion order.  No ordering ever depends on hash iteration or
-  other cross-version nondeterminism.
+- **Stable tie-break.**  Deliveries that land at the same simulated
+  instant fire in send order: each ``send`` schedules its deliveries
+  immediately, and the simulator breaks equal-time ties by insertion
+  order.  No ordering ever depends on hash iteration or other
+  cross-version nondeterminism.
 - **Fault injection.**  When constructed with a
   :class:`~repro.sim.faults.FaultInjector`, every inter-region message
   first receives a verdict: dropped (lossy link or partition),
@@ -44,7 +43,6 @@ class Network:
         self._latency = latency
         self._injector = injector
         self._last_delivery: dict[tuple[str, str], float] = {}
-        self._send_seq = 0
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -73,17 +71,18 @@ class Network:
         injector marks this message as reordered.
         """
         self.messages_sent += 1
-        self._send_seq += 1
         base = self._latency.one_way(source, target)
-        if self._injector is None:
-            verdict = CLEAN
-        else:
-            verdict = self._injector.on_send(source, target, self._sim.now)
+        sim = self._sim
+        now = sim.now
+        injector = self._injector
+        verdict = (
+            CLEAN if injector is None
+            else injector.on_send(source, target, now)
+        )
         if verdict is CLEAN:
             # Fault-free fast path: one FIFO copy, no counter updates,
             # delivery scheduling inlined.
-            sim = self._sim
-            arrival = sim.now + base
+            arrival = now + base
             edge = (source, target)
             last_delivery = self._last_delivery
             last = last_delivery.get(edge, 0.0)

@@ -11,14 +11,24 @@ For every ordered pair of regions ``(R, P)`` the engine runs an
 independent sync loop on the simulated clock:
 
 1. ``R`` sends ``P`` a :class:`SyncRequest` carrying ``R``'s version
-   vector (the digest).
+   vector digest (:meth:`~repro.store.replica.Replica.vv_digest`: one
+   shared read-only copy per replica, rebuilt only after the vector
+   moved -- messages carry it as is and must not write to it).
 2. ``P`` answers with every applied record the digest is missing
    (served from the durable commit log via
    :meth:`~repro.store.replica.Replica.records_since`) plus ``P``'s
-   own vector.
+   own digest.
 3. ``R`` feeds the records to its causal receiver, and *reverse
-   pushes* anything ``P``'s vector shows it lacks -- one round heals
+   pushes* anything ``P``'s digest shows it lacks -- one round heals
    both directions.
+
+Most rounds are *idle*: the two replicas already agree.  Such a round
+still costs its three simulated events and two messages (the schedule
+is the same whether or not there is anything to repair), but nothing
+else: both digests are already built, ``records_since`` answers an
+equal digest -- in step 2 and again for the reverse push in step 3 --
+without reading the log, and with no records in either direction no
+batch is built or delivered.
 
 Requests and responses travel over the same faulty network as
 replication traffic, so the loop self-paces with the shared
@@ -42,9 +52,10 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.crdts.clock import ClockDomain, VersionVector
+from repro.crdts.clock import VersionVector
 from repro.net.retry import RetryPolicy
 from repro.obs import TRACER
+from repro.sim.events import Event
 from repro.store.replica import ReplicaSnapshot
 from repro.store.replication import ReplicationBatch
 from repro.store.transaction import CommitRecord
@@ -53,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.cluster import Cluster
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SyncRequest:
     """Digest ``requester`` sends to ``responder``: "what am I missing?".
 
@@ -72,7 +83,7 @@ class SyncRequest:
     shard_digests: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SyncResponse:
     """The records the digest was missing, plus the responder's vector.
 
@@ -122,6 +133,10 @@ class AntiEntropyEngine:
         self._jitter = jitter
         self._rng = random.Random(seed)
         self._running = False
+        #: Each pair's pending tick, so ``stop()`` can cancel the chains
+        #: instead of leaving them in the heap to run beside the ones a
+        #: later ``start()`` schedules.
+        self._ticks: dict[tuple[str, str], Event] = {}
         self._next_request_id = 0
         self._pairs: dict[tuple[str, str], _PairState] = {}
         for requester in cluster.regions:
@@ -157,10 +172,13 @@ class AntiEntropyEngine:
             # Stagger first ticks deterministically so pairs do not
             # digest-exchange in lock-step.
             offset = self._interval * (1.0 + index / len(self._pairs))
-            self._sim.schedule(offset, lambda p=pair: self._tick(p))
+            self._ticks[pair] = self._sim.schedule(offset, self._tick, pair)
 
     def stop(self) -> None:
         self._running = False
+        for tick in self._ticks.values():
+            self._sim.cancel(tick)
+        self._ticks.clear()
 
     def sync_now(self, region: str) -> None:
         """Fire one immediate digest from ``region`` to every peer.
@@ -209,26 +227,24 @@ class AntiEntropyEngine:
             # rate back.
             self._send_request(requester, responder, state)
         delay = state.delay_ms * (1.0 + self._rng.uniform(0.0, self._jitter))
-        self._sim.schedule(delay, lambda p=pair: self._tick(p))
+        self._ticks[pair] = self._sim.schedule(delay, self._tick, pair)
 
     def _send_request(
         self, requester: str, responder: str, state: _PairState
     ) -> None:
-        self._next_request_id += 1
+        self._next_request_id = request_id = self._next_request_id + 1
         replica = self._cluster.replica(requester)
         # Per-shard digests ride along only for sharded stores: the
         # single-shard default keeps rounds free of state hashing, and
         # one shard's digest could prune nothing anyway.
         request = SyncRequest(
-            requester=requester,
-            responder=responder,
-            request_id=self._next_request_id,
-            vv=replica.vv.copy(),
-            shard_digests=(
-                replica.shard_digests() if replica.n_shards > 1 else ()
-            ),
+            requester,
+            responder,
+            request_id,
+            replica.vv_digest(),
+            replica.shard_digests() if replica.n_shards > 1 else (),
         )
-        state.outstanding = request.request_id
+        state.outstanding = request_id
         self.digests_sent += 1
         self._network.send(
             requester, responder, request, self._on_request
@@ -238,84 +254,81 @@ class AntiEntropyEngine:
         responder = request.responder
         if self._cluster.is_crashed(responder):
             return
-        span = TRACER.start(
-            "store.antientropy.respond",
-            responder=responder,
-            requester=request.requester,
+        span = (
+            TRACER.start(
+                "store.antientropy.respond",
+                responder=responder,
+                requester=request.requester,
+            )
+            if TRACER.enabled
+            else None
         )
         replica = self._cluster.replica(responder)
         missing, snapshot = replica.sync_answer(
             request.vv, request.shard_digests
         )
         response = SyncResponse(
-            responder=responder,
-            requester=request.requester,
-            request_id=request.request_id,
-            records=tuple(missing),
-            vv=replica.vv.copy(),
-            snapshot=snapshot,
+            responder,
+            request.requester,
+            request.request_id,
+            tuple(missing),
+            replica.vv_digest(),
+            snapshot,
         )
         self._network.send(
             responder, request.requester, response, self._on_response
         )
-        TRACER.end(span, records=len(missing), snapshot=snapshot is not None)
+        if span is not None:
+            TRACER.end(
+                span, records=len(missing), snapshot=snapshot is not None
+            )
 
     def _on_response(self, response: SyncResponse) -> None:
         requester = response.requester
-        state = self._pairs[(requester, response.responder)]
+        responder = response.responder
+        state = self._pairs[(requester, responder)]
         if state.outstanding == response.request_id:
             state.outstanding = None
         self.responses_received += 1
         if self._cluster.is_crashed(requester):
             return
-        span = TRACER.start(
-            "store.antientropy.apply",
-            requester=requester,
-            responder=response.responder,
+        span = (
+            TRACER.start(
+                "store.antientropy.apply",
+                requester=requester,
+                responder=responder,
+            )
+            if TRACER.enabled
+            else None
         )
+        replica = self._cluster.replica(requester)
+        records = response.records
         if response.snapshot is not None:
             # The responder truncated past our digest: adopt its
             # snapshot (refused if it does not dominate our state),
             # then apply the tail like any retransmission.
-            if self._cluster.replica(requester).install_snapshot(
-                response.snapshot
-            ):
+            if replica.install_snapshot(response.snapshot):
                 self.snapshots_installed += 1
-        self.records_retransmitted += len(response.records)
-        self._cluster.deliver_batch(
-            requester,
-            ReplicationBatch(
-                source=response.responder, records=response.records
-            ),
-        )
+        if records:
+            self.records_retransmitted += len(records)
+            self._cluster.deliver_batch(
+                requester,
+                ReplicationBatch(source=responder, records=records),
+            )
         # The pair converged iff the served records (applied eagerly by
         # the causal receiver above) brought the requester up to the
         # responder's vector; anything less keeps the backoff earned.
-        # Compared over packed int tuples: this runs once per answered
-        # anti-entropy round on every pair.  A vector naming an origin
-        # outside the cluster's region universe cannot be packed; such
-        # responses fall back to the dict comparison.
-        domain = self._cluster.clock_domain
-        replica_vv = self._cluster.replica(requester).vv
-        try:
-            state.converged = ClockDomain.dominates(
-                domain.pack(replica_vv), domain.pack(response.vv)
-            )
-        except KeyError:
-            state.converged = replica_vv.dominates(response.vv)
+        state.converged = replica.vv.dominates(response.vv)
         # Reverse push: heal the other direction in the same round.
-        push = self._cluster.replica(requester).records_since(response.vv)
+        # (Nothing, found without reading the log, when the two agree.)
+        push = replica.records_since(response.vv)
         if push:
             self.records_pushed += len(push)
-            batch = ReplicationBatch(source=requester, records=tuple(push))
             self._network.send(
                 requester,
-                response.responder,
-                batch,
-                lambda b, target=response.responder: (
-                    self._cluster.deliver_batch(target, b)
-                ),
+                responder,
+                ReplicationBatch(source=requester, records=tuple(push)),
+                lambda batch: self._cluster.deliver_batch(responder, batch),
             )
-        TRACER.end(
-            span, retransmitted=len(response.records), pushed=len(push)
-        )
+        if span is not None:
+            TRACER.end(span, retransmitted=len(records), pushed=len(push))

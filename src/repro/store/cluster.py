@@ -36,7 +36,7 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.errors import StoreError
-from repro.crdts.clock import ClockDomain, VersionVector
+from repro.crdts.clock import VersionVector
 from repro.obs import REGISTRY, TRACER
 from repro.sim.events import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -95,10 +95,6 @@ class Cluster:
         self._strong = mode is ConsistencyMode.STRONG
         self._indigo = mode is ConsistencyMode.INDIGO
         self.regions = regions
-        #: Fixed region universe: version-vector comparisons on the
-        #: convergence/anti-entropy hot paths run over packed int
-        #: tuples instead of dicts (see ClockDomain).
-        self.clock_domain = ClockDomain(regions)
         self.primary = primary or regions[0]
         self.injector = FaultInjector(faults) if faults is not None else None
         self.network = Network(
@@ -436,17 +432,16 @@ class Cluster:
 
     def stable_vector(self) -> VersionVector:
         """Pointwise minimum of all replicas' vectors."""
-        domain = self.clock_domain
-        pack = domain.pack
-        stable: tuple[int, ...] | None = None
-        for replica in self._replicas.values():
-            packed = pack(replica.vv)
-            stable = (
-                packed
-                if stable is None
-                else domain.pointwise_min(stable, packed)
-            )
-        return domain.unpack(stable if stable is not None else domain.zero)
+        vectors = [r.vv.entries for r in self._replicas.values()]
+        stable: dict[str, int] = {}
+        for origin, counter in vectors[0].items():
+            for entries in vectors[1:]:
+                other = entries.get(origin, 0)
+                if other < counter:
+                    counter = other
+            if counter:
+                stable[origin] = counter
+        return VersionVector(stable)
 
     def compact_all(self, min_log_records: int = 1024) -> None:
         """Run stability GC at every replica (§4.2.1).
@@ -487,16 +482,15 @@ class Cluster:
         record's counter exceeds the holder's vector entry for its
         origin, while the origin's own vector already covers it.
         """
-        # Packed-tuple comparison: this poll runs every ``poll_ms`` of
-        # simulated time, and interning usually reduces it to identity
-        # checks.
-        pack = self.clock_domain.pack
-        reference: tuple[int, ...] | None = None
+        # This poll runs every ``poll_ms`` of simulated time and keeps
+        # nothing, so it compares the live entry dicts in C; the
+        # zero-normalising ``==`` only runs when those differ.
+        reference: VersionVector | None = None
         for replica in self._replicas.values():
-            packed = pack(replica.vv)
+            vv = replica.vv
             if reference is None:
-                reference = packed
-            elif packed is not reference and packed != reference:
+                reference = vv
+            elif vv.entries != reference.entries and vv != reference:
                 return False
         return True
 

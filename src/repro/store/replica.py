@@ -81,6 +81,18 @@ class Replica:
     replays only the retained tail; :meth:`sync_answer` falls back to
     "snapshot + tail" for a peer whose digest predates the truncation
     base (defensive -- stability guarantees live peers never do).
+
+    **The vector digest.**  ``vv`` is mutated in place by every apply,
+    so anything that outlives the call it was read in needs a copy.
+    :meth:`vv_digest` hands out one shared, never-mutated copy instead
+    of a fresh one per reader.  Representation invariant: ``_vv_digest``
+    is ``None`` or equal to ``vv``, and a digest once handed out never
+    changes -- every write to ``vv`` (the last line of
+    :meth:`_apply_state`, either branch of :meth:`rebuild_from_log`,
+    :meth:`install_snapshot`) drops the cached digest rather than
+    updating it.  Holders (anti-entropy messages, the checker's session
+    tracker) may keep a digest for as long as they like and must not
+    write to it; a reader that keeps nothing past the call reads ``vv``.
     """
 
     def __init__(
@@ -113,6 +125,7 @@ class Replica:
             self.storage.note_write if self.storage.tracking else None
         )
         self.vv = VersionVector()
+        self._vv_digest: VersionVector | None = None
         self._clock = 0
         self.commits_applied = 0
         self.log: list[CommitRecord] = []
@@ -165,6 +178,13 @@ class Replica:
     def shard_digests(self) -> tuple[str, ...]:
         """Per-shard canonical state digests (anti-entropy pruning)."""
         return self.storage.shard_digests()
+
+    def vv_digest(self) -> VersionVector:
+        """``vv`` as of now, shared and read-only (see the class docstring)."""
+        digest = self._vv_digest
+        if digest is None:
+            digest = self._vv_digest = self.vv.copy()
+        return digest
 
     # -- transactions ---------------------------------------------------------
 
@@ -292,6 +312,7 @@ class Replica:
                     obj.effect(payload, ctx)
                 note_write(key)
         self.vv.entries[origin] = counter
+        self._vv_digest = None
         if origin == self.replica_id:
             # A local commit consumed the dirty entries into its delta.
             self._dirty_since_commit.clear()
@@ -315,6 +336,10 @@ class Replica:
         log; :meth:`sync_answer` detects that case and adds the
         snapshot.
         """
+        if vv.entries == self.vv.entries:
+            # An equal peer misses nothing: the answer every idle
+            # anti-entropy round gets, without walking the log index.
+            return []
         missing: list[CommitRecord] = []
         bases = self._log_base
         for origin, records in self._log_by_origin.items():
@@ -418,6 +443,7 @@ class Replica:
             }
             self._dirty_since_commit = dict(snap.dirty)
             self.commits_applied = snap.commits_applied
+        self._vv_digest = None
         self._store_get = self.storage.get
         self._store_set = self.storage.set
         seen = self.vv.get
@@ -445,6 +471,7 @@ class Replica:
         self._store_get = self.storage.get
         self._store_set = self.storage.set
         self.vv = snapshot.vv.copy()
+        self._vv_digest = None
         self._origin_ctx = {
             origin: vv.copy() for origin, vv in snapshot.origin_ctx.items()
         }

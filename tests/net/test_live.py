@@ -10,9 +10,9 @@ fails the job instead of hanging it.
 """
 
 import asyncio
-import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +21,8 @@ from repro.net.harness import HarnessError, run_live
 from repro.net.oracle import record_trial
 from repro.net.server import resume_position
 from repro.store.conflicts import ConflictDetector, open_ledgers
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(
@@ -113,8 +115,8 @@ class TestLiveDigestEquality:
         assert not (tmp_path / "never").exists()  # before any side effect
 
 
-def _ledger_sha(data_dir: str) -> tuple[int, str]:
-    """(record count, sha) of every region ledger minus the wall clock."""
+def _ledger_rows(data_dir: str) -> list[dict]:
+    """Every region ledger's records, in order, minus the wall clock."""
     rows = []
     for _region, ledger in sorted(open_ledgers(data_dir).items()):
         for record in ledger.records():
@@ -122,22 +124,24 @@ def _ledger_sha(data_dir: str) -> tuple[int, str]:
             del blob["detected_at_ms"]
             rows.append(blob)
         ledger.close()
-    body = json.dumps(rows, sort_keys=True)
-    return len(rows), hashlib.sha256(body.encode()).hexdigest()[:16]
+    # Through JSON, as the fixtures went: tuples become lists.
+    return json.loads(json.dumps(rows))
 
 
 @pytest.mark.timeout(90)
 class TestConflictLedgerPinned:
     """The ledger's records are the detector's contract: the delta
     detector (PR 13) must write what the full-extract one wrote.  The
-    shas were taken at the parent commit (b71872e) with this exact
-    recipe; everything but ``detected_at_ms`` is schedule-determined."""
+    fixture rows were taken with this exact recipe (at a74d154; their
+    shas are the ones pinned since b71872e); everything but
+    ``detected_at_ms`` is schedule-determined, and a mismatch names the
+    first record that differs."""
 
     @pytest.mark.parametrize(
         "app, index, expected",
         [
-            ("twitter", 3, (45, "f44bf494433aebef")),
-            ("tournament", 1, (24, "0fafd10e971d9acb")),
+            ("twitter", 3, FIXTURES / "ledger_twitter_3.json"),
+            ("tournament", 1, FIXTURES / "ledger_tournament_1.json"),
         ],
     )
     def test_records_match_the_parent_commit(
@@ -148,7 +152,11 @@ class TestConflictLedgerPinned:
         )
         assert report.ok, report.reason
         assert report.digest_match
-        assert _ledger_sha(os.path.join(str(tmp_path), "data")) == expected
+        rows = _ledger_rows(os.path.join(str(tmp_path), "data"))
+        want = json.loads(expected.read_text(encoding="utf-8"))
+        for position, (got, pinned) in enumerate(zip(rows, want)):
+            assert got == pinned, f"record {position} differs"
+        assert len(rows) == len(want)
 
 
 @pytest.mark.timeout(90)

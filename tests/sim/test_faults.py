@@ -1,17 +1,29 @@
 """Fault-injection layer: plans, injector verdicts, network behaviour."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.sim.faults import (
+    CLEAN,
     CrashWindow,
     FaultInjector,
     FaultPlan,
     PartitionWindow,
 )
-from repro.sim.latency import EU_WEST, GeoLatencyModel, US_EAST, US_WEST
+from repro.sim.latency import (
+    EU_WEST,
+    REGIONS,
+    GeoLatencyModel,
+    US_EAST,
+    US_WEST,
+)
 from repro.sim.network import Network
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def flat_latency():
@@ -177,6 +189,78 @@ class TestDeterministicTieBreak:
             return got, network.messages_dropped, network.messages_reordered
 
         assert run() == run()
+
+
+def lossy_deliveries(seed: int) -> dict:
+    """120 messages round the three regions under a lossy plan with a
+    partition window; what arrived, when, and every fault counter."""
+    plan = FaultPlan(
+        seed=seed,
+        drop=0.04,
+        duplicate=0.03,
+        reorder=0.2,
+        partitions=(
+            PartitionWindow(300.0, 500.0, REGIONS[:1], REGIONS[1:]),
+        ),
+    )
+    sim = Simulator()
+    injector = FaultInjector(plan)
+    network = Network(
+        sim, GeoLatencyModel(seed=seed + 1), injector=injector
+    )
+    arrived = []
+    for index in range(120):
+        source = REGIONS[index % 3]
+        target = REGIONS[(index + 1 + index // 3 % 2) % 3]
+        sim.at(
+            index * 7.0,
+            network.send,
+            source,
+            target,
+            index,
+            lambda i: arrived.append([i, sim.now]),
+        )
+    sim.run()
+    return {
+        "arrived": arrived,
+        "network": [
+            network.messages_sent,
+            network.messages_delivered,
+            network.messages_dropped,
+            network.messages_duplicated,
+            network.messages_reordered,
+        ],
+        "injector": [
+            injector.dropped,
+            injector.duplicated,
+            injector.reordered,
+            injector.partition_drops,
+        ],
+    }
+
+
+class TestUnfaultedMessagesShareTheCleanVerdict:
+    """A lossy plan's messages that no fault hit get the shared
+    ``CLEAN`` (so ``Network.send`` stays on its fast path) after the
+    same five draws: deliveries and counters are those recorded at
+    a74d154, where every verdict was a fresh ``Delivery``."""
+
+    def test_no_fault_means_the_shared_verdict(self):
+        injector = FaultInjector(
+            FaultPlan(seed=11, drop=0.1, duplicate=0.1, reorder=0.2)
+        )
+        verdicts = [
+            injector.on_send(US_EAST, US_WEST, 0.0) for _ in range(300)
+        ]
+        plain = [v for v in verdicts if v.copies == ((0.0, True),)]
+        assert plain and all(v is CLEAN for v in plain)
+
+    @pytest.mark.parametrize("seed", [3, 17, 101, 2024, 99991])
+    def test_deliveries_match_the_parent_commit(self, seed):
+        pinned = json.loads(
+            (FIXTURES / "lossy_deliveries.json").read_text(encoding="utf-8")
+        )
+        assert lossy_deliveries(seed) == pinned[str(seed)]
 
 
 class TestFaultPlanSerialization:
