@@ -235,8 +235,8 @@ def _simulate_violations(cluster, config, sessions, caps: dict) -> list:
     from repro.check.oracles import ConvergenceOracle, InvariantOracle
 
     adapter = TournamentAdapter()
-    violations = list(ConvergenceOracle().check(cluster))
     digests = cluster.state_digest()
+    violations = list(ConvergenceOracle().check(cluster, digests=digests))
     # Converged replicas share digests: ground the invariants once per
     # distinct digest.
     representatives: dict[str, str] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.logic.ast import Atom, NumPred
+from repro.logic.ast import Atom, NumPred, disj
 from repro.logic.transform import substitute
 from repro.obs import TRACER
 from repro.solver.dpll import SolverCounters
@@ -249,11 +249,11 @@ class ConflictChecker:
             ]
             yield binding, query
 
-    # Indices splitting a pair query into the candidate-independent base
-    # (invariants, preconditions, violation target) and the part that
-    # changes per repair candidate (state-transition constraints).
-    _BASE_SLOTS = (0, 1, 2, 5, 6, 8)
-    _CANDIDATE_SLOTS = (3, 4, 7)
+    # The slots of each query kind that every candidate shares: a
+    # session asserts them once (see :meth:`_verdict`).
+    _PAIR_BASE = (0, 1, 2, 5, 6, 8)
+    _EXECUTABLE_BASE = (0, 1, 3)
+    _SOLO_BASE = (0, 1, 2, 3)
 
     def is_conflicting(
         self,
@@ -299,64 +299,67 @@ class ConflictChecker:
         op2: Operation,
         rules: ConvergenceRules | None = None,
         try_first: PairBinding | None = None,
-        sessions: "PairSessions | None" = None,
+        sessions: "SolverSessions | None" = None,
     ) -> bool:
         """Verdict-only :meth:`is_conflicting` (no witness decoding).
 
-        With ``sessions``, all candidates probed through the same
-        :class:`PairSessions` share one incremental solver per aliasing
-        pattern: the invariants, preconditions and violation target are
-        encoded once, each candidate's state-transition constraints run
-        under a throwaway activation literal, and learned clauses carry
-        over.  The satisfiability verdict is identical to a fresh
-        solver's, which is all the repair search needs.
+        Candidates probed through the same ``sessions`` share one
+        incremental solver per aliasing pattern, whose base is the
+        invariants, preconditions and violation target.
         """
-        for binding, query in self._pair_queries(op1, op2, rules, try_first):
-            self._queries += 1
-            key = None
-            if self._cache is not None:
-                key = self._cache.key(
-                    binding.domain, self._params, self._int_bound, query
-                )
-                entry = self._cache.get(key, need_model=False)
-                if entry is not None:
-                    if entry.sat:
-                        return True
-                    continue
+        return any(
+            self._verdict(
+                binding.domain, query, self._PAIR_BASE,
+                sessions, ("conflict", binding),
+            )
+            for binding, query in self._pair_queries(
+                op1, op2, rules, try_first
+            )
+        )
+
+    def _verdict(
+        self,
+        domain,
+        query: list,
+        base_slots: tuple[int, ...],
+        sessions: "SolverSessions | None",
+        key: tuple,
+    ) -> bool:
+        """Satisfiability of ``query``, for callers that need no model.
+
+        The cache is probed over the whole list.  A miss runs in the
+        session ``sessions`` holds under ``key`` (which must determine
+        the ``base_slots`` formulas, asserted once when it is built);
+        the other slots run under a retired-after-use activation
+        literal.  Session models are path-dependent: the cache stores
+        the verdict only.  Without ``sessions`` the session is
+        throwaway.
+        """
+        self._queries += 1
+        cache_key = None
+        if self._cache is not None:
+            cache_key = self._cache.key(
+                domain, self._params, self._int_bound, query
+            )
+            entry = self._cache.get(cache_key, need_model=False)
+            if entry is not None:
+                return entry.sat
+        session = sessions.get(key) if sessions is not None else None
+        if session is None:
+            session = IncrementalSession(
+                domain, self._params, self._int_bound
+            )
+            session.assert_base(*(query[i] for i in base_slots))
             if sessions is not None:
-                session = sessions.get(binding)
-                if session is None:
-                    session = IncrementalSession(
-                        binding.domain, self._params, self._int_bound
-                    )
-                    session.assert_base(
-                        *(query[i] for i in self._BASE_SLOTS)
-                    )
-                    sessions.put(binding, session)
-                sat = session.check_under(
-                    *(query[i] for i in self._CANDIDATE_SLOTS)
-                )
-                self._solves += 1
-                self.solver_counters.add(session.last_delta)
-                if key is not None:
-                    # Incremental models are path-dependent; store the
-                    # verdict only.  A later query that needs the model
-                    # recomputes it deterministically and upgrades the
-                    # entry.
-                    self._cache.put(key, sat, model=None)
-            else:
-                finder = BoundedModelFinder(
-                    binding.domain,
-                    params=self._params,
-                    int_bound=self._int_bound,
-                    cache=self._cache,
-                )
-                sat = finder.check_ground_sat(*query)
-                self._solves += finder.solves
-                self.solver_counters.add(finder.counters)
-            if sat:
-                return True
-        return False
+                sessions.put(key, session)
+        sat = session.check_under(
+            *(f for i, f in enumerate(query) if i not in base_slots)
+        )
+        self._solves += 1
+        self.solver_counters.add(session.last_delta)
+        if cache_key is not None:
+            self._cache.put(cache_key, sat, model=None)
+        return sat
 
     def _ground_precondition(self, operation, binding, domain):
         from repro.logic.ast import TrueF
@@ -369,7 +372,11 @@ class ConflictChecker:
 
     # -- side conditions on repaired operations --------------------------------
 
-    def is_executable(self, operation: Operation) -> bool:
+    def is_executable(
+        self,
+        operation: Operation,
+        sessions: "SolverSessions | None" = None,
+    ) -> bool:
         """Can the operation run at all in some invariant-valid state?
 
         Augmenting an operation with self-contradictory effects (e.g.
@@ -377,6 +384,9 @@ class ConflictChecker:
         weakest precondition unsatisfiable -- conflicts involving it
         vanish trivially because the operation can never execute.  Such
         degenerate repairs are rejected with this check.
+
+        With ``sessions``, only the frame constraints change per
+        candidate (modified copies keep the original's precondition).
         """
         cached = self._executable_cache.get(operation)
         if cached is not None:
@@ -398,24 +408,23 @@ class ConflictChecker:
                 single_state_constraints("1", effects, preds, single.domain),
                 self._ground_invariant("1", single.domain),
             ]
-            finder = BoundedModelFinder(
-                single.domain,
-                params=self._params,
-                int_bound=self._int_bound,
-                cache=self._cache,
+            key = (
+                "executable", operation.original_name,
+                operation.precondition, single,
             )
-            self._queries += 1
-            sat = finder.check_ground_sat(*query)
-            self._solves += finder.solves
-            self.solver_counters.add(finder.counters)
-            if sat:
+            if self._verdict(
+                single.domain, query, self._EXECUTABLE_BASE, sessions, key
+            ):
                 executable = True
                 break
         self._executable_cache[operation] = executable
         return executable
 
     def preserves_solo_semantics(
-        self, original: Operation, modified: Operation
+        self,
+        original: Operation,
+        modified: Operation,
+        sessions: "SolverSessions | None" = None,
     ) -> bool:
         """Are the added effects no-ops when no concurrent conflict occurs?
 
@@ -424,6 +433,9 @@ class ConflictChecker:
         assignment must already hold in the state the *original*
         operation produces (whenever the original is executable).  Extra
         numeric effects always change the state, so they never pass.
+
+        With ``sessions``, only the mismatch disjunction changes per
+        candidate.
         """
         key = (original, modified)
         cached = self._preserving_cache.get(key)
@@ -454,8 +466,6 @@ class ConflictChecker:
                 )
             if not mismatches:
                 continue
-            from repro.logic.ast import disj
-
             query = [
                 self._ground_invariant("", single.domain),
                 self._ground_precondition(
@@ -467,17 +477,10 @@ class ConflictChecker:
                 self._ground_invariant("1", single.domain),
                 disj(mismatches),
             ]
-            finder = BoundedModelFinder(
-                single.domain,
-                params=self._params,
-                int_bound=self._int_bound,
-                cache=self._cache,
-            )
-            self._queries += 1
-            sat = finder.check_ground_sat(*query)
-            self._solves += finder.solves
-            self.solver_counters.add(finder.counters)
-            if sat:
+            if self._verdict(
+                single.domain, query, self._SOLO_BASE, sessions,
+                ("solo", original, single),
+            ):
                 preserving = False
                 break
         self._preserving_cache[key] = preserving
@@ -576,23 +579,23 @@ class ConflictChecker:
         return projected
 
 
-class PairSessions:
+class SolverSessions:
     """Incremental solver sessions for one repair search.
 
-    One :class:`~repro.solver.smt.IncrementalSession` per aliasing
-    pattern of the conflicting pair; dropped wholesale when the search
-    for that pair finishes (candidate counts per pair are small, so the
-    clause databases stay bounded).
+    One :class:`~repro.solver.smt.IncrementalSession` per (query kind,
+    original operation, aliasing pattern); dropped wholesale when the
+    search for that pair finishes (candidate counts per pair are small,
+    so the clause databases stay bounded).
     """
 
     def __init__(self) -> None:
-        self._sessions: dict[PairBinding, IncrementalSession] = {}
+        self._sessions: dict[tuple, IncrementalSession] = {}
 
-    def get(self, binding: PairBinding) -> IncrementalSession | None:
-        return self._sessions.get(binding)
+    def get(self, key: tuple) -> IncrementalSession | None:
+        return self._sessions.get(key)
 
-    def put(self, binding: PairBinding, session: IncrementalSession) -> None:
-        self._sessions[binding] = session
+    def put(self, key: tuple, session: IncrementalSession) -> None:
+        self._sessions[key] = session
 
     def __len__(self) -> int:
         return len(self._sessions)

@@ -21,7 +21,7 @@ from repro.spec.operations import Operation
 from repro.analysis.conflicts import (
     ConflictChecker,
     ConflictWitness,
-    PairSessions,
+    SolverSessions,
 )
 from repro.analysis.generation import CandidateRepair, generate_candidates
 
@@ -91,11 +91,12 @@ def repair_conflict(
     op1, op2 = witness.op1, witness.op2
     solutions: list[Resolution] = []
     found_candidates: list[CandidateRepair] = []
-    # Candidate verification only needs a yes/no answer, and the many
-    # candidates of one conflict share their invariants and witnesses'
-    # bindings: route them through incremental solver sessions keyed by
-    # binding so the CNF base and learned clauses are reused.
-    sessions = PairSessions()
+    # Candidate verification only needs yes/no answers, and the many
+    # candidates of one conflict share their invariants, preconditions
+    # and bindings: route every check through incremental solver
+    # sessions so each shared base is encoded once and learned clauses
+    # are reused.
+    sessions = SolverSessions()
     for candidate in generate_candidates(
         spec, op1, op2, max_effects=max_effects,
         allow_rule_changes=allow_rule_changes,
@@ -105,10 +106,12 @@ def repair_conflict(
         new_op1, new_op2 = _apply_candidate(op1, op2, candidate)
         modified = new_op1 if candidate.side == 1 else new_op2
         original = op1 if candidate.side == 1 else op2
-        if not checker.is_executable(modified):
+        if not checker.is_executable(modified, sessions=sessions):
             continue
         if require_semantics_preserving and not (
-            checker.preserves_solo_semantics(original, modified)
+            checker.preserves_solo_semantics(
+                original, modified, sessions=sessions
+            )
         ):
             continue
         rules = spec.rules.copy()

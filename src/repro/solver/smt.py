@@ -20,6 +20,9 @@ Two performance layers sit on top of the one-shot lifecycle:
   candidate operations against the same invariants and preconditions),
   asserting per-query constraints under activation literals and solving
   with ``assumptions`` so the CNF and learned clauses are built once.
+
+The finder is the witness path: only queries whose model is reported
+use it.  Every verdict-only query goes through a session.
 """
 
 from __future__ import annotations
@@ -130,27 +133,6 @@ class BoundedModelFinder:
             self._cache.put(key, result.sat, result.model)
         return result
 
-    def check_ground_sat(self, *formulas: Formula) -> bool:
-        """Verdict-only :meth:`check_ground`.
-
-        Side-condition checks (executability, semantics preservation)
-        and the repair search only consume the yes/no answer; this path
-        skips model deserialisation on cache hits, which dominates their
-        warm-cache cost otherwise.  Misses still store the full model so
-        a later witness-producing query hits.
-        """
-        if self._cache is not None:
-            key = self._cache.key(
-                self._domain, self._params, self._int_bound, formulas
-            )
-            entry = self._cache.get(key, need_model=False)
-            if entry is not None:
-                return entry.sat
-            result = self._solve(*formulas)
-            self._cache.put(key, result.sat, result.model)
-            return result.sat
-        return self._solve(*formulas).sat
-
     def _solve(self, *formulas: Formula) -> SmtResult:
         self.solves += 1
         span = TRACER.start("solver.check", formulas=len(formulas))
@@ -195,8 +177,9 @@ class IncrementalSession:
     """One solver shared by a family of queries with a common base.
 
     The repair loop verifies dozens of candidate operations against the
-    *same* invariants, preconditions and violation target; only the
-    state-transition constraints differ per candidate.  A session
+    *same* invariants, preconditions and violation target, and checks
+    each candidate's side conditions against the same invariants and
+    original operation; only a few constraints differ per candidate.  A session
     encodes the shared base once (:meth:`assert_base`), then runs each
     candidate's extra constraints under a fresh *activation literal*
     (:meth:`check_under`): the top-level assertion of each extra formula

@@ -6,9 +6,15 @@ specification must produce identical results -- same repairs, same
 witnesses, same compensations, same logical query counts.  And the
 on-disk cache tier must never trust a corrupted, tampered or stale
 entry: anything that fails validation is recomputed.
+
+The three modes agreeing is not enough: a solver change that moved
+every mode's witnesses the same way would pass.  So the outcome is also
+pinned to ``fixtures/analysis_outcome.json``; run this file as a script
+to regenerate that fixture from the current ``src/``.
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -31,21 +37,37 @@ from repro.logic.ast import Atom, Const, NumPred, PredicateDecl, Sort
 from repro.logic.grounding import Domain
 from repro.solver.models import Model
 
-ALL_APPS = [
-    pytest.param(ticket_spec, id="ticket"),
-    pytest.param(tpcw_spec, id="tpcw"),
-    pytest.param(twitter_spec, id="twitter"),
-    pytest.param(tournament_spec, id="tournament"),
-]
+SPECS = {
+    "ticket": ticket_spec,
+    "tpcw": tpcw_spec,
+    "twitter": twitter_spec,
+    "tournament": tournament_spec,
+}
+ALL_APPS = [pytest.param(build, id=name) for name, build in SPECS.items()]
+
+OUTCOME = Path(__file__).parent / "fixtures" / "analysis_outcome.json"
+
+
+def _outcome(result) -> dict:
+    """The pinned part of a cold-cache analysis."""
+    return {
+        "fingerprint": result.fingerprint(),
+        "solver_queries": result.solver_queries,
+        "solver_solves": result.stats.solver_solves,
+    }
 
 
 @pytest.mark.parametrize("build", ALL_APPS)
 def test_sequential_cached_parallel_agree(build, tmp_path):
-    """Uncached, cold-cache and warm-cache runs are identical."""
+    """Uncached, cold-cache and warm-cache runs are identical, and the
+    cold run matches the pinned outcome."""
     cache_dir = tmp_path / "cache"
     sequential = run_ipa(build(), cache=False)
     cold = run_ipa(build(), cache_dir=cache_dir)  # fills the disk tier
     warm = run_ipa(build(), cache_dir=cache_dir)
+
+    pinned = json.loads(OUTCOME.read_text(encoding="utf-8"))["apps"]
+    assert _outcome(cold) == pinned[cold.original.name]
 
     reference = sequential.fingerprint()
     assert cold.fingerprint() == reference
@@ -186,3 +208,22 @@ def test_model_serialization_round_trip(model):
     assert restored.atoms == model.atoms
     assert restored.numerics == model.numerics
     assert restored.params == model.params
+
+
+if __name__ == "__main__":
+    # Regenerate the pinned outcome: PYTHONPATH=src python <this file>
+    apps = {}
+    for name, build in SPECS.items():
+        with tempfile.TemporaryDirectory() as cache_dir:
+            apps[name] = _outcome(run_ipa(build(), cache_dir=cache_dir))
+    document = {
+        "regenerate": (
+            "PYTHONPATH=src python tests/analysis/test_parallel_cache.py"
+        ),
+        "apps": apps,
+    }
+    OUTCOME.parent.mkdir(exist_ok=True)
+    OUTCOME.write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )

@@ -96,3 +96,26 @@ def test_simulate_fail_on_violation_exit_codes(
         assert "ORACLE VIOLATIONS" in out
     else:
         assert "oracles: clean" in out
+
+
+def test_simulate_fail_on_violation_digests_each_replica_once(
+    monkeypatch, capsys
+) -> None:
+    """The convergence oracle and the invariant pass share one digest."""
+    from repro.store.cluster import Cluster
+
+    calls = []
+    original = Cluster.state_digest
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cluster, "state_digest", counted)
+    code = main([
+        "simulate", "--config", "Strong", "--seed", "23", "--clients", "4",
+        "--duration-ms", "2000", "--think-ms", "100", "--fail-on-violation",
+    ])
+    assert code == 0
+    assert "oracles: clean" in capsys.readouterr().out
+    assert len(calls) == 1
