@@ -23,13 +23,13 @@ from repro.logic.transform import substitute
 from repro.obs import TRACER
 from repro.solver.dpll import SolverCounters
 from repro.solver.models import Model, evaluate
-from repro.solver.smt import BoundedModelFinder, IncrementalSession
+from repro.solver.smt import BoundedModelFinder, IncrementalSession, SmtResult
 from repro.spec.application import ApplicationSpec
 from repro.spec.effects import ConvergenceRules
 from repro.spec.invariants import Invariant
 from repro.spec.operations import Operation
 
-from repro.analysis.cache import SolverCache
+from repro.analysis.cache import SolverCache, deserialize_model
 
 from repro.analysis.bindings import (
     PairBinding,
@@ -147,26 +147,30 @@ class ConflictChecker:
         # The invariant conjunction is snapshot once: the repair loop
         # changes operations and rules, never invariants.  Ground copies
         # are cached per (state family, domain shape) -- the dominant
-        # cost of a query otherwise.
+        # cost of a query otherwise -- and so is the scan's session,
+        # whose base is built from those copies alone.
         self._invariant = spec.invariant_formula()
         self._renamed = {
             tag: rename_formula(self._invariant, tag)
             for tag in ("", "1", "2", "m")
         }
         self._ground_cache: dict[tuple[str, tuple], object] = {}
+        self._witness_sessions = SolverSessions()
+
+    @staticmethod
+    def _domain_key(domain) -> tuple:
+        """The domain's shape: its constant names per sort."""
+        return tuple(
+            sorted(
+                (sort.name, tuple(c.name for c in consts))
+                for sort, consts in domain.constants.items()
+            )
+        )
 
     def _ground_invariant(self, tag: str, domain):
         from repro.logic.grounding import ground
 
-        key = (
-            tag,
-            tuple(
-                sorted(
-                    (sort.name, tuple(c.name for c in consts))
-                    for sort, consts in domain.constants.items()
-                )
-            ),
-        )
+        key = (tag, self._domain_key(domain))
         cached = self._ground_cache.get(key)
         if cached is None:
             cached = ground(self._renamed[tag], domain)
@@ -193,7 +197,12 @@ class ConflictChecker:
 
     @property
     def solver_solves(self) -> int:
-        """Queries that actually reached the CDCL solver (cache misses)."""
+        """Queries that actually reached the CDCL solver (cache misses).
+
+        One per miss: a scan query that a session finds SAT is re-solved
+        by a fresh solver for its witness model, and that re-solve
+        belongs to the same solve.
+        """
         return self._solves
 
     @property
@@ -250,7 +259,11 @@ class ConflictChecker:
             yield binding, query
 
     # The slots of each query kind that every candidate shares: a
-    # session asserts them once (see :meth:`_verdict`).
+    # session asserts them once (see :meth:`_verdict`).  The scan's
+    # session serves every pair over one domain shape, so its base is
+    # what the shape alone determines: the invariant copies ``""``,
+    # ``"1"``, ``"2"`` and the violation target.
+    _SCAN_BASE = (0, 5, 6, 8)
     _PAIR_BASE = (0, 1, 2, 5, 6, 8)
     _EXECUTABLE_BASE = (0, 1, 3)
     _SOLO_BASE = (0, 1, 2, 3)
@@ -268,6 +281,10 @@ class ConflictChecker:
         conflicting one is tested first -- the repair search uses the
         witness's binding, which rejects failing candidates in one
         query.
+
+        Each aliasing pattern is decided in the checker's session for
+        its domain shape (see :meth:`_verdict`); only a conflict pays
+        for a fresh solver, whose model becomes the witness.
         """
         with TRACER.span(
             "analysis.pair", op1=op1.name, op2=op2.name
@@ -277,16 +294,12 @@ class ConflictChecker:
                 op1, op2, rules, try_first
             ):
                 bindings += 1
-                finder = BoundedModelFinder(
-                    binding.domain,
-                    params=self._params,
-                    int_bound=self._int_bound,
-                    cache=self._cache,
+                domain = binding.domain
+                result = self._verdict(
+                    domain, query, self._SCAN_BASE,
+                    self._witness_sessions, self._domain_key(domain),
+                    need_model=True,
                 )
-                self._queries += 1
-                result = finder.check_ground(*query)
-                self._solves += finder.solves
-                self.solver_counters.add(finder.counters)
                 if result.sat:
                     span.set(bindings=bindings, conflict=True)
                     return self._witness(op1, op2, binding, result.model)
@@ -311,7 +324,7 @@ class ConflictChecker:
             self._verdict(
                 binding.domain, query, self._PAIR_BASE,
                 sessions, ("conflict", binding),
-            )
+            ).sat
             for binding, query in self._pair_queries(
                 op1, op2, rules, try_first
             )
@@ -324,16 +337,20 @@ class ConflictChecker:
         base_slots: tuple[int, ...],
         sessions: "SolverSessions | None",
         key: tuple,
-    ) -> bool:
-        """Satisfiability of ``query``, for callers that need no model.
+        need_model: bool = False,
+    ) -> SmtResult:
+        """Satisfiability of ``query``, with a model if ``need_model``.
 
         The cache is probed over the whole list.  A miss runs in the
         session ``sessions`` holds under ``key`` (which must determine
         the ``base_slots`` formulas, asserted once when it is built);
         the other slots run under a retired-after-use activation
-        literal.  Session models are path-dependent: the cache stores
-        the verdict only.  Without ``sessions`` the session is
-        throwaway.
+        literal.  Without ``sessions`` the session is throwaway.
+
+        Session models are path-dependent, so a SAT verdict whose model
+        is needed is re-derived by a fresh deterministic one-shot
+        solver over the same list in the same order, and cached with
+        that model.  Every other answer is cached verdict-only.
         """
         self._queries += 1
         cache_key = None
@@ -341,9 +358,14 @@ class ConflictChecker:
             cache_key = self._cache.key(
                 domain, self._params, self._int_bound, query
             )
-            entry = self._cache.get(cache_key, need_model=False)
+            entry = self._cache.get(cache_key, need_model=need_model)
             if entry is not None:
-                return entry.sat
+                model = None
+                if need_model and entry.sat:
+                    model = deserialize_model(
+                        entry.model_blob, domain, self._params
+                    )
+                return SmtResult(sat=entry.sat, model=model)
         session = sessions.get(key) if sessions is not None else None
         if session is None:
             session = IncrementalSession(
@@ -352,14 +374,22 @@ class ConflictChecker:
             session.assert_base(*(query[i] for i in base_slots))
             if sessions is not None:
                 sessions.put(key, session)
-        sat = session.check_under(
-            *(f for i, f in enumerate(query) if i not in base_slots)
+        result = SmtResult(
+            sat=session.check_under(
+                *(f for i, f in enumerate(query) if i not in base_slots)
+            )
         )
         self._solves += 1
         self.solver_counters.add(session.last_delta)
+        if result.sat and need_model:
+            finder = BoundedModelFinder(
+                domain, params=self._params, int_bound=self._int_bound
+            )
+            result = finder.check_ground(*query)
+            self.solver_counters.add(finder.counters)
         if cache_key is not None:
-            self._cache.put(cache_key, sat, model=None)
-        return sat
+            self._cache.put(cache_key, result.sat, model=result.model)
+        return result
 
     def _ground_precondition(self, operation, binding, domain):
         from repro.logic.ast import TrueF
@@ -414,7 +444,7 @@ class ConflictChecker:
             )
             if self._verdict(
                 single.domain, query, self._EXECUTABLE_BASE, sessions, key
-            ):
+            ).sat:
                 executable = True
                 break
         self._executable_cache[operation] = executable
@@ -480,7 +510,7 @@ class ConflictChecker:
             if self._verdict(
                 single.domain, query, self._SOLO_BASE, sessions,
                 ("solo", original, single),
-            ):
+            ).sat:
                 preserving = False
                 break
         self._preserving_cache[key] = preserving
@@ -580,12 +610,15 @@ class ConflictChecker:
 
 
 class SolverSessions:
-    """Incremental solver sessions for one repair search.
+    """Incremental solver sessions, by key.
 
-    One :class:`~repro.solver.smt.IncrementalSession` per (query kind,
-    original operation, aliasing pattern); dropped wholesale when the
+    A repair search holds one per conflict: one
+    :class:`~repro.solver.smt.IncrementalSession` per (query kind,
+    original operation, aliasing pattern), dropped wholesale when the
     search for that pair finishes (candidate counts per pair are small,
-    so the clause databases stay bounded).
+    so the clause databases stay bounded).  A checker holds one for its
+    scan queries, keyed by domain shape, for as long as it holds its
+    ground invariant copies.
     """
 
     def __init__(self) -> None:

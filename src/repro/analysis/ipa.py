@@ -270,7 +270,9 @@ def run_ipa(
     - ``cache``: a :class:`~repro.analysis.cache.SolverCache` to share,
       ``False`` to disable caching, or ``None``/``True`` to create one
       (with a persistent tier under ``cache_dir`` if given).
-    - ``cache_dir``: directory for the on-disk cache tier.
+    - ``cache_dir``: directory for the on-disk cache tier.  The run's
+      new entries reach it as one segment, written when the run returns
+      or raises (see :meth:`~repro.analysis.cache.SolverCache.flush`).
 
     ``jobs`` accepts only ``1``: ``benchmarks/ledger`` still passes it
     by keyword; a later benchmark-only PR drops the argument and then
@@ -302,105 +304,110 @@ def run_ipa(
     # is replaced (any rule change clears the whole set).
     clean: set[tuple[str, str]] = set()
     rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        scan_started = monotonic()
-        scan_span = TRACER.start("analysis.scan", round=rounds)
-        queries_before = checker.queries_issued
-        witness = _find_first(checker, skip, clean)
-        stats.scan_seconds += monotonic() - scan_started
-        stats.scan_queries += checker.queries_issued - queries_before
-        TRACER.end(
-            scan_span,
-            queries=checker.queries_issued - queries_before,
-            conflict=witness is not None,
-        )
-        if witness is None:
-            break
-        repair_started = monotonic()
-        repair_span = TRACER.start(
-            "analysis.repair",
-            round=rounds,
-            op1=witness.op1.name,
-            op2=witness.op2.name,
-        )
-        queries_before = checker.queries_issued
-        solutions = repair_conflict(
-            work,
-            checker,
-            witness,
-            max_effects=max_effects,
-            allow_rule_changes=allow_rule_changes,
-            require_semantics_preserving=require_semantics_preserving,
-        )
-        stats.repair_seconds += monotonic() - repair_started
-        stats.repair_queries += checker.queries_issued - queries_before
-        TRACER.end(repair_span, candidates=len(solutions))
-        chosen = pick(witness, solutions)
-        if chosen is None:
-            comp_started = monotonic()
-            comp_span = TRACER.start(
-                "analysis.compensation",
+    try:
+        while rounds < max_rounds:
+            rounds += 1
+            scan_started = monotonic()
+            scan_span = TRACER.start("analysis.scan", round=rounds)
+            queries_before = checker.queries_issued
+            witness = _find_first(checker, skip, clean)
+            stats.scan_seconds += monotonic() - scan_started
+            stats.scan_queries += checker.queries_issued - queries_before
+            TRACER.end(
+                scan_span,
+                queries=checker.queries_issued - queries_before,
+                conflict=witness is not None,
+            )
+            if witness is None:
+                break
+            repair_started = monotonic()
+            repair_span = TRACER.start(
+                "analysis.repair",
+                round=rounds,
                 op1=witness.op1.name,
                 op2=witness.op2.name,
             )
-            compensations = generate_compensations(work, witness)
-            stats.compensation_seconds += monotonic() - comp_started
-            TRACER.end(comp_span, compensations=len(compensations))
-            entry = FlaggedConflict(witness, compensations)
-            if strict and entry.needs_coordination:
-                raise UnsolvableConflictError(
-                    f"no repair or compensation for "
-                    f"{witness.op1.name} || {witness.op2.name}"
-                )
-            flagged.append(entry)
-            skip.add((witness.op1.name, witness.op2.name))
-            continue
-        if chosen.rule_changes:
-            clean.clear()
-        for name, policy in chosen.rule_changes:
-            work.rules.set(name, policy)
-        if chosen.new_op1 is not witness.op1:
-            work.replace_operation(witness.op1.name, chosen.new_op1)
-            clean = {
-                pair for pair in clean if witness.op1.name not in pair
-            }
-        if chosen.new_op2 is not witness.op2:
-            work.replace_operation(witness.op2.name, chosen.new_op2)
-            clean = {
-                pair for pair in clean if witness.op2.name not in pair
-            }
-        applied.append(
-            AppliedResolution(
-                witness=witness,
-                resolution=chosen,
-                alternatives=len(solutions),
+            queries_before = checker.queries_issued
+            solutions = repair_conflict(
+                work,
+                checker,
+                witness,
+                max_effects=max_effects,
+                allow_rule_changes=allow_rule_changes,
+                require_semantics_preserving=require_semantics_preserving,
             )
+            stats.repair_seconds += monotonic() - repair_started
+            stats.repair_queries += checker.queries_issued - queries_before
+            TRACER.end(repair_span, candidates=len(solutions))
+            chosen = pick(witness, solutions)
+            if chosen is None:
+                comp_started = monotonic()
+                comp_span = TRACER.start(
+                    "analysis.compensation",
+                    op1=witness.op1.name,
+                    op2=witness.op2.name,
+                )
+                compensations = generate_compensations(work, witness)
+                stats.compensation_seconds += monotonic() - comp_started
+                TRACER.end(comp_span, compensations=len(compensations))
+                entry = FlaggedConflict(witness, compensations)
+                if strict and entry.needs_coordination:
+                    raise UnsolvableConflictError(
+                        f"no repair or compensation for "
+                        f"{witness.op1.name} || {witness.op2.name}"
+                    )
+                flagged.append(entry)
+                skip.add((witness.op1.name, witness.op2.name))
+                continue
+            if chosen.rule_changes:
+                clean.clear()
+            for name, policy in chosen.rule_changes:
+                work.rules.set(name, policy)
+            if chosen.new_op1 is not witness.op1:
+                work.replace_operation(witness.op1.name, chosen.new_op1)
+                clean = {
+                    pair for pair in clean if witness.op1.name not in pair
+                }
+            if chosen.new_op2 is not witness.op2:
+                work.replace_operation(witness.op2.name, chosen.new_op2)
+                clean = {
+                    pair for pair in clean if witness.op2.name not in pair
+                }
+            applied.append(
+                AppliedResolution(
+                    witness=witness,
+                    resolution=chosen,
+                    alternatives=len(solutions),
+                )
+            )
+        else:
+            raise AnalysisError(
+                f"IPA did not converge within {max_rounds} rounds"
+            )
+        stats.solver_solves = checker.solver_solves
+        stats.solver.add(checker.solver_counters)
+        stats.snapshot_cache(checker.cache)
+        TRACER.end(
+            run_span,
+            rounds=rounds,
+            queries=checker.queries_issued,
+            applied=len(applied),
+            flagged=len(flagged),
         )
-    else:
-        raise AnalysisError(
-            f"IPA did not converge within {max_rounds} rounds"
+        return IpaResult(
+            original=spec,
+            modified=work,
+            applied=applied,
+            flagged=flagged,
+            rounds=rounds,
+            elapsed_seconds=monotonic() - started,
+            solver_queries=checker.queries_issued,
+            stats=stats,
         )
-    stats.solver_solves = checker.solver_solves
-    stats.solver.add(checker.solver_counters)
-    stats.snapshot_cache(checker.cache)
-    TRACER.end(
-        run_span,
-        rounds=rounds,
-        queries=checker.queries_issued,
-        applied=len(applied),
-        flagged=len(flagged),
-    )
-    return IpaResult(
-        original=spec,
-        modified=work,
-        applied=applied,
-        flagged=flagged,
-        rounds=rounds,
-        elapsed_seconds=monotonic() - started,
-        solver_queries=checker.queries_issued,
-        stats=stats,
-    )
+    finally:
+        # One segment per run, written even when the run raises.
+        if checker.cache is not None:
+            checker.cache.flush()
 
 
 def _find_first(

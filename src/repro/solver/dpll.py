@@ -16,7 +16,7 @@ may return them for trivially-valued sub-formulas.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SolverError
 
@@ -26,7 +26,7 @@ TRUE_LIT = 0x7FFFFFFF
 FALSE_LIT = -TRUE_LIT
 
 
-@dataclass
+@dataclass(slots=True)  # long-lived sessions hold tens of thousands
 class _Clause:
     literals: list[int]
     learned: bool = False
@@ -101,7 +101,10 @@ class SatSolver:
         # Branching heuristic: VSIDS activities plus a lazy max-heap of
         # ``(-activity, var)`` entries.  Stale entries (superseded by a
         # bump, or referring to assigned variables) are skipped on pop;
-        # every unassigned variable always has a current entry.
+        # every unassigned variable always has a current entry.  Stale
+        # entries are dropped wholesale once they outnumber the live ones
+        # (see :meth:`_cancel_until`), so a long-lived incremental solver
+        # holds O(variables) entries, not one per backtracked assignment.
         self._activity: dict[int, float] = {}
         self._act_heap: list[tuple[float, int]] = []
         self._act_inc = 1.0
@@ -389,6 +392,22 @@ class SatSolver:
         del self._trail[boundary:]
         del self._trail_lim[level:]
         self._queue_head = len(self._trail)
+        if len(self._act_heap) > 2 * self._num_vars + 64:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One current entry per unassigned variable, stale ones dropped.
+
+        :meth:`_pick_branch` returns the best *live* entry, so the pick
+        order -- and every decision sequence and model -- is the same
+        before and after a rebuild.
+        """
+        self._act_heap = [
+            (-self._activity[v], v)
+            for v in self._activity
+            if v not in self._assign
+        ]
+        heapq.heapify(self._act_heap)
 
     def _pick_branch(self) -> int | None:
         # Pop until a live entry: unassigned variable whose recorded
@@ -412,12 +431,7 @@ class SatSolver:
                 self._activity[v] *= 1e-100
             self._act_inc *= 1e-100
             # Every heap entry is stale after a rescale: rebuild.
-            self._act_heap = [
-                (-self._activity[v], v)
-                for v in self._activity
-                if v not in self._assign
-            ]
-            heapq.heapify(self._act_heap)
+            self._rebuild_heap()
             return
         if var not in self._assign:
             heapq.heappush(self._act_heap, (-self._activity[var], var))

@@ -10,25 +10,22 @@ to CNF (:mod:`repro.solver.cnf`) and runs the CDCL solver
 :class:`~repro.solver.models.Model` -- the concrete counterexample
 state shown in conflict reports.
 
-Two performance layers sit on top of the one-shot lifecycle:
+:class:`IncrementalSession` keeps one solver alive across a family of
+queries that share a common base (the conflict scan probing many pairs
+against the same invariant copies, the repair loop probing many
+candidate operations against the same invariants and preconditions),
+asserting per-query constraints under activation literals and solving
+with ``assumptions`` so the CNF and learned clauses are built once.
 
-- passing a :class:`~repro.analysis.cache.SolverCache` memoises whole
-  queries by content address, so a repeated query never reaches the
-  solver at all;
-- :class:`IncrementalSession` keeps one solver alive across a family of
-  queries that share a common base (the repair loop probing many
-  candidate operations against the same invariants and preconditions),
-  asserting per-query constraints under activation literals and solving
-  with ``assumptions`` so the CNF and learned clauses are built once.
-
-The finder is the witness path: only queries whose model is reported
-use it.  Every verdict-only query goes through a session.
+Every query's verdict comes from a session.  The finder is the witness
+path: it re-solves a query only once a session has found it SAT and
+its model is about to be reported.  (Whole-query memoisation lives one
+layer up, in :mod:`repro.analysis.cache`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.logic.ast import Formula
 from repro.logic.grounding import Domain, ground
@@ -37,9 +34,6 @@ from repro.solver.cnf import CnfBuilder
 from repro.solver.dpll import SatSolver, SolverCounters
 from repro.solver.models import Model
 from repro.solver.theory import DEFAULT_INT_BOUND, TheoryEncoder
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.cache import SolverCache
 
 
 @dataclass
@@ -66,8 +60,7 @@ class BoundedModelFinder:
     Each :meth:`check` call builds a fresh solver, which keeps the
     witness fully deterministic: the same query always decodes into the
     same model, which is what lets cached and uncached analysis runs
-    produce byte-identical reports.  ``cache`` short-circuits repeated
-    queries by content address (see :mod:`repro.analysis.cache`).
+    produce byte-identical reports.
     """
 
     def __init__(
@@ -75,18 +68,12 @@ class BoundedModelFinder:
         domain: Domain,
         params: dict[str, int] | None = None,
         int_bound: int = DEFAULT_INT_BOUND,
-        cache: "SolverCache | None" = None,
     ) -> None:
         self._domain = domain
         self._params = dict(params or {})
         self._int_bound = int_bound
-        self._cache = cache
-        #: Number of times :meth:`check_ground` actually ran the CDCL
-        #: solver (cache hits excluded); analysis stats read this.
-        self.solves = 0
         #: Search-effort totals over every solver this finder ran
-        #: (decisions, propagations, conflicts, ...); cache hits add
-        #: nothing, which is exactly the effort they saved.
+        #: (decisions, propagations, conflicts, ...).
         self.counters = SolverCounters()
 
     @property
@@ -111,30 +98,6 @@ class BoundedModelFinder:
         shape, and state-transition constraints are ground by
         construction -- use this entry point to skip re-grounding.
         """
-        key = None
-        if self._cache is not None:
-            key = self._cache.key(
-                self._domain, self._params, self._int_bound, formulas
-            )
-            entry = self._cache.get(key, need_model=True)
-            if entry is not None:
-                if not entry.sat:
-                    return SmtResult(sat=False)
-                from repro.analysis.cache import deserialize_model
-
-                return SmtResult(
-                    sat=True,
-                    model=deserialize_model(
-                        entry.model_blob, self._domain, self._params
-                    ),
-                )
-        result = self._solve(*formulas)
-        if key is not None:
-            self._cache.put(key, result.sat, result.model)
-        return result
-
-    def _solve(self, *formulas: Formula) -> SmtResult:
-        self.solves += 1
         span = TRACER.start("solver.check", formulas=len(formulas))
         solver = SatSolver()
         builder = CnfBuilder(solver)

@@ -49,10 +49,13 @@ def _spy_verdicts(monkeypatch) -> list[tuple]:
     recorded: list[tuple] = []
     original = ConflictChecker._verdict
 
-    def spy(self, domain, query, base_slots, sessions, key):
-        sat = original(self, domain, query, base_slots, sessions, key)
-        recorded.append((domain, list(query), key, sat))
-        return sat
+    def spy(self, domain, query, base_slots, sessions, key,
+            need_model=False):
+        result = original(
+            self, domain, query, base_slots, sessions, key, need_model
+        )
+        recorded.append((domain, list(query), key, result.sat))
+        return result
 
     monkeypatch.setattr(ConflictChecker, "_verdict", spy)
     return recorded
@@ -181,7 +184,7 @@ def test_repair_builds_no_one_shot_solver(monkeypatch):
             encodes[(id(self), id(formula))] += 1
         return encode(self, formula)
 
-    monkeypatch.setattr(BoundedModelFinder, "_solve", one_shot)
+    monkeypatch.setattr(BoundedModelFinder, "check_ground", one_shot)
     monkeypatch.setattr(ConflictChecker, "_ground_invariant", remember)
     monkeypatch.setattr(TheoryEncoder, "encode", count)
     solutions = repair_conflict(spec, checker, witness)
