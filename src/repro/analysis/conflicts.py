@@ -38,6 +38,7 @@ from repro.analysis.bindings import (
 )
 from repro.analysis.encoding import (
     GroundEffects,
+    StateFrame,
     family,
     merged_state_constraints,
     rename_formula,
@@ -144,17 +145,20 @@ class ConflictChecker:
         self._queries = 0
         self._executable_cache: dict[Operation, bool] = {}
         self._preserving_cache: dict[tuple[Operation, Operation], bool] = {}
-        # The invariant conjunction is snapshot once: the repair loop
-        # changes operations and rules, never invariants.  Ground copies
-        # are cached per (state family, domain shape) -- the dominant
-        # cost of a query otherwise -- and so is the scan's session,
-        # whose base is built from those copies alone.
+        # The invariant conjunction and the predicate list are snapshot
+        # once: the repair loop changes operations and rules, never
+        # invariants or the schema.  Ground invariant copies and state
+        # frames are cached per (state family, domain shape) -- the
+        # dominant cost of a query otherwise -- and so is the scan's
+        # session, whose base is built from those copies alone.
         self._invariant = spec.invariant_formula()
         self._renamed = {
             tag: rename_formula(self._invariant, tag)
             for tag in ("", "1", "2", "m")
         }
+        self._preds = list(spec.schema.predicates.values())
         self._ground_cache: dict[tuple[str, tuple], object] = {}
+        self._frames: dict[tuple[str, tuple], StateFrame] = {}
         self._witness_sessions = SolverSessions()
 
     @staticmethod
@@ -167,15 +171,26 @@ class ConflictChecker:
             )
         )
 
-    def _ground_invariant(self, tag: str, domain):
+    def _ground_invariant(self, tag: str, domain, shape: tuple):
+        """The invariant over family ``tag``; ``shape`` is the domain's
+        :meth:`_domain_key`."""
         from repro.logic.grounding import ground
 
-        key = (tag, self._domain_key(domain))
+        key = (tag, shape)
         cached = self._ground_cache.get(key)
         if cached is None:
             cached = ground(self._renamed[tag], domain)
             self._ground_cache[key] = cached
         return cached
+
+    def _frame(self, tag: str, domain, shape: tuple) -> StateFrame:
+        """The frame of family ``tag``; ``shape`` as for
+        :meth:`_ground_invariant`."""
+        key = (tag, shape)
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = self._frames[key] = StateFrame(tag, self._preds, domain)
+        return frame
 
     @property
     def spec(self) -> ApplicationSpec:
@@ -218,7 +233,7 @@ class ConflictChecker:
         rules: ConvergenceRules | None,
         try_first: PairBinding | None,
     ):
-        """Yield ``(binding, query)`` for every aliasing pattern.
+        """Yield ``(binding, shape, query)`` for every aliasing pattern.
 
         The query is the Figure 2 constraint list in a fixed order;
         cache keys are computed over exactly this sequence, so the
@@ -226,7 +241,6 @@ class ConflictChecker:
         same logical query identically.
         """
         rules = rules or self._spec.rules
-        preds = list(self._spec.schema.predicates.values())
         sorts = list(self._spec.schema.sorts.values())
         bindings = list(
             enumerate_pair_bindings(op1, op2, sorts, extra=self._extra)
@@ -236,6 +250,7 @@ class ConflictChecker:
             bindings.insert(0, try_first)
         for binding in bindings:
             domain = binding.domain
+            shape = self._domain_key(domain)
             effects1 = GroundEffects.from_effects(
                 op1.instantiate(binding.binding1), domain
             )
@@ -243,20 +258,24 @@ class ConflictChecker:
                 op2.instantiate(binding.binding2), domain
             )
             query = [
-                self._ground_invariant("", domain),
+                self._ground_invariant("", domain, shape),
                 self._ground_precondition(op1, binding.binding1, domain),
                 self._ground_precondition(op2, binding.binding2, domain),
-                single_state_constraints("1", effects1, preds, domain),
-                single_state_constraints("2", effects2, preds, domain),
-                self._ground_invariant("1", domain),
-                self._ground_invariant("2", domain),
+                single_state_constraints(
+                    self._frame("1", domain, shape), effects1
+                ),
+                single_state_constraints(
+                    self._frame("2", domain, shape), effects2
+                ),
+                self._ground_invariant("1", domain, shape),
+                self._ground_invariant("2", domain, shape),
                 merged_state_constraints(
-                    "m", effects1, effects2, rules, preds, domain
+                    self._frame("m", domain, shape), effects1, effects2, rules
                 ),
                 # The merged state must violate the invariant.
-                ~self._ground_invariant("m", domain),
+                ~self._ground_invariant("m", domain, shape),
             ]
-            yield binding, query
+            yield binding, shape, query
 
     # The slots of each query kind that every candidate shares: a
     # session asserts them once (see :meth:`_verdict`).  The scan's
@@ -290,15 +309,13 @@ class ConflictChecker:
             "analysis.pair", op1=op1.name, op2=op2.name
         ) as span:
             bindings = 0
-            for binding, query in self._pair_queries(
+            for binding, shape, query in self._pair_queries(
                 op1, op2, rules, try_first
             ):
                 bindings += 1
-                domain = binding.domain
                 result = self._verdict(
-                    domain, query, self._SCAN_BASE,
-                    self._witness_sessions, self._domain_key(domain),
-                    need_model=True,
+                    binding.domain, query, self._SCAN_BASE,
+                    self._witness_sessions, shape, need_model=True,
                 )
                 if result.sat:
                     span.set(bindings=bindings, conflict=True)
@@ -325,7 +342,7 @@ class ConflictChecker:
                 binding.domain, query, self._PAIR_BASE,
                 sessions, ("conflict", binding),
             ).sat
-            for binding, query in self._pair_queries(
+            for binding, _shape, query in self._pair_queries(
                 op1, op2, rules, try_first
             )
         )
@@ -421,29 +438,30 @@ class ConflictChecker:
         cached = self._executable_cache.get(operation)
         if cached is not None:
             return cached
-        preds = list(self._spec.schema.predicates.values())
         sorts = list(self._spec.schema.sorts.values())
         executable = False
         for single in enumerate_single_bindings(
             operation, sorts, extra=self._extra
         ):
+            domain = single.domain
+            shape = self._domain_key(domain)
             effects = GroundEffects.from_effects(
-                operation.instantiate(single.binding), single.domain
+                operation.instantiate(single.binding), domain
             )
             query = [
-                self._ground_invariant("", single.domain),
-                self._ground_precondition(
-                    operation, single.binding, single.domain
+                self._ground_invariant("", domain, shape),
+                self._ground_precondition(operation, single.binding, domain),
+                single_state_constraints(
+                    self._frame("1", domain, shape), effects
                 ),
-                single_state_constraints("1", effects, preds, single.domain),
-                self._ground_invariant("1", single.domain),
+                self._ground_invariant("1", domain, shape),
             ]
             key = (
                 "executable", operation.original_name,
                 operation.precondition, single,
             )
             if self._verdict(
-                single.domain, query, self._EXECUTABLE_BASE, sessions, key
+                domain, query, self._EXECUTABLE_BASE, sessions, key
             ).sat:
                 executable = True
                 break
@@ -474,17 +492,17 @@ class ConflictChecker:
         if modified.num_effects() != original.num_effects():
             self._preserving_cache[key] = False
             return False
-        preds = list(self._spec.schema.predicates.values())
         sorts = list(self._spec.schema.sorts.values())
         preserving = True
         for single in enumerate_single_bindings(
             modified, sorts, extra=self._extra
         ):
+            domain = single.domain
             effects_orig = GroundEffects.from_effects(
-                original.instantiate(single.binding), single.domain
+                original.instantiate(single.binding), domain
             )
             effects_mod = GroundEffects.from_effects(
-                modified.instantiate(single.binding), single.domain
+                modified.instantiate(single.binding), domain
             )
             mismatches = []
             for atom, value in effects_mod.bool_assigns.items():
@@ -496,19 +514,18 @@ class ConflictChecker:
                 )
             if not mismatches:
                 continue
+            shape = self._domain_key(domain)
             query = [
-                self._ground_invariant("", single.domain),
-                self._ground_precondition(
-                    original, single.binding, single.domain
-                ),
+                self._ground_invariant("", domain, shape),
+                self._ground_precondition(original, single.binding, domain),
                 single_state_constraints(
-                    "1", effects_orig, preds, single.domain
+                    self._frame("1", domain, shape), effects_orig
                 ),
-                self._ground_invariant("1", single.domain),
+                self._ground_invariant("1", domain, shape),
                 disj(mismatches),
             ]
             if self._verdict(
-                single.domain, query, self._SOLO_BASE, sessions,
+                domain, query, self._SOLO_BASE, sessions,
                 ("solo", original, single),
             ).sat:
                 preserving = False

@@ -16,10 +16,20 @@ families with assignment and frame axioms:
 - every other atom keeps its initial value (frame);
 - a numeric predicate's merged value is the initial value plus the sum
   of both operations' deltas (counter CRDT semantics).
+
+Most atoms of a state are frame: an operation assigns a handful.  The
+frame of a family over a domain shape is therefore built once, as a
+:class:`StateFrame`, and encoding a state copies it and overwrites the
+positions its effects assign.  The result is the same formula, node for
+node, as a per-atom walk over every ground atom would build, so its
+rendering -- and every solver-cache key over it -- does not depend on
+which of the two built it.  An effect on a term outside the frame raises
+:class:`~repro.errors.AnalysisError` rather than being dropped.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -30,7 +40,6 @@ from repro.logic.ast import (
     Atom,
     Card,
     Cmp,
-    Const,
     Exists,
     FalseF,
     ForAll,
@@ -157,8 +166,6 @@ class GroundEffects:
 def _all_ground_atoms(
     preds: Iterable[PredicateDecl], domain: Domain
 ) -> Iterable[Atom]:
-    import itertools
-
     for pred in preds:
         if pred.numeric:
             continue
@@ -170,8 +177,6 @@ def _all_ground_atoms(
 def _all_ground_numpreds(
     preds: Iterable[PredicateDecl], domain: Domain
 ) -> Iterable[NumPred]:
-    import itertools
-
     for pred in preds:
         if not pred.numeric:
             continue
@@ -180,68 +185,108 @@ def _all_ground_numpreds(
             yield NumPred(pred, combo)
 
 
-def single_state_constraints(
-    tag: str,
-    effects: GroundEffects,
-    preds: Iterable[PredicateDecl],
-    domain: Domain,
-) -> Formula:
-    """Constraints defining state ``tag`` = effects applied to the base."""
-    parts: list[Formula] = []
-    for atom in _all_ground_atoms(preds, domain):
-        renamed = Atom(family(atom.pred, tag), atom.args)
-        assigned = effects.bool_assigns.get(atom)
-        if assigned is True:
-            parts.append(renamed)
-        elif assigned is False:
-            parts.append(Not(renamed))
-        else:
-            parts.append(Iff(renamed, atom))
-    for numpred in _all_ground_numpreds(preds, domain):
-        renamed_num = NumPred(family(numpred.pred, tag), numpred.args)
-        delta = effects.num_deltas.get(numpred, 0)
-        if delta:
-            parts.append(
-                Cmp("==", renamed_num, Add((numpred, IntConst(delta))))
+#: Stands in for a constraint left out: :func:`conj` drops it.
+_UNCONSTRAINED = TrueF()
+
+
+class StateFrame:
+    """The constraints of state family ``tag`` when no effect applies.
+
+    ``frame`` holds ``renamed <=> atom`` per ground atom, then
+    ``renamed_num == numpred`` per ground numeric term, in
+    :func:`_all_ground_atoms` / :func:`_all_ground_numpreds` order.
+    ``atom_index`` and ``num_index`` give each term's position, and
+    ``pinned[i]`` is ``(not renamed, renamed)`` for boolean position
+    ``i``, indexed by the value an effect assigns.  The frame depends
+    only on the tag, the predicates and the domain's constants, so one
+    is built per (tag, domain shape) and every query over that shape
+    copies it.
+    """
+
+    __slots__ = ("tag", "frame", "atom_index", "num_index", "pinned")
+
+    def __init__(
+        self, tag: str, preds: Iterable[PredicateDecl], domain: Domain
+    ) -> None:
+        preds = list(preds)
+        self.tag = tag
+        self.frame: list[Formula] = []
+        self.atom_index: dict[Atom, int] = {}
+        self.num_index: dict[NumPred, int] = {}
+        self.pinned: list[tuple[Formula, Formula]] = []
+        for atom in _all_ground_atoms(preds, domain):
+            renamed = Atom(family(atom.pred, tag), atom.args)
+            self.atom_index[atom] = len(self.frame)
+            self.frame.append(Iff(renamed, atom))
+            self.pinned.append((Not(renamed), renamed))
+        for numpred in _all_ground_numpreds(preds, domain):
+            renamed_num = NumPred(family(numpred.pred, tag), numpred.args)
+            self.num_index[numpred] = len(self.frame)
+            self.frame.append(Cmp("==", renamed_num, numpred))
+
+    def _position(self, index: Mapping, term) -> int:
+        position = index.get(term)
+        if position is None:
+            raise AnalysisError(
+                f"an effect assigns {term}, which is not a ground term "
+                f"of state family {self.tag!r}"
             )
-        else:
-            parts.append(Cmp("==", renamed_num, numpred))
+        return position
+
+    def pin(self, parts: list[Formula], atom: Atom, value: bool) -> None:
+        """Constrain ``atom``'s renamed copy in ``parts`` to ``value``."""
+        position = self._position(self.atom_index, atom)
+        parts[position] = self.pinned[position][value]
+
+    def leave_out(self, parts: list[Formula], atom: Atom) -> None:
+        """Drop ``atom``'s renamed copy from ``parts``: it is free."""
+        parts[self._position(self.atom_index, atom)] = _UNCONSTRAINED
+
+    def shift(
+        self, parts: list[Formula], deltas: Mapping[NumPred, int]
+    ) -> None:
+        """Constrain each numeric copy in ``parts`` to base + delta."""
+        for numpred, delta in deltas.items():
+            position = self._position(self.num_index, numpred)
+            if delta:
+                same = self.frame[position]
+                parts[position] = Cmp(
+                    "==", same.lhs, Add((same.rhs, IntConst(delta)))
+                )
+
+
+def single_state_constraints(
+    frame: StateFrame, effects: GroundEffects
+) -> Formula:
+    """Constraints defining state ``frame.tag``: the base after ``effects``."""
+    parts = list(frame.frame)
+    for atom, value in effects.bool_assigns.items():
+        frame.pin(parts, atom, value)
+    frame.shift(parts, effects.num_deltas)
     return conj(parts)
 
 
 def merged_state_constraints(
-    tag: str,
+    frame: StateFrame,
     effects1: GroundEffects,
     effects2: GroundEffects,
     rules: ConvergenceRules,
-    preds: Iterable[PredicateDecl],
-    domain: Domain,
 ) -> Formula:
     """Constraints defining the merged state of two concurrent operations."""
-    parts: list[Formula] = []
-    for atom in _all_ground_atoms(preds, domain):
-        renamed = Atom(family(atom.pred, tag), atom.args)
-        v1 = effects1.bool_assigns.get(atom)
-        v2 = effects2.bool_assigns.get(atom)
-        if v1 is None and v2 is None:
-            parts.append(Iff(renamed, atom))
-            continue
-        if v1 is None or v2 is None or v1 == v2:
-            value = v1 if v1 is not None else v2
+    parts = list(frame.frame)
+    assigns2 = effects2.bool_assigns
+    for atom, v1 in effects1.bool_assigns.items():
+        v2 = assigns2.get(atom, v1)
+        value = v1 if v1 == v2 else rules.merged_value(atom.pred)
+        if value is None:
+            frame.leave_out(parts, atom)  # LWW: either value may win
         else:
-            value = rules.merged_value(atom.pred)
-            if value is None:
-                continue  # LWW: either value may win; leave unconstrained
-        parts.append(renamed if value else Not(renamed))
-    for numpred in _all_ground_numpreds(preds, domain):
-        renamed_num = NumPred(family(numpred.pred, tag), numpred.args)
-        delta = effects1.num_deltas.get(numpred, 0) + effects2.num_deltas.get(
-            numpred, 0
-        )
-        if delta:
-            parts.append(
-                Cmp("==", renamed_num, Add((numpred, IntConst(delta))))
-            )
-        else:
-            parts.append(Cmp("==", renamed_num, numpred))
+            frame.pin(parts, atom, value)
+    for atom, v2 in assigns2.items():
+        if atom not in effects1.bool_assigns:
+            frame.pin(parts, atom, v2)
+    deltas = dict(effects1.num_deltas)
+    for numpred, delta in effects2.num_deltas.items():
+        deltas[numpred] = deltas.get(numpred, 0) + delta
+    frame.shift(parts, deltas)
     return conj(parts)

@@ -364,15 +364,18 @@ class Iff(Formula):
         )
 
 
+def _binders(variables: tuple[Var, ...]) -> str:
+    return ", ".join(f"{v.sort.name}: {v.name}" for v in variables)
+
+
 @dataclass(frozen=True)
 class ForAll(Formula):
     vars: tuple[Var, ...]
     body: Formula
 
     def __str__(self) -> str:
-        binders = ", ".join(f"{v.sort.name}: {v.name}" for v in self.vars)
         return self.__dict__.get("_str") or _memo_str(
-            self, f"forall({binders}) :- {self.body}"
+            self, f"forall({_binders(self.vars)}) :- {self.body}"
         )
 
 
@@ -382,9 +385,8 @@ class Exists(Formula):
     body: Formula
 
     def __str__(self) -> str:
-        binders = ", ".join(f"{v.sort.name}: {v.name}" for v in self.vars)
         return self.__dict__.get("_str") or _memo_str(
-            self, f"exists({binders}) :- {self.body}"
+            self, f"exists({_binders(self.vars)}) :- {self.body}"
         )
 
 

@@ -12,10 +12,15 @@ the layout tests below corrupt, tamper with and race segments.
 The three modes agreeing is not enough: a solver change that moved
 every mode's witnesses the same way would pass.  So the outcome is also
 pinned to ``fixtures/analysis_outcome.json``; run this file as a script
-to regenerate that fixture from the current ``src/``.
+to regenerate that fixture from the current ``src/``.  The pin includes
+a digest of every cache key a cold run writes: a change to how queries
+are built or rendered that moves a key moves the digest, and would
+leave every existing ``.ipa-cache/`` unserved under an unchanged
+``CACHE_SCHEMA``.
 """
 
 import errno
+import hashlib
 import json
 import tempfile
 import threading
@@ -55,10 +60,18 @@ ALL_APPS = [pytest.param(build, id=name) for name, build in SPECS.items()]
 OUTCOME = Path(__file__).parent / "fixtures" / "analysis_outcome.json"
 
 
-def _outcome(result) -> dict:
-    """The pinned part of a cold-cache analysis."""
+def _outcome(result, cache_dir: Path) -> dict:
+    """The pinned part of a cold-cache analysis that wrote ``cache_dir``."""
+    keys = sorted(
+        row["key"]
+        for segment in _segments(cache_dir)
+        for row in json.loads(segment.read_text(encoding="utf-8"))["entries"]
+    )
     return {
         "fingerprint": result.fingerprint(),
+        "query_keys": hashlib.sha256(
+            "\n".join(keys).encode("utf-8")
+        ).hexdigest(),
         "solver_queries": result.solver_queries,
         "solver_solves": result.stats.solver_solves,
     }
@@ -105,7 +118,7 @@ def test_sequential_cached_parallel_agree(build, tmp_path, monkeypatch):
     assert len(_cache_files(cache_dir)) == 1
 
     pinned = json.loads(OUTCOME.read_text(encoding="utf-8"))["apps"]
-    assert _outcome(cold) == pinned[cold.original.name]
+    assert _outcome(cold, cache_dir) == pinned[cold.original.name]
     assert len(one_shots) == ONE_SHOT_SOLVERS[cold.original.name]
 
     reference = sequential.fingerprint()
@@ -422,7 +435,8 @@ if __name__ == "__main__":
     apps = {}
     for name, build in SPECS.items():
         with tempfile.TemporaryDirectory() as cache_dir:
-            apps[name] = _outcome(run_ipa(build(), cache_dir=cache_dir))
+            result = run_ipa(build(), cache_dir=cache_dir)
+            apps[name] = _outcome(result, Path(cache_dir))
     document = {
         "regenerate": (
             "PYTHONPATH=src python tests/analysis/test_parallel_cache.py"

@@ -171,8 +171,8 @@ def test_repair_builds_no_one_shot_solver(monkeypatch):
     grounded: dict[int, object] = {}
     ground_invariant = ConflictChecker._ground_invariant
 
-    def remember(self, tag, domain):
-        formula = ground_invariant(self, tag, domain)
+    def remember(self, *args):
+        formula = ground_invariant(self, *args)
         grounded[id(formula)] = formula
         return formula
 

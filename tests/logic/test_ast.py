@@ -9,7 +9,9 @@ from repro.logic.ast import (
     Card,
     Cmp,
     Const,
+    Exists,
     FalseF,
+    ForAll,
     Implies,
     IntConst,
     Not,
@@ -143,3 +145,28 @@ class TestEquality:
         f1 = enrolled(p, t) >> (player(p) & Atom(player, (p,)))
         f2 = enrolled(p, t) >> (player(p) & Atom(player, (p,)))
         assert f1 == f2
+
+
+class TestRendering:
+    @pytest.mark.parametrize(
+        "quantifier, text",
+        [
+            (ForAll, "forall(Player: p, Tournament: t) :- "
+                     "(enrolled(p, t)) => (player(p))"),
+            (Exists, "exists(Player: p, Tournament: t) :- "
+                     "(enrolled(p, t)) => (player(p))"),
+        ],
+    )
+    def test_quantifier_render_is_memoised(
+        self, quantifier, text, monkeypatch
+    ):
+        """A rendered quantifier answers from its memo: the binder list is
+        not rebuilt, and the text is what the first render produced."""
+        formula = quantifier((p, t), enrolled(p, t) >> player(p))
+        assert str(formula) == text
+
+        def rebuilt(_variables):
+            raise AssertionError("binder list rebuilt")
+
+        monkeypatch.setattr("repro.logic.ast._binders", rebuilt)
+        assert str(formula) == text
