@@ -198,8 +198,9 @@ class HintQueue:
     drain and delivery at worst re-sends.
 
     Hints are regenerable (anti-entropy covers whatever is lost), so
-    loading salvages: a damaged hint truncates the file there, and the
-    hints cut count into ``dropped`` like the bound's evictions.
+    loading salvages: a damaged hint truncates the file there, a hint
+    the codec refuses is skipped, and both count into ``dropped`` like
+    the bound's evictions.
     """
 
     def __init__(self, path: str, limit: int = 512) -> None:
@@ -216,7 +217,8 @@ class HintQueue:
             try:
                 message = wire.load_frame(body)
             except wire.WireError:
-                continue  # a mangled hint is not worth dying over
+                self.dropped += 1  # a mangled hint is not worth dying over
+                continue
             self._messages.append(message)
         while len(self._messages) > limit:
             self._messages.popleft()

@@ -38,8 +38,9 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+import weakref
 import zlib
-from typing import Any
+from typing import Any, Callable
 
 from repro.check.apps import ADAPTERS, resolve_config
 from repro.check.harness import TrialSpec
@@ -69,6 +70,51 @@ _handoff_replayed = REGISTRY.counter("net.handoff.replayed")
 _handoff_dropped = REGISTRY.counter("net.handoff.dropped")
 _overload_ops = REGISTRY.counter("net.overload.shed_ops")
 _overload_records = REGISTRY.counter("net.overload.shed_records")
+
+
+class Broadcast:
+    """One message queued for every peer, encoded on first send only.
+
+    A commit's replication message is the same for each peer, so the
+    first outbound link to send it lowers it through the codec and
+    every other link writes those bytes.  ``message`` stays available
+    for whatever needs the dict itself -- a hint for a down peer.
+    """
+
+    __slots__ = ("message", "_frame")
+
+    def __init__(self, message: dict) -> None:
+        self.message = message
+        self._frame: bytes | None = None
+
+    def frame(self) -> bytes:
+        if self._frame is None:
+            self._frame = wire.dump_frame(self.message)
+        return self._frame
+
+
+async def send(writer, item: "dict | Broadcast") -> None:
+    """Write one outbound queue item as a frame and drain."""
+    if type(item) is Broadcast:
+        writer.write(item.frame())
+        await writer.drain()
+    else:
+        await wire.write_frame(writer, item)
+
+
+def epoch_clock(epoch_unix_ms: float) -> Callable[[], float]:
+    """Milliseconds since a deployment's shared epoch.
+
+    Cross-process comparable (all servers share the epoch via the
+    topology file), which is what the convergence-lag gauge needs.  A
+    plain closure rather than a server method, so the replica that
+    stamps commits with it holds no reference back to its server.
+    """
+
+    def now_ms() -> float:
+        return time.time() * 1000.0 - epoch_unix_ms
+
+    return now_ms
 
 
 class LiveNode:
@@ -234,6 +280,10 @@ class ScheduleEngine:
     @property
     def parked_ops(self) -> int:
         return len(self._op_waiting)
+
+    def drop_parked_ops(self) -> None:
+        """Forget parked acks: their connections are going away."""
+        self._op_waiting.clear()
 
     # -- live inputs ----------------------------------------------------------
 
@@ -435,8 +485,8 @@ class ReplicaServer:
             )
         self.params = {**adapter.defaults(), **self.spec.params}
         self.peers = tuple(r for r in self.spec.regions if r != region)
-        self._epoch_unix_ms = float(
-            topology.get("epoch_unix_ms") or time.time() * 1000.0
+        self.now_ms = epoch_clock(
+            float(topology.get("epoch_unix_ms") or time.time() * 1000.0)
         )
         self.stats: dict[str, float] = {
             "net.records.applied": 0,
@@ -508,11 +558,17 @@ class ReplicaServer:
         if salvaged:
             self.stats["net.commitlog.salvaged"] = 1
         registry = adapter.registry(self.variant, self.params)
+        # The node, the schedule engine and the conflict detector reach
+        # back to this server through a weak proxy.  The server owns
+        # them, so a strong back-reference would make a stopped server
+        # -- with all its replica state -- garbage only the cycle
+        # collector can free; this way refcounting frees it at once.
+        me = weakref.proxy(self)
         self.node = LiveNode(
             region,
             registry,
             self.now_ms,
-            self._commit_local,
+            lambda record: me._commit_local(record),
             engine=self.engine_name,
             shards=self.shards,
             data_dir=os.path.join(data_dir, f"{region}-store"),
@@ -528,7 +584,7 @@ class ReplicaServer:
             self._note_scrub(scrub_replica(self.node.store))
         self.app = adapter.make_app(self.node, self.variant, self.params)
         self.engine = ScheduleEngine(
-            self,
+            me,
             deployment["schedules"][region],
             deployment["ops"],
             salvaged=salvaged,
@@ -542,7 +598,7 @@ class ReplicaServer:
             engine=self.engine_name,
             fsync=fsync,
         )
-        self.detector: ConflictDetector | None = ConflictDetector(self)
+        self.detector: ConflictDetector | None = ConflictDetector(me)
 
         self._out: dict[str, asyncio.Queue] = {}
         self._sync_events: dict[int, asyncio.Event] = {}
@@ -571,16 +627,6 @@ class ReplicaServer:
                 limit=self.hint_limit,
             )
             self._count_dropped_hints(self._hints[peer].dropped)
-
-    # -- clocks ---------------------------------------------------------------
-
-    def now_ms(self) -> float:
-        """Milliseconds since the deployment's shared epoch.
-
-        Cross-process comparable (all servers share the epoch via the
-        topology file), which is what the convergence-lag gauge needs.
-        """
-        return time.time() * 1000.0 - self._epoch_unix_ms
 
     # -- self-healing bookkeeping ---------------------------------------------
 
@@ -615,14 +661,18 @@ class ReplicaServer:
         self.log.append(record)
         if self.detector is not None:
             self.detector.note_commit(record)
-        tc = f"rec:{self.region}:{record.dot.counter}"
+        broadcast = Broadcast(
+            {
+                "type": "records",
+                "source": self.region,
+                "records": (record,),
+                "tc": f"rec:{self.region}:{record.dot.counter}",
+            }
+        )
         for peer in self.peers:
             queue = self._out.get(peer)
             if queue is not None:
-                queue.put_nowait(
-                    {"type": "records", "source": self.region,
-                     "records": (record,), "tc": tc}
-                )
+                queue.put_nowait(broadcast)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -668,6 +718,7 @@ class ReplicaServer:
                 await server.wait_closed()
             except Exception:
                 pass
+        self._release()
         for writer in list(self._conns):
             writer.close()
         # Graceful shutdown is a durability point: flush dirty keys
@@ -697,6 +748,7 @@ class ReplicaServer:
             task.cancel()
         for server in self._servers:
             server.close()
+        self._release()
         for writer in list(self._conns):
             try:
                 writer.transport.abort()
@@ -709,6 +761,19 @@ class ReplicaServer:
         # Hints are write-through like the ledger: closing loses none.
         for hints in self._hints.values():
             hints.close()
+
+    def _release(self) -> None:
+        """Drop everything that holds one of this server's handlers.
+
+        A listener holds its connection handler, a task its coroutine,
+        and a parked op's ack callable its connection, whose protocol
+        holds the handler; the server holds them all.  Left in place
+        they would make a stopped server -- replica state included --
+        garbage only the cycle collector can free.
+        """
+        self._servers.clear()
+        self._tasks.clear()
+        self.engine.drop_parked_ops()
 
     async def wait_done(self) -> None:
         while not self.engine.done:
@@ -848,7 +913,7 @@ class ReplicaServer:
             if event is not None:
                 event.set()
 
-    def _hint(self, peer: str, message: dict) -> None:
+    def _hint(self, peer: str, message: "dict | Broadcast") -> None:
         """Park an undeliverable message in the peer's durable hints.
 
         Only replication payloads are worth keeping: heartbeats are
@@ -857,6 +922,8 @@ class ReplicaServer:
         anything evicted is anti-entropy's problem (counted, so an
         operator can see the backstop being leaned on).
         """
+        if type(message) is Broadcast:
+            message = message.message
         if message.get("type") != "records":
             return
         hints = self._hints[peer]
@@ -931,7 +998,7 @@ class ReplicaServer:
             breaker.record_success()
             self._conns.add(writer)
             pending = hints.drain()
-            message: dict | None = None
+            message: dict | Broadcast | None = None
             try:
                 while pending:
                     await wire.write_frame(writer, pending[0])
@@ -941,7 +1008,7 @@ class ReplicaServer:
                     _handoff_replayed.inc()
                 while True:
                     message = await queue.get()
-                    await wire.write_frame(writer, message)
+                    await send(writer, message)
                     self.stats["net.frames.out"] += 1
                     message = None
             except (ConnectionError, OSError):

@@ -140,6 +140,13 @@ class HashRing:
     Python versions: the sharded commit log and the store must agree
     on ownership after any recovery.  ``vnodes`` virtual points per
     shard keep the keyspace split even for small shard counts.
+
+    Routing is memoised per ring: the hash and the bisect run once per
+    distinct key, however often the key is read, written or logged.
+    The memo holds one entry per key its owner has routed -- a store
+    the keys it reads and writes (a read of a missing key creates it),
+    a log its records' keys -- and neither deletes keys, so the memo
+    is as large as the keyspace its owner has touched, no larger.
     """
 
     def __init__(self, shards: int, vnodes: int = 64) -> None:
@@ -154,14 +161,18 @@ class HashRing:
         points.sort()
         self._hashes = [point for point, _owner in points]
         self._owners = [owner for _point, owner in points]
+        self._memo: dict[str, int] = {}
 
     def shard_of(self, key: str) -> int:
         if self.shards == 1:
             return 0
-        index = bisect.bisect_right(self._hashes, _ring_hash(key.encode()))
-        if index == len(self._hashes):
-            index = 0
-        return self._owners[index]
+        shard = self._memo.get(key)
+        if shard is None:
+            index = bisect.bisect_right(self._hashes, _ring_hash(key.encode()))
+            if index == len(self._hashes):
+                index = 0
+            shard = self._memo[key] = self._owners[index]
+        return shard
 
 
 def _ring_hash(token: bytes) -> int:

@@ -238,3 +238,53 @@ class TestSalvage:
         reread = commitlog.ShardedCommitLog(str(tmp_path), "A", shards=2)
         assert reread.replay(salvage=True) == records
         reread.close()
+
+
+#: CRC-valid bodies the codec must refuse with WireError: each used to
+#: escape decoding as AttributeError, ValueError or TypeError, past the
+#: ``except WireError`` of replay, and kill recovery even in salvage mode.
+MALFORMED = [
+    b'{"c":"CommitRecord","f":[1]}',
+    b'{"d":[[1,2,3]]}',
+    b'{"c":"Dot","f":{"bogus":1}}',
+    b'{"t":5}',
+    b'{"d":[["record",{"c":"Dot","f":{"bogus":1}}]]}',
+    b'{"d":[["record",{"c":"CommitRecord","f":{"origin":{"l":{"a":1}}}}]]}',
+]
+
+
+def append_body(path, body):
+    with open(path, "ab") as fh:
+        fh.write(commitlog.frame(body))
+
+
+@pytest.mark.parametrize("body", MALFORMED)
+class TestMalformedBodies:
+    def test_at_the_tail_it_is_skipped_and_counted(self, tmp_path, body):
+        records = make_records(2)
+        path = tmp_path / "a.commitlog"
+        write_log(path, records)
+        append_body(path, body)
+        counter = REGISTRY.counter("net.commitlog.tail_skipped")
+        before = counter.value
+        assert commitlog.replay(path) == records
+        assert counter.value == before + 1
+        assert commitlog.replay(path) == records  # truncated in place
+
+    def test_mid_log_it_raises(self, tmp_path, body):
+        records = make_records(2)
+        path = tmp_path / "a.commitlog"
+        write_log(path, records[:1])
+        append_body(path, body)
+        write_log(path, records[1:])
+        with pytest.raises(commitlog.CommitLogError, match="undecodable"):
+            commitlog.replay(path)
+
+    def test_mid_log_salvage_keeps_the_prefix(self, tmp_path, body):
+        records = make_records(2)
+        path = tmp_path / "a.commitlog"
+        write_log(path, records[:1])
+        append_body(path, body)
+        write_log(path, records[1:])
+        assert commitlog.replay(path, salvage=True) == records[:1]
+        assert commitlog.replay(path) == records[:1]

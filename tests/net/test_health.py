@@ -212,6 +212,28 @@ class TestHintQueue:
         queue.append(make_hint(1))
         assert [m["seq"] for m in queue.drain()] == [0, 1]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"d":[["type","records"],["records",{"t":5}]]}',
+            b'{"d":[["seq",{"c":"Dot","f":{"bogus":1}}]]}',
+            b'{"d":[[1,2,3]]}',
+        ],
+    )
+    def test_malformed_hint_is_dropped_and_counted(self, tmp_path, body):
+        """CRC-valid JSON the codec refuses: the hint is lost, not the
+        holding replica's start-up."""
+        path = str(tmp_path / "peer.hints")
+        queue = HintQueue(path)
+        queue.append(make_hint(0))
+        queue.close()
+        with open(path, "ab") as fh:
+            fh.write(commitlog.frame(body))
+        reborn = HintQueue(path)
+        assert reborn.dropped == 1
+        reborn.append(make_hint(1))
+        assert [m["seq"] for m in reborn.drain()] == [0, 1]
+
     def test_mid_file_bit_flip_is_salvaged_and_counted(self, tmp_path):
         """Hints are regenerable: rot in a non-final hint must cut the
         file there, not stop the holding replica from starting."""

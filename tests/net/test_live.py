@@ -10,6 +10,7 @@ fails the job instead of hanging it.
 """
 
 import asyncio
+import gc
 import json
 import os
 from pathlib import Path
@@ -211,6 +212,40 @@ class TestFailureDiagnostics:
         assert not report.ok
         assert "engine error" in report.reason
         assert "schedule recorded 999" in report.reason
+
+
+@pytest.mark.timeout(90)
+def test_a_finished_fleet_is_freed_without_the_cycle_collector(tmp_path):
+    """Node, schedule engine and detector reach their server weakly, and
+    stop/kill drop the listeners, tasks and parked acks that hold its
+    handlers: once ``run_live`` returns -- a killed and restarted
+    replica included -- refcounting alone has freed every replica's
+    state, so a cycle collection finds none of it."""
+    from repro.net.server import ReplicaServer
+    from repro.store.replica import Replica
+    from repro.store.transaction import CommitRecord
+
+    _, deployment = record_trial(build_trial("tournament", "Causal", 11, 3, n_ops=25))
+    gc.collect()
+    gc.disable()
+    try:
+        report = asyncio.run(
+            run_live(deployment, str(tmp_path), time_scale=0.05, deadline_s=60.0)
+        )
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [
+            type(obj).__name__
+            for obj in gc.garbage
+            if isinstance(obj, (ReplicaServer, Replica, CommitRecord))
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert report.ok, report.reason
+    assert report.crashes == 1
+    assert left == []
 
 
 class TestResumePosition:
