@@ -196,6 +196,20 @@ class ConflictChecker:
     def spec(self) -> ApplicationSpec:
         return self._spec
 
+    def rebind(self, spec: ApplicationSpec, cache: SolverCache | None = None) -> "ConflictChecker":
+        """A fresh checker over ``spec`` with this one's settings.
+
+        ``extra``, ``int_bound`` and ``params`` carry over; so does the
+        cache, falling back to ``cache`` when this checker has none.
+        """
+        return ConflictChecker(
+            spec,
+            extra=self._extra,
+            int_bound=self._int_bound,
+            params=self._params,
+            cache=self._cache or cache,
+        )
+
     @property
     def params(self) -> dict[str, int]:
         return dict(self._params)

@@ -292,9 +292,7 @@ def run_ipa(
     if checker is None:
         checker = ConflictChecker(work, cache=cache)
     if checker.spec is not work:
-        checker = ConflictChecker(
-            work, params=checker.params, cache=checker.cache or cache
-        )
+        checker = checker.rebind(work, cache)
     stats = AnalysisStats()
     applied: list[AppliedResolution] = []
     flagged: list[FlaggedConflict] = []

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import ReproError
-from repro.net import commitlog
 from repro.net.client import (
     ClientError,
     ClientFleet,
@@ -46,7 +45,7 @@ from repro.net.proxy import ChaosProxy
 from repro.net.retry import RetryPolicy
 from repro.net.server import ReplicaServer
 from repro.sim.faults import FaultPlan
-from repro.store.engine import flip_bit_in_frame
+from repro.store import framedlog
 
 
 class HarnessError(ReproError):
@@ -258,18 +257,6 @@ class _SubprocessNode:
         self.proc = None
 
 
-def _flip_nonfinal_frame(path: str, seed: int) -> bool:
-    """Flip one seeded bit mid-file; False if too short to bother."""
-    try:
-        frames, _damage = commitlog.scan_frames(path)
-    except OSError:
-        return False
-    if len(frames) < 2:
-        return False
-    flip_bit_in_frame(path, len(frames) // 2, seed=seed)
-    return True
-
-
 def corrupt_region_files(
     data_dir: str, region: str, seed: int = 11
 ) -> list[str]:
@@ -289,7 +276,7 @@ def corrupt_region_files(
     for name in names:
         if name.startswith(region) and name.endswith(".commitlog"):
             path = os.path.join(data_dir, name)
-            if _flip_nonfinal_frame(path, seed):
+            if framedlog.flip_bit(path, seed=seed) is not None:
                 corrupted.append(path)
                 break
     store_dir = os.path.join(data_dir, f"{region}-store")
@@ -297,7 +284,7 @@ def corrupt_region_files(
         for name in sorted(os.listdir(store_dir)):
             if name.endswith(".objlog"):
                 path = os.path.join(store_dir, name)
-                if _flip_nonfinal_frame(path, seed):
+                if framedlog.flip_bit(path, seed=seed) is not None:
                     corrupted.append(path)
                     break
     return corrupted
@@ -323,7 +310,7 @@ async def _rot_live_region(
                 if not name.endswith(".objlog"):
                     continue
                 path = os.path.join(store_dir, name)
-                if _flip_nonfinal_frame(path, seed):
+                if framedlog.flip_bit(path, seed=seed) is not None:
                     obs.TRACER.instant(
                         "supervisor.corrupted", region=region, live=True
                     )

@@ -26,7 +26,7 @@ in the servers:
 
 - :class:`HintQueue` -- bounded durable buffering of wire messages for
   a down peer (hinted handoff).  Hints are whole frame-able message
-  dicts persisted with the commit log's length+CRC framing, so a
+  dicts persisted as :mod:`repro.store.framedlog` frames, so a
   process death loses nothing already handed off; the bound evicts the
   *oldest* hints first because anti-entropy is the backstop for
   anything the queue sheds.
@@ -39,8 +39,9 @@ import os
 from collections import deque
 from typing import Any
 
-from repro.net import commitlog, wire
+from repro.net import wire
 from repro.net.retry import RetryPolicy
+from repro.store import framedlog
 
 #: log10(e): converts "elapsed in units of the mean interval" to phi.
 _PHI_FACTOR = math.log10(math.e)
@@ -188,7 +189,7 @@ class CircuitBreaker:
 class HintQueue:
     """Bounded, durable handoff buffer of wire messages for one peer.
 
-    ``append`` persists the message write-through (commit-log framing
+    ``append`` persists the message write-through (framed-log frame
     around the wire codec's body bytes) before mirroring it in memory,
     so hints survive a crash of the *holding* replica too.  The bound
     keeps the newest ``limit`` hints -- the oldest are the ones
@@ -198,9 +199,9 @@ class HintQueue:
     drain and delivery at worst re-sends.
 
     Hints are regenerable (anti-entropy covers whatever is lost), so
-    loading salvages: a damaged hint truncates the file there, a hint
-    the codec refuses is skipped, and both count into ``dropped`` like
-    the bound's evictions.
+    loading always salvages: any damaged hint -- torn, CRC-broken or
+    refused by the codec -- cuts the file there, and every hint the cut
+    loses counts into ``dropped`` like the bound's evictions.
     """
 
     def __init__(self, path: str, limit: int = 512) -> None:
@@ -208,18 +209,9 @@ class HintQueue:
             raise ValueError("hint limit must be >= 1")
         self.path = os.fspath(path)
         self.limit = limit
-        self._messages: deque[dict] = deque()
-        self._fh: Any = None
-        intact, damaged = commitlog.scan_frames(self.path)
-        frames = commitlog.read_frames(self.path, salvage=True)
-        self.dropped = len(intact) + len(damaged) - len(frames)
-        for _offset, _end, body in frames:
-            try:
-                message = wire.load_frame(body)
-            except wire.WireError:
-                self.dropped += 1  # a mangled hint is not worth dying over
-                continue
-            self._messages.append(message)
+        self._log = framedlog.FramedLog(self.path)
+        messages, self.dropped = framedlog.read(self.path, _load_hint, salvage=True)
+        self._messages: deque[dict] = deque(messages)
         while len(self._messages) > limit:
             self._messages.popleft()
             self.dropped += 1
@@ -228,10 +220,8 @@ class HintQueue:
         return len(self._messages)
 
     def append(self, message: dict) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "ab")
-        self._fh.write(commitlog.frame(wire.encode_body(message)))
-        self._fh.flush()
+        self._log.append(wire.encode_body(message))
+        self._log.sync()
         self._messages.append(message)
         if len(self._messages) > self.limit:
             self._messages.popleft()
@@ -241,12 +231,15 @@ class HintQueue:
         """All buffered hints, oldest first; resets the queue."""
         hints = list(self._messages)
         self._messages.clear()
-        self.close()
-        with open(self.path, "wb"):
-            pass  # truncate: drained hints are the deliverer's problem
+        self._log.rewrite(())  # drained hints are the deliverer's problem
         return hints
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
+
+
+def _load_hint(body: bytes) -> dict:
+    try:
+        return wire.load_frame(body)
+    except wire.WireError as exc:
+        raise framedlog.Refused(f"undecodable hint ({exc})") from exc

@@ -8,9 +8,8 @@ log replay can absorb.  This module splits the concern in two:
   the keyspace: it persists ``key -> CRDT`` mappings and can reload
   them after a crash.  Three implementations share the contract --
   :class:`MemoryEngine` (the historical volatile dict),
-  :class:`FileEngine` (append-only file reusing the commit log's
-  length+CRC framing), and :class:`SqliteEngine` (one ``kv`` table per
-  shard).
+  :class:`FileEngine` (an append-only :mod:`~repro.store.framedlog`
+  file), and :class:`SqliteEngine` (one ``kv`` table per shard).
 - A :class:`ShardedStore` owns the *live* object maps -- one plain
   dict per shard, routed by :class:`HashRing` consistent hashing -- so
   the replica's hot path stays a dict lookup regardless of engine.
@@ -41,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import StoreError
-from repro.net import commitlog
 from repro.obs import REGISTRY
+from repro.store import framedlog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crdts.base import CRDT
@@ -294,16 +293,23 @@ class MemoryEngine(StorageEngine):
         return scrub
 
 
-class FileEngine(StorageEngine):
-    """Append-only file engine on the commit log's framing.
+def _unpickle_entry(body: bytes) -> tuple[str, "CRDT"]:
+    try:
+        key, obj = pickle.loads(body)
+    except Exception as exc:
+        raise framedlog.Refused(f"unreadable object ({exc})") from exc
+    return key, obj
 
-    Each put appends one ``length | CRC32 | pickle((key, obj))`` frame
-    (:func:`repro.net.commitlog.frame`); the latest frame per key
-    wins on load.  A crash mid-append damages at most the final frame,
-    which load repairs in place exactly like commit-log replay
-    (:func:`repro.net.commitlog.read_frames` truncates the tail).
-    :meth:`restore` rewrites the file compacted, so checkpoints double
-    as garbage collection of superseded frames.
+
+class FileEngine(StorageEngine):
+    """Append-only object log: one :mod:`repro.store.framedlog` frame per put.
+
+    Each put appends a frame around ``pickle((key, obj))``; the latest
+    frame per key wins on load.  A crash mid-append damages at most the
+    final frame, which load cuts in place under the framed log's one
+    damage rule (mid-log damage raises; the scrubber's :meth:`verify`
+    handles it).  :meth:`restore` rewrites the file compacted, so
+    checkpoints double as garbage collection of superseded frames.
     """
 
     name = "file"
@@ -311,56 +317,25 @@ class FileEngine(StorageEngine):
 
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = os.fspath(path)
-        self._fsync = fsync
-        self._fh: Any = None
+        self.log = framedlog.FramedLog(self.path, fsync=fsync)
 
     def load(self) -> dict[str, "CRDT"]:
-        objects: dict[str, "CRDT"] = {}
-        frames = commitlog.read_frames(self.path)
-        last = len(frames) - 1
-        for index, (offset, _end, body) in enumerate(frames):
-            try:
-                key, obj = pickle.loads(body)
-            except Exception as exc:
-                if index == last:
-                    commitlog.skip_tail(self.path, offset, f"unpicklable body ({exc})")
-                    break
-                raise StoreError(
-                    f"{self.path}: unreadable object at offset {offset} "
-                    f"with bytes following: {exc}"
-                ) from exc
-            objects[key] = obj
-        return objects
+        return dict(framedlog.read(self.path, _unpickle_entry)[0])
 
     def get(self, key: str) -> "CRDT | None":
         return self.load().get(key)
 
     def put(self, key: str, obj: "CRDT") -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "ab")
-        self._fh.write(commitlog.frame(pickle.dumps((key, obj))))
+        self.log.append(pickle.dumps((key, obj)))
 
     def restore(self, objects: dict[str, "CRDT"]) -> None:
-        self.close()
-        tmp = self.path + ".tmp"
-        with open(tmp, "wb") as fh:
-            for key in sorted(objects):
-                fh.write(commitlog.frame(pickle.dumps((key, objects[key]))))
-            fh.flush()
-            if self._fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        self.log.rewrite(pickle.dumps((key, objects[key])) for key in sorted(objects))
 
     def sync(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-            if self._fsync:
-                os.fsync(self._fh.fileno())
+        self.log.sync()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self.log.close()
 
     def verify(self) -> EngineScrub:
         """CRC-verify the object log, attributing damage where possible.
@@ -373,7 +348,7 @@ class FileEngine(StorageEngine):
         offset could have superseded (and is counted unattributed).
         """
         self.sync()  # staged appends must be on disk before scanning
-        frames, damage = commitlog.scan_frames(self.path)
+        frames, damage = framedlog.scan(self.path)
         latest: dict[str, tuple[int, Any]] = {}
         for offset, _end, body in frames:
             try:
@@ -429,9 +404,7 @@ class SqliteEngine(StorageEngine):
     against torn transactions, not against the medium flipping bits in
     a committed page, and a flipped blob can still be a *valid* pickle
     of the wrong state.  The checksum makes :meth:`verify` as honest as
-    the framed formats.  Databases created before the column existed
-    are migrated in place; their legacy rows verify by unpickle only
-    until rewritten.
+    the framed formats.
     """
 
     name = "sqlite"
@@ -444,12 +417,6 @@ class SqliteEngine(StorageEngine):
             "CREATE TABLE IF NOT EXISTS kv ("
             "key TEXT PRIMARY KEY, obj BLOB NOT NULL, crc INTEGER)"
         )
-        columns = {
-            row[1]
-            for row in self._conn.execute("PRAGMA table_info(kv)")
-        }
-        if "crc" not in columns:
-            self._conn.execute("ALTER TABLE kv ADD COLUMN crc INTEGER")
         self._conn.commit()
 
     def load(self) -> dict[str, "CRDT"]:
@@ -494,7 +461,7 @@ class SqliteEngine(StorageEngine):
         scrub = EngineScrub()
         rows = self._conn.execute("SELECT key, obj, crc FROM kv")
         for key, blob, crc in rows:
-            if crc is not None and zlib.crc32(blob) != crc:
+            if zlib.crc32(blob) != crc:
                 scrub.corrupt.add(key)
                 continue
             try:
@@ -505,30 +472,6 @@ class SqliteEngine(StorageEngine):
 
 
 # -- fault injection --------------------------------------------------------
-
-
-def flip_bit_in_frame(
-    path: str | os.PathLike[str], index: int, seed: int = 0
-) -> int:
-    """Flip one seeded bit inside the body of frame ``index`` on disk.
-
-    Works on any length+CRC framed file (object logs *and* commit
-    logs).  Returns the absolute byte offset flipped.  Negative
-    indices count from the end, so ``-2`` is "a non-final record" for
-    any log with two or more frames.
-    """
-    frames, _damage = commitlog.scan_frames(path)
-    if not frames:
-        raise StoreError(f"{path}: no frames to corrupt")
-    offset, end, body = frames[index]
-    body_start = end - len(body)
-    target = body_start + (seed % len(body))
-    with open(path, "r+b") as fh:
-        fh.seek(target)
-        byte = fh.read(1)[0]
-        fh.seek(target)
-        fh.write(bytes([byte ^ (1 << (seed % 8))]))
-    return target
 
 
 class _CorruptObject:
@@ -592,7 +535,7 @@ class FaultyEngine(StorageEngine):
         inner = self.inner
         if isinstance(inner, FileEngine):
             inner.sync()
-            frames, _damage = commitlog.scan_frames(inner.path)
+            frames, _damage = framedlog.scan(inner.path)
             target = None
             for position, (_offset, _end, body) in enumerate(frames):
                 try:
@@ -603,7 +546,7 @@ class FaultyEngine(StorageEngine):
                     target = position
             if target is None:
                 raise StoreError(f"{inner.path}: no frame for {key!r}")
-            flip_bit_in_frame(inner.path, target, seed=seed)
+            framedlog.flip_bit(inner.path, target, seed=seed)
             return
         if isinstance(inner, SqliteEngine):
             inner.sync()
@@ -654,9 +597,7 @@ class FaultyEngine(StorageEngine):
                 # Half a frame hits the disk: the crash-mid-append
                 # signature the tail repair already understands.
                 inner.sync()
-                framed = commitlog.frame(pickle.dumps((key, obj)))
-                with open(inner.path, "ab") as fh:
-                    fh.write(framed[: max(1, len(framed) // 2)])
+                inner.log.tear(pickle.dumps((key, obj)))
                 return
             # No framing to tear for the other engines: the analogue
             # is a write that never reaches the committed state.

@@ -2,6 +2,7 @@
 integer-bound auto-sizing."""
 
 from repro.analysis.conflicts import ANALYSIS_PARAM_CAP, ConflictChecker
+from repro.analysis.ipa import run_ipa
 from repro.spec import SpecBuilder
 
 
@@ -76,3 +77,30 @@ class TestIntBoundAutoSizing:
             spec.operation("enroll"), spec.operation("enroll")
         )
         assert checker.queries_issued >= 1
+
+
+class TestRunIpaKeepsCheckerSettings:
+    def literal_capacity_spec(self):
+        b = SpecBuilder("literal-cap")
+        b.predicate("enrolled", "Player", "Tournament")
+        b.invariant("forall(Tournament: t) :- #enrolled(*, t) <= 3")
+        b.operation("enroll", "Player: p, Tournament: t", true=["enrolled(p, t)"])
+        return b.build()
+
+    def test_extra_and_int_bound_survive_the_rebind(self):
+        """``run_ipa`` rebinds a caller's checker to its working copy of
+        the spec.  A literal bound of 3 is only exceeded with enough
+        spare players, so dropping ``extra=3`` in the rebind made the
+        analysis find, repair and flag nothing."""
+        spec = self.literal_capacity_spec()
+        checker = ConflictChecker(spec, extra=3, int_bound=12)
+        enroll = spec.operation("enroll")
+        assert checker.is_conflicting(enroll, enroll) is not None
+        rebound = checker.rebind(spec.copy())
+        assert (rebound._extra, rebound._int_bound) == (3, 12)
+        result = run_ipa(spec, checker=checker, cache=False)
+        handled = [
+            (entry.witness.op1.name, entry.witness.op2.name)
+            for entry in [*result.applied, *result.flagged]
+        ]
+        assert ("enroll", "enroll") in handled

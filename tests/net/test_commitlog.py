@@ -11,8 +11,9 @@ import zlib
 import pytest
 
 from repro.crdts import AWSet
-from repro.net import commitlog
+from repro.net import commitlog, wire
 from repro.obs import REGISTRY
+from repro.store import framedlog
 from repro.store.registry import TypeRegistry
 from repro.store.replica import Replica
 
@@ -27,6 +28,11 @@ def make_records(n):
         txn.update("s", lambda s, i=i: s.prepare_add(f"e{i}"))
         records.append(txn.commit())
     return records
+
+
+def encoded(record):
+    """The framed bytes a plain append of ``record`` writes."""
+    return framedlog.frame(wire.encode_body({"record": record}))
 
 
 def write_log(path, records):
@@ -63,8 +69,8 @@ class TestTailDamage:
         write_log(ref, records)
         data = ref.read_bytes()
         prefix_end = len(
-            commitlog._encode_record(records[0])
-            + commitlog._encode_record(records[1])
+            encoded(records[0])
+            + encoded(records[1])
         )
         counter = REGISTRY.counter("net.commitlog.tail_skipped")
         # From one byte of the last record up to one byte short of it
@@ -99,7 +105,7 @@ class TestTailDamage:
         path = tmp_path / "a.commitlog"
         write_log(path, records[:2])
         with open(path, "ab") as fh:
-            fh.write(commitlog._encode_record(records[2])[:-3])
+            fh.write(encoded(records[2])[:-3])
         assert commitlog.replay(path) == records[:2]
         with commitlog.CommitLog(path) as log:
             log.append(records[2])
@@ -111,7 +117,7 @@ class TestMidLogDamage:
         records = make_records(3)
         path = tmp_path / "a.commitlog"
         write_log(path, records)
-        first = commitlog._encode_record(records[0])
+        first = encoded(records[0])
         data = bytearray(path.read_bytes())
         data[len(first) - 1] ^= 0xFF  # corrupt record 0's body
         path.write_bytes(bytes(data))
@@ -119,12 +125,10 @@ class TestMidLogDamage:
             commitlog.replay(path)
 
     def test_wrong_payload_type_raises(self, tmp_path):
-        from repro.net import wire
-
         path = tmp_path / "a.commitlog"
         body = wire.dump_frame({"record": "not-a-record"})[4:]
         path.write_bytes(
-            commitlog._HEADER.pack(len(body), zlib.crc32(body)) + body
+            framedlog.HEADER.pack(len(body), zlib.crc32(body)) + body
         )
         with pytest.raises(commitlog.CommitLogError, match="CommitRecord"):
             commitlog.replay(path)
@@ -145,10 +149,10 @@ class TestSalvage:
     def damage_record(self, path, records, index):
         """CRC-corrupt record ``index`` in a log holding ``records``."""
         prefix = b"".join(
-            commitlog._encode_record(record) for record in records[:index]
+            encoded(record) for record in records[:index]
         )
         damaged = len(prefix) + len(
-            commitlog._encode_record(records[index])
+            encoded(records[index])
         )
         data = bytearray(path.read_bytes())
         data[damaged - 1] ^= 0xFF
@@ -219,7 +223,7 @@ class TestSalvage:
         log.close()
         # Shard 0 holds seqs 0,2,4: kill seq 2 (mid-file, CRC damage).
         shard0 = tmp_path / "A-shard00.commitlog"
-        frames = commitlog.read_frames(shard0)
+        frames = framedlog.scan(shard0)[0]
         data = bytearray(shard0.read_bytes())
         data[frames[1][1] - 1] ^= 0xFF  # last byte of frame 1's body
         shard0.write_bytes(bytes(data))
@@ -255,7 +259,7 @@ MALFORMED = [
 
 def append_body(path, body):
     with open(path, "ab") as fh:
-        fh.write(commitlog.frame(body))
+        fh.write(framedlog.frame(body))
 
 
 @pytest.mark.parametrize("body", MALFORMED)

@@ -9,9 +9,10 @@ death of the *holding* replica.
 
 import pytest
 
-from repro.net import commitlog
+from repro.net import wire
 from repro.net.health import CircuitBreaker, FailureDetector, HintQueue
 from repro.net.retry import RetryPolicy
+from repro.store import framedlog
 
 
 def make_detector(**kwargs):
@@ -207,7 +208,7 @@ class TestHintQueue:
         queue.close()
         with open(path, "ab") as fh:
             # CRC-valid frame whose body is not a wire message.
-            fh.write(commitlog.frame(b"not json at all"))
+            fh.write(framedlog.frame(b"not json at all"))
         queue = HintQueue(path)
         queue.append(make_hint(1))
         assert [m["seq"] for m in queue.drain()] == [0, 1]
@@ -228,7 +229,7 @@ class TestHintQueue:
         queue.append(make_hint(0))
         queue.close()
         with open(path, "ab") as fh:
-            fh.write(commitlog.frame(body))
+            fh.write(framedlog.frame(body))
         reborn = HintQueue(path)
         assert reborn.dropped == 1
         reborn.append(make_hint(1))
@@ -237,14 +238,12 @@ class TestHintQueue:
     def test_mid_file_bit_flip_is_salvaged_and_counted(self, tmp_path):
         """Hints are regenerable: rot in a non-final hint must cut the
         file there, not stop the holding replica from starting."""
-        from repro.store.engine import flip_bit_in_frame
-
         path = str(tmp_path / "peer.hints")
         queue = HintQueue(path)
         for n in range(4):
             queue.append(make_hint(n))
         queue.close()
-        flip_bit_in_frame(path, 1)
+        framedlog.flip_bit(path, 1)
         reborn = HintQueue(path)
         assert reborn.dropped == 3
         reborn.append(make_hint(9))
@@ -252,6 +251,26 @@ class TestHintQueue:
         again = HintQueue(path)
         assert again.dropped == 0
         assert [m["seq"] for m in again.drain()] == [0, 9]
+
+    def test_refused_hint_mid_file_is_cut_once(self, tmp_path):
+        """A CRC-valid hint the codec refuses, with a hint after it: the
+        first boot cuts the file there and counts both hints it loses,
+        so the next boot has nothing left to drop or count again."""
+        path = str(tmp_path / "peer.hints")
+        with open(path, "ab") as fh:
+            for body in (
+                wire.encode_body(make_hint(0)),
+                b"not json at all",
+                wire.encode_body(make_hint(1)),
+            ):
+                fh.write(framedlog.frame(body))
+        first = HintQueue(path)
+        assert first.dropped == 2
+        assert len(first) == 1
+        first.close()
+        again = HintQueue(path)
+        assert again.dropped == 0
+        assert [m["seq"] for m in again.drain()] == [0]
 
     def test_limit_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):

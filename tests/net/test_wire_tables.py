@@ -57,7 +57,7 @@ from repro.net import commitlog, wire
 from repro.net import server as net_server
 from repro.net.harness import run_live
 from repro.net.oracle import record_trial
-from repro.store import engine
+from repro.store import engine, framedlog
 from repro.store.antientropy import SyncRequest, SyncResponse
 from repro.store.engine import HashRing, ShardedStore
 from repro.store.registry import TypeRegistry
@@ -251,7 +251,7 @@ def test_replay_frames_and_log_bodies_match_the_reference(tmp_path, monkeypatch)
     log_bodies = [
         body
         for path in (tmp_path / "data").glob("*.commitlog")
-        for _offset, _end, body in commitlog.read_frames(path)
+        for _offset, _end, body in framedlog.scan(path)[0]
     ]
     assert log_bodies
     for body in log_bodies:

@@ -19,7 +19,7 @@ import pytest
 from repro.crdts import AWSet, Dot, EventContext
 from repro.crdts.clock import VersionVector
 from repro.errors import StoreError
-from repro.net import commitlog
+from repro.store import framedlog
 from repro.store.engine import (
     ENGINE_NAMES,
     FileEngine,
@@ -176,7 +176,7 @@ class TestFileEngine:
         engine.close()
         # A crash mid-append leaves a torn final frame.
         with open(engine.path, "ab") as fh:
-            fh.write(commitlog.frame(pickle.dumps(("k2", 1)))[:-3])
+            fh.write(framedlog.frame(pickle.dumps(("k2", 1)))[:-3])
         loaded = engine.load()
         assert set(loaded) == {"k"}
         # Repaired in place: a second load sees a clean log.
@@ -189,7 +189,7 @@ class TestFileEngine:
         engine.sync()
         engine.close()
         with open(engine.path, "ab") as fh:
-            fh.write(commitlog.frame(b"not a pickle"))
+            fh.write(framedlog.frame(b"not a pickle"))
         assert set(engine.load()) == {"k"}
         engine.close()
 
@@ -197,8 +197,8 @@ class TestFileEngine:
         engine = FileEngine(str(tmp_path / "s.objlog"))
         engine.close()
         with open(engine.path, "wb") as fh:
-            fh.write(commitlog.frame(b"not a pickle"))
-            fh.write(commitlog.frame(pickle.dumps(("k", make_set("v")))))
+            fh.write(framedlog.frame(b"not a pickle"))
+            fh.write(framedlog.frame(pickle.dumps(("k", make_set("v")))))
         with pytest.raises(StoreError, match="unreadable object"):
             engine.load()
         engine.close()

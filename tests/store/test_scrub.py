@@ -22,8 +22,8 @@ import pickle
 import pytest
 
 from repro.crdts import AWSet
-from repro.net import commitlog
 from repro.obs import REGISTRY
+from repro.store import framedlog
 from repro.store.engine import ENGINE_NAMES, FaultyEngine, FileEngine
 from repro.store.registry import TypeRegistry
 from repro.store.replica import Replica
@@ -88,7 +88,7 @@ def build_pair(name, tmp_path):
 
 
 def newest_frame_offset(path, key):
-    frames, _damage = commitlog.scan_frames(path)
+    frames, _damage = framedlog.scan(path)
     target = None
     for offset, _end, body in frames:
         frame_key, _obj = pickle.loads(body)
@@ -219,7 +219,7 @@ class TestUnattributedDamage:
         engine.sync()
         offset, final = newest_frame_offset(engine.path, TARGET)
         assert offset < final
-        frames, _damage = commitlog.scan_frames(engine.path)
+        frames, _damage = framedlog.scan(engine.path)
         body_len = next(
             len(body) for off, _end, body in frames if off == offset
         )
