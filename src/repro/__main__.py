@@ -173,8 +173,10 @@ def _conflicts_ledger(args: argparse.Namespace) -> int:
 
     ledgers = open_ledgers(args.ledger)
     if not ledgers:
-        print(f"no conflict ledgers under {args.ledger}")
-        return 0
+        # Every live server creates its ledger at start, clean run or
+        # not: finding none means the path is wrong.
+        print(f"error: no conflict ledgers under {args.ledger}", file=sys.stderr)
+        return 2
     records = [
         record
         for ledger in ledgers.values()
@@ -773,7 +775,8 @@ def _render_top(snapshot: dict) -> str:
     header = (
         f"{'region':<12} {'schedule':>9} {'ops':>5} {'applied':>7} "
         f"{'dups':>5} {'sync t/o':>8} {'lag ms':>8} {'keys':>6} "
-        f"{'syncs':>6} {'conflicts':>18} {'rescan/rebuild':>15}"
+        f"{'syncs':>6} {'conflicts':>18} {'rescan/rebuild':>15} "
+        f"{'instances':>9}"
     )
     lines = [header, "-" * len(header)]
     for region, frame in sorted(snapshot["regions"].items()):
@@ -785,12 +788,14 @@ def _render_top(snapshot: dict) -> str:
         registry = frame.get("registry", {})
         lag = registry.get("gauges", {}).get("store.convergence.lag_ms")
         counters = registry.get("counters", {})
-        # The detector's work: keys re-read / whole-replica re-reads
-        # (process-global like the client counters below).
+        # The detector's work: keys re-read / whole-replica re-reads,
+        # and invariant instances re-evaluated (process-global like the
+        # client counters below).
         detector_txt = (
             f"{counters.get('store.conflicts.keys_rescanned', 0)}/"
             f"{counters.get('store.conflicts.full_rebuilds', 0)}"
         )
+        instances = counters.get("store.conflicts.instances_evaluated", 0)
         conflicts = frame.get("conflicts", {})
         conflict_txt = (
             " ".join(
@@ -810,7 +815,8 @@ def _render_top(snapshot: dict) -> str:
             f"{store.get('store.shard.keys_total', 0):>6} "
             f"{store.get('store.engine.syncs', 0):>6} "
             f"{conflict_txt:>18} "
-            f"{detector_txt:>15}"
+            f"{detector_txt:>15} "
+            f"{instances:>9}"
         )
     lines.append("")
     health_header = (

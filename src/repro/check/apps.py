@@ -15,11 +15,13 @@ needs to run and judge a trial:
   pending corrections, and the rem-wins Twitter strategy filters every
   reference through existence (its reads hide dangling entries -- the
   read-side compensation of §5.1.2).  It is two steps, so the live
-  conflict detector can redo the first for only the keys a record
-  touched: ``rows`` maps one object to the raw ``(relation, row)``
-  pairs it contributes (a function of that object alone), and ``view``
-  turns the folded rows into the observed model (rem-wins reference
-  hiding, IPA capacity trims -- whatever needs more than one object);
+  conflict detector can redo both for only what a record touched:
+  ``rows`` maps one object to the raw ``(relation, row)`` pairs it
+  contributes (a function of that object alone), and ``view_rules``
+  say, per raw relation, how one raw row shows in the observed model
+  (rem-wins reference hiding, IPA capacity trims, numeric cells --
+  whatever needs more than one object); one :class:`View` evaluates the
+  rules for a fold from empty and for row deltas alike;
 - ``probes``: numeric-bound data points for the compensation-debt
   oracle;
 - ``generate``: a seeded, contention-heavy operation trace.  Traces
@@ -38,9 +40,10 @@ with every operation serialised at the primary.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro.apps.common import Variant
 from repro.apps.ticket import TicketApp, ticket_registry, ticket_spec
@@ -99,6 +102,200 @@ def _session(region: str, k: int = 0) -> str:
     return f"{region}#{k}"
 
 
+#: A view condition: (raw relation, positions of the row to project).
+Condition = tuple[str, tuple[int, ...]]
+
+
+def _projector(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return operator.itemgetter(*positions)
+
+
+@dataclass(frozen=True)
+class ViewRule:
+    """How one raw relation's rows show in the observed model.
+
+    A raw row shows as the same row of relation ``target`` -- with
+    ``numeric``, as the cell ``target[row[:-1]] = row[-1]`` -- while
+    every ``needs`` projection of it is a row of its raw relation and
+    no ``unless`` projection is; ``target=None`` never shows (a
+    relation only other rules consult).  Each raw row shows as at most
+    one model fact, and no two raw rows show as the same one.
+    """
+
+    target: str | None
+    needs: tuple[Condition, ...] = ()
+    unless: tuple[Condition, ...] = ()
+    numeric: bool = False
+
+    def __post_init__(self) -> None:
+        # (needs, unless) with each projection as a callable.
+        object.__setattr__(
+            self,
+            "tests",
+            tuple(
+                tuple((other, _projector(at)) for other, at in conditions)
+                for conditions in (self.needs, self.unless)
+            ),
+        )
+
+
+class View:
+    """An observed model kept under one adapter's :class:`ViewRule` set.
+
+    :meth:`fold` builds it from complete raw relations (``extract``);
+    :meth:`apply` moves it by raw row deltas (the live detector) and
+    returns the model's net fact changes.  Both judge a row with the
+    same :meth:`_shows`, so there is one view definition.  A delta
+    re-judges the rows it adds or removes plus, through a per-condition
+    projection index built on first use, the rows of other relations
+    whose condition projects onto a changed row.
+    """
+
+    def __init__(self, rules: Mapping[str, ViewRule], params: dict) -> None:
+        self.rules = rules
+        self.raw: dict[str, set[tuple]] = {name: set() for name in rules}
+        self.model = Interpretation(
+            relations={
+                rule.target: set()
+                for rule in rules.values()
+                if rule.target is not None and not rule.numeric
+            },
+            numerics={
+                rule.target: {}
+                for rule in rules.values()
+                if rule.target is not None and rule.numeric
+            },
+            params=dict(params),
+        )
+        #: condition relation -> (dependent, projection -> its rows)
+        self._readers: dict[str, list[tuple[str, dict]]] | None = None
+        #: dependent relation -> (projector, projection -> its rows)
+        self._projections: dict[str, list[tuple[Callable, dict]]] = {}
+
+    def _shows(self, name: str, row: tuple) -> bool:
+        raw = self.raw
+        needs, unless = self.rules[name].tests
+        for other, project in needs:
+            if project(row) not in raw[other]:
+                return False
+        for other, project in unless:
+            if project(row) in raw[other]:
+                return False
+        return True
+
+    def fold(self, raw: dict[str, set[tuple]]) -> Interpretation:
+        """The model of complete raw relations (taken over, not copied)."""
+        self.raw = raw
+        model = self.model
+        for name, rows in raw.items():
+            rule = self.rules[name]
+            if rule.target is None:
+                continue
+            needs, unless = rule.tests
+            if needs or any(raw[other] for other, _ in unless):
+                rows = [row for row in rows if self._shows(name, row)]
+            # else nothing can hide a row: show them all at once
+            if rule.numeric:
+                model.numerics[rule.target].update(
+                    (row[:-1], row[-1]) for row in rows
+                )
+            else:
+                model.relations[rule.target].update(rows)
+        return model
+
+    def _index(self) -> dict[str, list[tuple[str, dict]]]:
+        readers: dict[str, list[tuple[str, dict]]] = {}
+        for name, rule in self.rules.items():
+            needs, unless = rule.tests
+            for other, project in needs + unless:
+                by_projection: dict[tuple, set] = {}
+                for row in self.raw[name]:
+                    by_projection.setdefault(project(row), set()).add(row)
+                self._projections.setdefault(name, []).append(
+                    (project, by_projection)
+                )
+                readers.setdefault(other, []).append((name, by_projection))
+        self._readers = readers
+        return readers
+
+    def apply(
+        self, added: dict[str, set[tuple]], removed: dict[str, set[tuple]]
+    ) -> list[tuple[str, tuple, int]]:
+        """Move by raw rows that appeared / went (disjoint, net).
+
+        Returns the model's net changes ``(pred, row, step)``: ``step``
+        +1 for a row or cell that appeared, -1 for one that went, 0 for
+        a cell whose value moved.
+        """
+        readers = self._readers if self._readers is not None else self._index()
+        raw = self.raw
+        touched: dict[str, set[tuple]] = {}
+        for delta, step in ((removed, -1), (added, 1)):
+            for name, rows in delta.items():
+                if step < 0:
+                    raw[name].difference_update(rows)
+                else:
+                    raw[name].update(rows)
+                touched.setdefault(name, set()).update(rows)
+                for project, by_projection in self._projections.get(name, ()):
+                    for row in rows:
+                        key = project(row)
+                        if step > 0:
+                            by_projection.setdefault(key, set()).add(row)
+                        else:
+                            bucket = by_projection[key]
+                            bucket.discard(row)
+                            if not bucket:
+                                del by_projection[key]
+        for delta in (removed, added):
+            for name, rows in delta.items():
+                for dependent, by_projection in readers.get(name, ()):
+                    again = touched.setdefault(dependent, set())
+                    for row in rows:
+                        again.update(by_projection.get(row, ()))
+        changes: list[tuple[str, tuple, int]] = []
+        model = self.model
+        for name, rows in touched.items():
+            rule = self.rules[name]
+            target = rule.target
+            if target is None:
+                continue
+            present = raw[name]
+            if rule.numeric:
+                cells = model.numerics[target]
+                values: dict[tuple, object] = {}
+                for row in rows:
+                    shown = row in present and self._shows(name, row)
+                    if shown or row[:-1] not in values:
+                        values[row[:-1]] = row[-1] if shown else None
+                for key, value in values.items():
+                    old = cells.get(key)
+                    if value == old:
+                        continue
+                    if value is None:
+                        del cells[key]
+                    else:
+                        cells[key] = value
+                    changes.append(
+                        (target, key, -1 if value is None else int(old is None))
+                    )
+                continue
+            shown_rows = model.relations[target]
+            for row in rows:
+                shown = row in present and self._shows(name, row)
+                if shown == (row in shown_rows):
+                    continue
+                if shown:
+                    model.insert(target, row)
+                else:
+                    model.remove(target, row)
+                changes.append((target, row, 1 if shown else -1))
+        return changes
+
+
 class AppAdapter:
     """Base adapter; subclasses fill in the application specifics."""
 
@@ -109,9 +306,11 @@ class AppAdapter:
     #: ``dispatch`` for every issued op, and a precomputed dict lookup
     #: beats per-op ``getattr`` string formatting.
     _op_table: dict = {}
+    _resolved: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        cls._resolved = {}  # variant -> one ViewRule per raw relation
         cls._op_table = {
             attr[3:]: getattr(cls, attr)
             for attr in dir(cls)
@@ -155,17 +354,30 @@ class AppAdapter:
         """
         raise NotImplementedError
 
-    def view(
-        self, raw: dict[str, set[tuple]], variant: Variant, params: dict
-    ) -> Interpretation:
-        """The observed model over the folded raw rows (``raw`` is not
-        mutated; its sets may be shared into the result)."""
-        raise NotImplementedError
+    def view_rules(self, variant: Variant) -> dict[str, ViewRule]:
+        """The non-identity :class:`ViewRule` per raw relation; any
+        relation left out shows as itself."""
+        return {}
+
+    def model_params(self, params: dict) -> dict[str, int]:
+        """The observed model's parameter bindings."""
+        return {}
+
+    def new_view(self, variant: Variant, params: dict) -> View:
+        """An empty :class:`View` under this adapter's rules."""
+        rules = self._resolved.get(variant)
+        if rules is None:
+            given = self.view_rules(variant)
+            rules = self._resolved[variant] = {
+                name: given.get(name, ViewRule(name))
+                for name in self.raw_relations
+            }
+        return View(rules, self.model_params(params))
 
     def extract(
         self, replica: Replica, variant: Variant, params: dict
     ) -> Interpretation:
-        """``view`` over the fold of ``rows`` across ``replica.keys()``."""
+        """The :class:`View` fold of ``rows`` across ``replica.keys()``."""
         raw: dict[str, set[tuple]] = {
             name: set() for name in self.raw_relations
         }
@@ -173,7 +385,7 @@ class AppAdapter:
         for key in replica.keys():
             for name, row in self.rows(key, get_object(key), variant):
                 raw[name].add(row)
-        return self.view(raw, variant, params)
+        return self.new_view(variant, params).fold(raw)
 
     def probes(
         self, replica: Replica, variant: Variant, params: dict
@@ -281,31 +493,22 @@ class TournamentAdapter(AppAdapter):
             return [("trimmed", (v, t)) for v in obj.raw_value() - obj.value()]
         return ()
 
-    def view(self, raw, variant, params):
-        enrolled = raw["enrolled"]
-        in_match = raw["inMatch"]
-        trimmed = raw["trimmed"]
-        if trimmed:
-            # The observed view applies pending capacity trims exactly
-            # as a reading transaction would: trimmed players drop out
-            # of the tournament's enrolments and matches.
-            enrolled = enrolled - trimmed
-            in_match = {
-                (p, q, t)
-                for p, q, t in in_match
-                if (p, t) not in trimmed and (q, t) not in trimmed
-            }
-        return Interpretation(
-            relations={
-                "player": raw["player"],
-                "tournament": raw["tournament"],
-                "enrolled": enrolled,
-                "active": raw["active"],
-                "finished": raw["finished"],
-                "inMatch": in_match,
-            },
-            params={"Capacity": params["capacity"]},
-        )
+    #: The observed view applies pending capacity trims exactly as a
+    #: reading transaction would: trimmed players drop out of the
+    #: tournament's enrolments and matches.
+    _VIEW = {
+        "enrolled": ViewRule("enrolled", unless=(("trimmed", (0, 1)),)),
+        "inMatch": ViewRule(
+            "inMatch", unless=(("trimmed", (0, 2)), ("trimmed", (1, 2)))
+        ),
+        "trimmed": ViewRule(None),
+    }
+
+    def view_rules(self, variant):
+        return self._VIEW
+
+    def model_params(self, params):
+        return {"Capacity": params["capacity"]}
 
     extract = AppAdapter.extract  # own attribute: per-class timing shims
 
@@ -475,11 +678,8 @@ class TicketAdapter(AppAdapter):
             return [("sold", (ticket, event)) for ticket in obj.value()]
         return ()
 
-    def view(self, raw, variant, params):
-        return Interpretation(
-            relations={"event": raw["event"], "sold": raw["sold"]},
-            params={"EventCapacity": params["capacity"]},
-        )
+    def model_params(self, params):
+        return {"EventCapacity": params["capacity"]}
 
     extract = AppAdapter.extract  # own attribute: per-class timing shims
 
@@ -597,22 +797,15 @@ class TpcwAdapter(AppAdapter):
                 pending = obj.check_violation()
                 if pending is not None:
                     value += pending.amount
-            # One (product, level) row per counter; the view turns the
-            # rows into the numeric predicate's cells.
             return [("stock", (key.split(":", 1)[1], value))]
         return ()
 
-    def view(self, raw, variant, params):
-        return Interpretation(
-            relations={
-                "product": raw["product"],
-                "order": raw["order"],
-                "orderOf": raw["orderOf"],
-            },
-            numerics={
-                "stock": {(product,): level for product, level in raw["stock"]}
-            },
-        )
+    #: One (product, level) row per counter shows as the numeric
+    #: predicate's cell.
+    _VIEW = {"stock": ViewRule("stock", numeric=True)}
+
+    def view_rules(self, variant):
+        return self._VIEW
 
     extract = AppAdapter.extract  # own attribute: per-class timing shims
 
@@ -786,41 +979,21 @@ class TwitterAdapter(AppAdapter):
             return [("inTimeline", pair) for pair in obj.value()]
         return ()
 
-    def view(self, raw, variant, params):
-        users = raw["user"]
-        tweets = raw["tweet"]
-        authored = raw["authored"]
-        follows = raw["follows"]
-        in_timeline = raw["inTimeline"]
-        if variant is Variant.REM_WINS:
-            # The rem-wins strategy's reads hide references to removed
-            # entities (the lazy compensation the timeline read commits
-            # in §5.1.2) -- the observed state filters them the same
-            # way.
-            authored = {
-                (u, w)
-                for u, w in authored
-                if (u,) in users and (w,) in tweets
-            }
-            follows = {
-                (u, v)
-                for u, v in follows
-                if (u,) in users and (v,) in users
-            }
-            in_timeline = {
-                (w, u)
-                for w, u in in_timeline
-                if (w,) in tweets and (u,) in users
-            }
-        return Interpretation(
-            relations={
-                "user": users,
-                "tweet": tweets,
-                "authored": authored,
-                "follows": follows,
-                "inTimeline": in_timeline,
-            },
-        )
+    #: The rem-wins strategy's reads hide references to removed
+    #: entities (the lazy compensation the timeline read commits in
+    #: §5.1.2) -- the observed state filters them the same way.
+    _REM_WINS_VIEW = {
+        "authored": ViewRule(
+            "authored", needs=(("user", (0,)), ("tweet", (1,)))
+        ),
+        "follows": ViewRule("follows", needs=(("user", (0,)), ("user", (1,)))),
+        "inTimeline": ViewRule(
+            "inTimeline", needs=(("tweet", (0,)), ("user", (1,)))
+        ),
+    }
+
+    def view_rules(self, variant):
+        return self._REM_WINS_VIEW if variant is Variant.REM_WINS else {}
 
     extract = AppAdapter.extract  # own attribute: per-class timing shims
 

@@ -29,9 +29,11 @@ shrinker and CLI can treat them uniformly.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from repro.logic.ast import (
     Add,
@@ -60,6 +62,9 @@ from repro.logic.ast import (
 from repro.logic.grounding import Domain
 from repro.obs import REGISTRY
 from repro.spec.application import ApplicationSpec
+
+if TYPE_CHECKING:
+    from repro.compile.formula import InstanceIndex
 
 
 @dataclass(frozen=True)
@@ -128,8 +133,9 @@ class Interpretation:
         the non-wildcard positions, how many rows match.  Grouping the
         relation once by those positions answers *every* such query
         with one dict lookup instead of re-filtering the rows per
-        ``eval_num`` call.  Memoized per interpretation: the model is
-        immutable once checking starts, so groups never go stale.
+        ``eval_num`` call.  Memoized per interpretation: a model that
+        changes after checking starts must change through
+        :meth:`insert`/:meth:`remove`, which keep the groups current.
         """
         groups = self._card_groups
         group = groups.get((pred_name, fixed))
@@ -140,6 +146,27 @@ class Interpretation:
                 group[key] = group.get(key, 0) + 1
             groups[(pred_name, fixed)] = group
         return group
+
+    def insert(self, pred_name: str, row: tuple[str, ...]) -> None:
+        """Add one row that is not yet present, keeping groups current."""
+        self.relations[pred_name].add(row)
+        self._count(pred_name, row, 1)
+
+    def remove(self, pred_name: str, row: tuple[str, ...]) -> None:
+        """Drop one present row, keeping groups current."""
+        self.relations[pred_name].remove(row)
+        self._count(pred_name, row, -1)
+
+    def _count(self, pred_name: str, row: tuple, step: int) -> None:
+        for (name, fixed), group in self._card_groups.items():
+            if name != pred_name:
+                continue
+            key = tuple(row[i] for i in fixed)
+            count = group.get(key, 0) + step
+            if count:
+                group[key] = count
+            else:
+                del group[key]
 
     def domain(self, spec: ApplicationSpec) -> Domain:
         """The finite universe: every constant the state mentions."""
@@ -350,38 +377,396 @@ class InvariantOracle:
         domain = interp.domain(self.spec)
         found: list[Violation] = []
         for invariant in self.spec.invariants:
-            formula = invariant.formula
-            if isinstance(formula, TrueF):
+            if isinstance(invariant.formula, TrueF):
                 continue  # declared-category invariants (unique ids)
-            name = invariant.name or invariant.describe()
             _FORMULA_EVALS.value += 1
-            # Fresh environment per invariant: a variable bound here
-            # must never leak into another invariant's evaluation.
-            env: dict[Var, str] = {}
-            if isinstance(formula, ForAll):
-                # Enumerate bindings so each failure carries a witness.
-                count = 0
-                vars_ = formula.vars
-                pools = [domain.of(v.sort) for v in vars_]
-                for combo in itertools.product(*pools):
-                    for var, const in zip(vars_, combo):
-                        env[var] = const.name
-                    if _eval(formula.body, interp, domain, env):
-                        continue
-                    witness = tuple(
-                        sorted(
-                            (var.name, const.name)
-                            for var, const in dict(zip(vars_, combo)).items()
+            _interpret(
+                invariant, interp, domain, region, self.max_witnesses, found
+            )
+        return found
+
+    def watched(self) -> list[WatchedInvariant]:
+        """Each checked invariant, in spec order, as a watch evaluates it."""
+        from repro.compile.formula import instance_index
+
+        invariants = [
+            invariant
+            for invariant in self.spec.invariants
+            if not isinstance(invariant.formula, TrueF)
+        ]
+        compiled = (
+            self._compiled.invariants
+            if self._compiled is not None
+            else (None,) * len(invariants)
+        )
+        return [
+            WatchedInvariant(
+                name=invariant.name or invariant.describe(),
+                index=instance_index(invariant.formula, self.spec.schema),
+                holds=(
+                    closure.holds
+                    if closure is not None
+                    else _interpreted_holds(invariant.formula)
+                ),
+                whole=self._whole(invariant, closure),
+            )
+            for invariant, closure in zip(invariants, compiled)
+        ]
+
+    def _whole(self, invariant, closure):
+        limit = self.max_witnesses
+        if closure is not None:
+            domains = self._compiled.domains
+
+            def whole(interp, region, out):
+                doms = domains(interp) if closure.uses_domains else None
+                closure.fn(interp, doms, region, limit, out)
+
+        else:
+
+            def whole(interp, region, out):
+                domain = interp.domain(self.spec)
+                _interpret(invariant, interp, domain, region, limit, out)
+
+        return whole
+
+
+def _interpret(invariant, interp, domain, region, max_witnesses, out) -> None:
+    """The interpreter's check of one invariant, appending to ``out``."""
+    formula = invariant.formula
+    name = invariant.name or invariant.describe()
+    # Fresh environment per invariant: a variable bound here must never
+    # leak into another invariant's evaluation.
+    env: dict[Var, str] = {}
+    if isinstance(formula, ForAll):
+        # Enumerate bindings so each failure carries a witness.
+        count = 0
+        vars_ = formula.vars
+        pools = [domain.of(v.sort) for v in vars_]
+        for combo in itertools.product(*pools):
+            for var, const in zip(vars_, combo):
+                env[var] = const.name
+            if _eval(formula.body, interp, domain, env):
+                continue
+            witness = tuple(
+                sorted(
+                    (var.name, const.name)
+                    for var, const in dict(zip(vars_, combo)).items()
+                )
+            )
+            out.append(Violation("invariant", region, name, witness))
+            count += 1
+            if count >= max_witnesses:
+                break
+    elif not _eval(formula, interp, domain, env):
+        out.append(Violation("invariant", region, name))
+
+
+def _interpreted_holds(formula: Formula):
+    """The interpreter's ``holds(interp, binding)``, where it applies."""
+    if not isinstance(formula, ForAll):
+        return None
+    vars_, body = formula.vars, formula.body
+
+    def holds(interp, binding) -> bool:
+        # No nested quantifier in an indexed body: no domain is read.
+        return _eval(body, interp, None, dict(zip(vars_, binding)))
+
+    return holds
+
+
+@dataclass(frozen=True)
+class WatchedInvariant:
+    """One invariant as :class:`InvariantWatch` evaluates it.
+
+    ``index`` (``None``: re-evaluate whole) says which instances a
+    changed fact reaches, ``holds(interp, binding)`` judges one
+    instance, and ``whole(interp, region, out)`` appends what
+    :meth:`InvariantOracle.check` reports for this invariant alone.
+    """
+
+    name: str
+    index: InstanceIndex | None
+    holds: Callable | None
+    whole: Callable
+
+
+def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[p] for p in positions)`` in one C call."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return operator.itemgetter(*positions)
+
+
+class InvariantWatch:
+    """Every invariant's falsified instances, kept across model changes.
+
+    The incremental twin of :meth:`InvariantOracle.check` over one
+    changing model.  After the model moves, :meth:`apply` takes its net
+    fact changes ``(pred, row, step)`` -- ``step`` +1 for a row or
+    numeric cell that appeared, -1 for one that went, 0 for a cell
+    whose value moved -- and re-evaluates only the instances they reach
+    through each invariant's
+    :class:`~repro.compile.formula.InstanceIndex`: the instances an
+    occurrence of the changed predicate matches (completed from the
+    guard's rows), and for a product loop, which has one binder, the
+    instance of a constant that entered its sort's pool.  A constant
+    that left the pool drops its instance, since no enumeration reaches
+    it any more.  An instance is falsified iff the enumeration visits it
+    (its guard row is present, or its value is in its pool) and
+    ``holds`` is false.  Invariants without an index are re-evaluated whole after
+    any change.
+
+    :meth:`violations` equals :meth:`InvariantOracle.check` over the
+    same model: per invariant, in spec order,
+    ``sorted(falsified)[:max(max_witnesses, 1)]`` -- the product loop's
+    first witnesses, in its own order.  The model must change through
+    ``Interpretation.insert``/``remove`` so its cardinality groups
+    stay current.
+    """
+
+    def __init__(
+        self, oracle: InvariantOracle, model: Interpretation, region: str
+    ) -> None:
+        if not model.params:
+            model.params = dict(oracle.spec.schema.params)
+        self.model = model
+        self.region = region
+        self._limit = max(oracle.max_witnesses, 1)
+        self._watched = oracle.watched()
+        self._bad: list[set[tuple]] = [set() for _ in self._watched]
+        #: per invariant, its current violations; ``None`` when stale
+        self._out: list[list[Violation] | None] = [None] * len(self._watched)
+        #: per indexed invariant, the bindings its violations report
+        self._top: list[list[tuple]] = [[] for _ in self._watched]
+        #: predicate -> per distinct occurrence: (invariant, constants,
+        #: repeated-binder position pairs, picker of the bound binders'
+        #: values, their guard groups or ``None`` when they bind all)
+        self._readers: dict[str, list] = {}
+        #: guard predicate -> per invariant it drives: the binder at each
+        #: argument, and bound binders -> their values -> guard bindings
+        self._guard_rows: dict[str, list[tuple[tuple, dict]]] = {}
+        #: sort -> the product loops over it (one binder each)
+        self._pooled: dict[str, list[int]] = {}
+        #: the invariants re-evaluated whole
+        self._whole = [
+            k for k, watched in enumerate(self._watched) if watched.index is None
+        ]
+        for k, watched in enumerate(self._watched):
+            index = watched.index
+            if index is None:
+                continue
+            by_bound = None
+            for pred, reads in index.reads.items():
+                for consts, binds in set(reads):
+                    first: dict[int, int] = {}
+                    same = []
+                    for pos, i in binds:
+                        if first.setdefault(i, pos) != pos:
+                            same.append((first[i], pos))
+                    bound = tuple(sorted(first))
+                    groups = None
+                    if len(bound) < len(index.names):
+                        if by_bound is None:
+                            guard_pred, guard_binders = index.guard
+                            by_bound = {}
+                            self._guard_rows.setdefault(guard_pred, []).append(
+                                (guard_binders, by_bound)
+                            )
+                        groups = by_bound.setdefault(bound, {})
+                    self._readers.setdefault(pred, []).append(
+                        (
+                            k,
+                            consts,
+                            tuple(same),
+                            _picker(tuple(first[i] for i in bound)),
+                            groups,
                         )
                     )
-                    found.append(
-                        Violation("invariant", region, name, witness)
-                    )
-                    count += 1
-                    if count >= self.max_witnesses:
-                        break
-            elif not _eval(formula, interp, domain, env):
-                found.append(Violation("invariant", region, name))
+            if index.guard is None:
+                (sort,) = index.sorts
+                self._pooled.setdefault(sort, []).append(k)
+        #: pooled sort -> constant -> fact positions naming it
+        self._domain: dict[str, dict[str, int]] = {
+            sort: {} for sort in self._pooled
+        }
+        #: predicate -> its (position, sort) pairs of a pooled sort
+        self._pool_positions: dict[str, tuple[tuple[int, str], ...]] = {}
+        for name, decl in oracle.spec.schema.predicates.items():
+            positions = tuple(
+                (pos, sort.name)
+                for pos, sort in enumerate(decl.arg_sorts)
+                if sort.name in self._pooled
+            )
+            if positions:
+                self._pool_positions[name] = positions
+
+    def load(self) -> int:
+        """Evaluate the whole model; returns the instances evaluated."""
+        model = self.model
+        facts = [
+            (name, row, 1)
+            for name, rows in model.relations.items()
+            for row in rows
+        ]
+        facts.extend(
+            (name, key, 1)
+            for name, cells in model.numerics.items()
+            for key in cells
+        )
+        return self.apply(facts)
+
+    def apply(self, changes) -> int:
+        """Follow the model's net ``changes``; returns the instances
+        evaluated."""
+        if not changes:
+            return 0
+        for k in self._whole:
+            self._out[k] = None
+        entered, left = self._move_domain(changes)
+        by_pred: dict[str, list] = {}
+        for change in changes:
+            by_pred.setdefault(change[0], []).append(change)
+        self._move_guards(by_pred)
+        todo: dict[int, set[tuple]] = {}
+        for pred, group in by_pred.items():
+            readers = self._readers.get(pred)
+            if readers is None:
+                continue
+            for _pred, row, _step in group:
+                for k, consts, same, pick, groups in readers:
+                    if consts and any(row[pos] != const for pos, const in consts):
+                        continue
+                    if same and any(row[a] != row[b] for a, b in same):
+                        continue  # a repeated binder, two values
+                    if groups is None:
+                        todo.setdefault(k, set()).add(pick(row))
+                    else:
+                        # Partly bound: complete from the guard's rows.
+                        todo.setdefault(k, set()).update(
+                            groups.get(pick(row), ())
+                        )
+        for sort, value in entered:
+            for k in self._pooled.get(sort, ()):
+                todo.setdefault(k, set()).add((value,))
+        for sort, value in left:
+            for k in self._pooled.get(sort, ()):
+                bad = self._bad[k]
+                if (value,) in bad:
+                    bad.discard((value,))
+                    self._out[k] = None
+        return self._evaluate(todo)
+
+    def _evaluate(self, todo: dict[int, set[tuple]]) -> int:
+        model = self.model
+        domain = self._domain
+        evaluated = 0
+        for k, bindings in todo.items():
+            watched = self._watched[k]
+            index = watched.index
+            holds = watched.holds
+            bad = self._bad[k]
+            if index.guard is not None:
+                guard_pred, guard_binders = index.guard
+                rows = model.relations.get(guard_pred, ())
+            else:
+                pool = domain[index.sorts[0]]
+            for binding in bindings:
+                if index.guard is not None:
+                    shown = tuple(binding[i] for i in guard_binders) in rows
+                else:
+                    shown = binding[0] in pool
+                was = binding in bad
+                if not (shown or was):
+                    continue  # unvisited before and after
+                evaluated += 1
+                if (shown and not holds(model, binding)) == was:
+                    continue
+                top = self._top[k]
+                if was:
+                    bad.discard(binding)
+                    # Only a reported witness leaving moves the report.
+                    if top and binding <= top[-1]:
+                        self._out[k] = None
+                else:
+                    bad.add(binding)
+                    if len(top) < self._limit or binding < top[-1]:
+                        self._out[k] = None
+        return evaluated
+
+    def _move_domain(self, changes) -> tuple[list, list]:
+        """Recount the domain pools; the (sort, constant) pairs that
+        entered and left them."""
+        domain = self._domain
+        before: dict[tuple[str, str], bool] = {}
+        for pred, row, step in changes:
+            positions = self._pool_positions.get(pred) if step else None
+            if positions is None:
+                continue
+            for pos, sort in positions:
+                value = row[pos]
+                pool = domain[sort]
+                count = pool.get(value, 0)
+                before.setdefault((sort, value), count > 0)
+                count += step
+                if count:
+                    pool[value] = count
+                else:
+                    del pool[value]
+        entered, left = [], []
+        for (sort, value), was in before.items():
+            if (value in domain[sort]) != was:
+                (left if was else entered).append((sort, value))
+        return entered, left
+
+    def _move_guards(self, by_pred: dict[str, list]) -> None:
+        for guard_pred, guarded in self._guard_rows.items():
+            changes = by_pred.get(guard_pred)
+            if changes is None:
+                continue
+            for guard_binders, groups in guarded:
+                for _pred, row, step in changes:
+                    if not step:
+                        continue
+                    binding = [""] * len(guard_binders)
+                    for pos, i in enumerate(guard_binders):
+                        binding[i] = row[pos]
+                    binding = tuple(binding)
+                    for bound, by_values in groups.items():
+                        key = tuple(binding[i] for i in bound)
+                        if step > 0:
+                            by_values.setdefault(key, set()).add(binding)
+                        else:
+                            rows = by_values[key]
+                            rows.discard(binding)
+                            if not rows:
+                                del by_values[key]
+
+    def violations(self) -> list[Violation]:
+        """What :meth:`InvariantOracle.check` reports on the model."""
+        found: list[Violation] = []
+        for k, watched in enumerate(self._watched):
+            out = self._out[k]
+            if out is None:
+                out = []
+                if watched.index is None:
+                    watched.whole(self.model, self.region, out)
+                else:
+                    names = watched.index.names
+                    top = heapq.nsmallest(self._limit, self._bad[k])
+                    self._top[k] = top
+                    for binding in top:
+                        out.append(
+                            Violation(
+                                "invariant",
+                                self.region,
+                                watched.name,
+                                tuple(sorted(zip(names, binding))),
+                            )
+                        )
+                self._out[k] = out
+            found.extend(out)
         return found
 
 

@@ -26,6 +26,11 @@ Anything the interpreter would reject at runtime (free variables,
 wildcards outside cardinalities, sorts unknown to the schema) raises
 :class:`Uncompilable` at build time and the caller falls back to the
 interpreter, preserving the original error behaviour.
+
+For the live detector, which keeps each invariant's falsified
+instances across model deltas, :func:`instance_index` maps every fact
+an invariant body reads to the instances it reaches, and the source
+gains a per-instance ``holds(interp, binding)`` beside ``check``.
 """
 
 from __future__ import annotations
@@ -258,19 +263,23 @@ class _Codegen:
 
 @dataclass(frozen=True)
 class CompiledInvariant:
-    """One invariant's generated source plus its executable closure.
+    """One invariant's generated source plus its executable closures.
 
     ``fn(interp, doms, region, max_witnesses, out)`` appends
     :class:`~repro.check.oracles.Violation` records to ``out`` exactly
     as the interpreter's :class:`InvariantOracle` would.  ``doms`` is
     only read when ``uses_domains`` (the source's ``USES_DOMAINS``
     line): guard-driven invariants never enumerate a domain pool.
+    ``holds(interp, binding)`` is the body's truth under one binding
+    (binder order); it exists iff :func:`instance_index` indexes the
+    invariant.
     """
 
     name: str
     source: str
     fn: Callable
     uses_domains: bool
+    holds: Callable | None = None
 
 
 def _witness_expr(formula: ForAll, env: dict[Var, str]) -> str:
@@ -316,6 +325,115 @@ def _guard_atom(formula: ForAll, schema: Schema) -> Atom | None:
     ):
         return None
     return guard
+
+
+@dataclass(frozen=True)
+class InstanceIndex:
+    """Which instances of ``forall x̄ :- body`` a changed fact reaches.
+
+    An instance is one binding of the binders, a tuple in binder order.
+    The body has no nested quantifier, so an instance's truth reads
+    only the facts its atoms, cardinality terms and numeric terms name
+    under that binding, and a changed fact ``pred(row)`` can flip only
+    the instances some occurrence of ``pred`` matches.  ``reads[pred]``
+    lists, per occurrence, the ``(position, constant)`` pairs a row
+    must carry and the ``(position, binder)`` pairs it binds (a
+    cardinality's wildcard positions bind nothing).  An occurrence that
+    binds only some binders reaches the guard's rows agreeing with it;
+    ``guard`` is the guard's predicate and the binder at each argument
+    (:func:`_guard_atom`).  Without a guard the loop has one binder,
+    whose domain pool (``sorts``) enumerates it: a constant entering or
+    leaving the pool reaches its instance too.
+    """
+
+    names: tuple[str, ...]
+    sorts: tuple[str, ...]
+    guard: tuple[str, tuple[int, ...]] | None
+    reads: dict[str, tuple[tuple[tuple, tuple], ...]]
+
+
+def instance_index(formula: Formula, schema: Schema) -> InstanceIndex | None:
+    """``formula``'s instance index, or ``None`` to re-evaluate it whole.
+
+    Whole re-evaluation is kept for what an instance cannot answer from
+    its own facts -- a nested quantifier, a read naming no binder (or a
+    top-level formula with no binders at all) -- for a product loop over
+    more than one binder, which no shipped invariant is, and for what the
+    evaluators reject at runtime (free variables, misplaced wildcards,
+    undeclared sorts), so the error surfaces as it always did.
+    """
+    if not isinstance(formula, ForAll) or not formula.vars:
+        return None
+    binders = {var: i for i, var in enumerate(formula.vars)}
+    if len(binders) != len(formula.vars) or any(
+        var.sort.name not in schema.sorts for var in formula.vars
+    ):
+        return None
+    guard = _guard_atom(formula, schema)
+    if guard is None and len(binders) > 1:
+        return None
+    reads: dict[str, list] = {}
+    if not _collect_reads(formula.body, binders, reads):
+        return None
+    return InstanceIndex(
+        names=tuple(var.name for var in formula.vars),
+        sorts=tuple(var.sort.name for var in formula.vars),
+        guard=(
+            None
+            if guard is None
+            else (guard.pred.name, tuple(binders[a] for a in guard.args))
+        ),
+        reads={pred: tuple(found) for pred, found in reads.items()},
+    )
+
+
+def _collect_reads(node, binders: dict[Var, int], reads: dict) -> bool:
+    """Add every fact read under ``node`` to ``reads``; ``False`` when
+    an instance's truth depends on more than its own facts."""
+    if isinstance(node, (Atom, Card, NumPred)):
+        consts, binds = [], []
+        for position, arg in enumerate(node.args):
+            if isinstance(arg, Var):
+                if arg not in binders:
+                    return False
+                binds.append((position, binders[arg]))
+            elif isinstance(arg, Const):
+                consts.append((position, arg.name))
+            elif not (isinstance(arg, Wildcard) and isinstance(node, Card)):
+                return False
+        if not binds:
+            return False
+        reads.setdefault(node.pred.name, []).append(
+            (tuple(consts), tuple(binds))
+        )
+        return True
+    if isinstance(node, (TrueF, FalseF, IntConst, Param)):
+        return True
+    if isinstance(node, Not):
+        return _collect_reads(node.arg, binders, reads)
+    if isinstance(node, (And, Or)):
+        children = node.args
+    elif isinstance(node, (Implies, Iff, Cmp)):
+        children = (node.lhs, node.rhs)
+    elif isinstance(node, Add):
+        children = node.terms
+    else:
+        return False  # a nested quantifier (or an unknown node)
+    return all(_collect_reads(child, binders, reads) for child in children)
+
+
+def _holds_source(formula: ForAll, schema: Schema) -> list[str]:
+    """Source of ``holds(interp, binding)``: the body under one binding."""
+    gen = _Codegen(schema)
+    env = {var: gen.fresh_var() for var in formula.vars}
+    condition = gen.expr(formula.body, env)
+    binders = _tuple_literal([env[var] for var in formula.vars])
+    return [
+        "def holds(interp, binding):",
+        *("    " + line for line in gen.prologue),
+        f"    {binders} = binding",
+        f"    return {condition}",
+    ]
 
 
 def generate_invariant_source(invariant, schema: Schema) -> str:
@@ -381,6 +499,8 @@ def generate_invariant_source(invariant, schema: Schema) -> str:
     ]
     lines.extend("    " + p for p in gen.prologue)
     lines.extend(body)
+    if instance_index(formula, schema) is not None:
+        lines.extend(_holds_source(formula, schema))
     return "\n".join(lines) + "\n"
 
 
@@ -417,6 +537,7 @@ def load_invariant(name: str, source: str) -> CompiledInvariant:
         source=source,
         fn=namespace["check"],
         uses_domains=namespace["USES_DOMAINS"],
+        holds=namespace.get("holds"),
     )
 
 

@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs import REGISTRY, TRACER
-from repro.store.engine import make_engine
+from repro.store.engine import FileEngine, make_engine
 
 #: Lineage window: dots applied since the last clean check, capped so
 #: a long non-convergent stretch cannot grow records without bound.
@@ -54,6 +54,7 @@ LEDGER_SCHEMA = 1
 
 _KEYS_RESCANNED = REGISTRY.counter("store.conflicts.keys_rescanned")
 _FULL_REBUILDS = REGISTRY.counter("store.conflicts.full_rebuilds")
+_INSTANCES = REGISTRY.counter("store.conflicts.instances_evaluated")
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,12 @@ class ConflictLedger:
         self._next_seq = (
             self._records[-1].seq + 1 if self._records else 0
         )
+        if isinstance(self._engine, FileEngine):
+            # Exist from the start (the log opens lazily; sqlite creates
+            # its file on connect), so a clean run's ledger is an empty
+            # file, not a missing one.  The append handle never
+            # truncates, so a reader opening a live ledger is harmless.
+            self._engine.log.open()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -263,9 +270,9 @@ class ConflictDetector:
 
     After every state change (an executed op, an applied remote
     record) the server calls :meth:`note_commit` / :meth:`note_apply`
-    and then :meth:`check`.  The detector grounds the application's
-    invariants against the replica's observed state, diffs against the
-    previously-active violation set, and:
+    and then :meth:`check`.  The detector keeps the replica's observed
+    model and every invariant's falsified instances, diffs the
+    violations against the previously-active set, and:
 
     - appends a ``violation`` record the first time a witness fires,
       attributing the dots applied since the last clean check as
@@ -275,24 +282,34 @@ class ConflictDetector:
       that means later operations or anti-entropy merges healed it.
 
     **The delta contract.**  A check costs what changed, not the whole
-    replica.  The observed model is the adapter's ``view`` over raw
-    rows that each object contributes through the adapter's ``rows``
-    (the two steps ``extract`` itself is made of).  The detector keeps
-    every key's rows, reference-counted because several keys can
-    contribute one row, and re-reads only the keys named in the
-    ``record.updates`` it was told about, plus keys a read
-    materialised without a record.  That is exact only while every
-    state change arrives as a record, so anything else drops the kept
-    rows and the next check re-reads every key:
+    replica, in three steps:
 
-    - a new detector (process start, crash recovery) has no rows yet;
+    1. *Rows.*  Each object contributes raw rows through the adapter's
+       ``rows``.  The detector keeps every key's rows,
+       reference-counted because several keys can contribute one row,
+       and re-reads only the keys named in the ``record.updates`` it
+       was told about, plus keys a read materialised without a record
+       (the key count moved).
+    2. *View.*  The raw rows that appeared or went move the adapter's
+       :class:`~repro.check.apps.View`, which re-judges them and the
+       rows whose view condition reads them.
+    3. *Instances.*  The model facts that changed move an
+       :class:`~repro.check.oracles.InvariantWatch`, which re-evaluates
+       the invariant instances they reach.
+
+    Its violations equal ``InvariantOracle(spec).check`` over a fresh
+    ``extract`` record for record.  That is exact only while every
+    state change arrives as a record, so anything else drops the kept
+    state and the next check rebuilds it from every key:
+
+    - a new detector (process start, crash recovery) has nothing yet;
     - ``replica.commits_applied`` moving by anything other than the
       records noted (``install_snapshot``, ``rebuild_from_log``);
     - :meth:`invalidate`, which the server calls after a scrub healed
       something.
 
-    ``store.conflicts.keys_rescanned`` and
-    ``store.conflicts.full_rebuilds`` count both kinds of work.
+    ``store.conflicts.keys_rescanned``, ``store.conflicts.full_rebuilds``
+    and ``store.conflicts.instances_evaluated`` count the work.
     """
 
     def __init__(self, server) -> None:
@@ -312,6 +329,8 @@ class ConflictDetector:
         self._touched: set[str] = set()
         #: ``replica.commits_applied`` as the noted records predict it
         self._applied = 0
+        self._view = None
+        self._watch = None
 
     def note_commit(self, record) -> None:
         self._lineage.append((record.origin, record.dot.counter))
@@ -324,7 +343,9 @@ class ConflictDetector:
         """State changed without a record: re-read every key next check."""
         self._rows = None
 
-    def _rescan(self, keys, replica) -> None:
+    def _rescan(self, keys, replica, added, removed) -> None:
+        """Re-read ``keys``; raw rows that appear / go land in
+        ``added`` / ``removed`` (net over the whole check)."""
         server = self._server
         extract_rows = server.adapter.rows
         variant = server.variant
@@ -340,41 +361,89 @@ class ConflictDetector:
                 bucket = counts[name]
                 if bucket[row] == 1:
                     del bucket[row]
+                    news = added.get(name)
+                    if news is not None and row in news:
+                        news.discard(row)
+                    else:
+                        removed.setdefault(name, set()).add(row)
                 else:
                     bucket[row] -= 1
             for name, row in rows - old:
                 bucket = counts[name]
-                bucket[row] = bucket.get(row, 0) + 1
+                count = bucket.get(row, 0)
+                bucket[row] = count + 1
+                if count == 0:
+                    gone = removed.get(name)
+                    if gone is not None and row in gone:
+                        gone.discard(row)
+                    else:
+                        added.setdefault(name, set()).add(row)
         _KEYS_RESCANNED.inc(len(keys))
 
-    def model(self):
-        """The replica's observed model, equal to a fresh ``extract``."""
+    def _update(self) -> None:
+        """Bring the kept model and instances up to the replica."""
         server = self._server
         replica = server.node.store
-        keys = replica.keys()
+        added: dict[str, set] = {}
+        removed: dict[str, set] = {}
         if self._rows is None or self._applied != replica.commits_applied:
+            from repro.check.oracles import InvariantWatch
+
             _FULL_REBUILDS.inc()
             self._rows = {}
             self._counts = {
                 name: {} for name in server.adapter.raw_relations
             }
             self._applied = replica.commits_applied
-            self._rescan(keys, replica)
-        else:
-            self._rescan(self._touched, replica)
-            if len(keys) != len(self._rows):
-                # A read materialised objects no record named (keys
-                # are never deleted, so the counts differ iff so).
-                self._rescan(
-                    [key for key in keys if key not in self._rows], replica
-                )
+            # From empty, every row read is a row added.
+            self._rescan(replica.keys(), replica, added, removed)
+            self._touched.clear()
+            self._view = server.adapter.new_view(server.variant, server.params)
+            self._view.fold(
+                {name: added.get(name, set()) for name in self._counts}
+            )
+            self._watch = InvariantWatch(
+                self._oracle, self._view.model, server.region
+            )
+            _INSTANCES.inc(self._watch.load())
+            return
+        self._rescan(self._touched, replica, added, removed)
         self._touched.clear()
-        raw = {name: set(bucket) for name, bucket in self._counts.items()}
-        return server.adapter.view(raw, server.variant, server.params)
+        if replica.key_count() != len(self._rows):
+            # A read materialised objects no record named (keys are
+            # never deleted, so the counts differ iff so).
+            self._rescan(
+                [key for key in replica.keys() if key not in self._rows],
+                replica,
+                added,
+                removed,
+            )
+        if added or removed:
+            changes = self._view.apply(added, removed)
+            _INSTANCES.inc(self._watch.apply(changes))
+
+    def model(self):
+        """The replica's observed model, equal to a fresh ``extract``
+        (a copy: the kept model moves on at the next check)."""
+        from repro.check.oracles import Interpretation
+
+        self._update()
+        kept = self._view.model
+        return Interpretation(
+            relations={name: set(rows) for name, rows in kept.relations.items()},
+            numerics={name: dict(cells) for name, cells in kept.numerics.items()},
+            params=dict(kept.params),
+        )
+
+    def violations(self) -> list:
+        """The replica's violations, equal to ``InvariantOracle.check``
+        over a fresh ``extract``."""
+        self._update()
+        return self._watch.violations()
 
     def check(self) -> None:
         server = self._server
-        found = self._oracle.check(self.model(), server.region)
+        found = self.violations()
         now_ms = server.now_ms()
         current: dict[tuple, object] = {}
         for violation in found:

@@ -171,6 +171,9 @@ class Replica:
         """
         return self.storage.keys()
 
+    def key_count(self) -> int:
+        return self.storage.key_count()
+
     @property
     def n_shards(self) -> int:
         return self.storage.n_shards

@@ -30,7 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import build_trial, run_trial
-from repro.check.oracles import Interpretation, InvariantOracle, eval_formula
+from repro.check.oracles import (
+    Interpretation,
+    InvariantOracle,
+    InvariantWatch,
+    eval_formula,
+)
 from repro.compile import (
     compile_spec,
     default_cache,
@@ -330,6 +335,135 @@ class TestRandomFormulas:
         first = compile_spec(spec).check(copy.deepcopy(interp), "r0")
         second = compile_spec(spec).check(copy.deepcopy(interp), "r0")
         assert first == second
+
+
+def flat_bodies():
+    """Bodies without nested quantifiers: the shapes the instance
+    index answers per instance (wildcards, constants in reads, reads
+    that bind only some binders, binder-free reads among them)."""
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Not, children),
+            st.builds(lambda x, y: And((x, y)), children, children),
+            st.builds(lambda x, y: Or((x, y)), children, children),
+            st.builds(Implies, children, children),
+            st.builds(Iff, children, children),
+        )
+
+    return st.recursive(leaves(), extend, max_leaves=6)
+
+
+def watched_invariants():
+    return st.one_of(
+        invariants(),
+        guarded_invariants().map(lambda shaped: shaped[0]),
+        st.builds(lambda x: ForAll((VA, VB), x), flat_bodies()),
+        st.builds(
+            lambda x: ForAll((VA, VB), Implies(Q_PRED(VA, VB), x)),
+            flat_bodies(),
+        ),
+        # Guard arguments in non-binder order.
+        st.builds(
+            lambda x: ForAll((VB, VA), Implies(Q_PRED(VA, VB), x)),
+            flat_bodies(),
+        ),
+    )
+
+
+def move(model: Interpretation, target: Interpretation) -> list:
+    """Bring ``model`` to ``target`` the way a live view does, returning
+    the net ``(pred, row, step)`` changes."""
+    changes = []
+    for name, rows in target.relations.items():
+        have = model.relations[name]
+        for row in list(have - rows):
+            model.remove(name, row)
+            changes.append((name, row, -1))
+        for row in rows - have:
+            model.insert(name, row)
+            changes.append((name, row, 1))
+    for name, cells in target.numerics.items():
+        have = model.numerics[name]
+        for key in [key for key in have if key not in cells]:
+            del have[key]
+            changes.append((name, key, -1))
+        for key, value in cells.items():
+            old = have.get(key)
+            if old != value:
+                have[key] = value
+                changes.append((name, key, 0 if old is not None else 1))
+    return changes
+
+
+def toggles():
+    """One small model edit: a row in or out, a cell set or dropped."""
+    a, b = st.sampled_from(A_NAMES), st.sampled_from(B_NAMES)
+    cell = st.one_of(st.none(), st.integers(-3, 6))
+    return st.one_of(
+        st.tuples(st.just("p"), st.tuples(a)),
+        st.tuples(st.just("q"), st.tuples(a, b)),
+        st.tuples(st.just("r"), st.tuples(b)),
+        st.tuples(st.just("s"), st.tuples(a, a)),
+        st.tuples(st.just("n"), st.tuples(a), cell),
+        st.tuples(st.just("m"), st.tuples(a, b), cell),
+    )
+
+
+def edited(state: Interpretation, edits) -> Interpretation:
+    state = copy.deepcopy(state)
+    for pred, row, *value in edits:
+        if value:
+            cells = state.numerics[pred]
+            if value[0] is None:
+                cells.pop(row, None)
+            else:
+                cells[row] = value[0]
+        else:
+            state.relations[pred] ^= {row}
+    return state
+
+
+class TestInstanceWatch:
+    """The incremental watch reports what a full check reports, after
+    every model change, on both paths: many small edits (one to three
+    facts) and a few wholesale ones."""
+
+    @given(
+        watched_invariants(),
+        interpretations(),
+        st.lists(
+            st.one_of(
+                st.lists(toggles(), min_size=1, max_size=3),
+                interpretations(),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_watch_equals_full_check_after_every_change(
+        self, formula, start, steps, max_w
+    ) -> None:
+        spec = spec_of(formula)
+        for compiled in (True, False):
+            oracle = InvariantOracle(
+                spec, max_witnesses=max_w, compiled=compiled
+            )
+            model = copy.deepcopy(start)
+            watch = InvariantWatch(oracle, model, "r0")
+            watch.load()
+            state = start
+            for step in steps:
+                if isinstance(step, Interpretation):
+                    state = copy.deepcopy(step)
+                    state.params = dict(start.params)
+                else:
+                    state = edited(state, step)
+                watch.apply(move(model, state))
+                full = oracle.check(copy.deepcopy(state), "r0")
+                assert watch.violations() == full
 
 
 # ---------------------------------------------------------------------------

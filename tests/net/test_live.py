@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.explorer import PLAN_KINDS, build_trial
+from repro.check.oracles import InvariantOracle
 from repro.net.harness import HarnessError, run_live
 from repro.net.oracle import record_trial
 from repro.net.server import resume_position
@@ -88,32 +89,56 @@ class TestLiveDigestEquality:
         """IPA configs ship ``Pattern`` payloads (unregistered on the
         wire until PR 13), and rem-wins Twitter is the one live run
         that drives the detector's reference-hiding view: every check's
-        incremental model must equal a fresh ``extract``."""
-        checks = []
-        incremental = ConflictDetector.model
-
-        def model(detector):
-            interp = incremental(detector)
-            server = detector._server
-            assert interp == server.adapter.extract(
-                server.node.store, server.variant, server.params
-            )
-            checks.append(server.region)
-            return interp
-
-        monkeypatch.setattr(ConflictDetector, "model", model)
+        violations must equal a full evaluation."""
+        checks = _assert_full_evaluation(monkeypatch)
         _, report = run(
             tmp_path, index=2, n_ops=60, app="twitter", config="IPA"
         )
         assert report.ok, report.reason
         assert report.digest_match
-        assert len(set(checks)) == 3 and len(checks) > 60
+        assert len({region for region, _ in checks}) == 3
+        assert len(checks) > 60
+
+    @pytest.mark.parametrize("app", ["tournament", "tpcw"])
+    def test_ipa_views_match_full_evaluation(self, tmp_path, monkeypatch, app):
+        """The other IPA views on the live path: tournament's capacity
+        trims and TPC-W's numeric stock cells."""
+        checks = _assert_full_evaluation(monkeypatch)
+        _, report = run(tmp_path, index=2, n_ops=60, app=app, config="IPA")
+        assert report.ok, report.reason
+        assert report.digest_match
+        assert len({region for region, _ in checks}) == 3
+        assert len(checks) > 60
 
     def test_nonpositive_time_scale_is_rejected_up_front(self, tmp_path):
         for bad in (0, 0.0, -1.0, float("nan")):
             with pytest.raises(HarnessError, match="time_scale must be > 0"):
                 run(tmp_path / "never", index=0, time_scale=bad)
         assert not (tmp_path / "never").exists()  # before any side effect
+
+
+def _assert_full_evaluation(monkeypatch) -> list:
+    """Patch every live check to assert its violations equal the
+    oracle's full evaluation of a fresh ``extract``; returns the list
+    of (region, violations) it fills."""
+    checks = []
+    incremental = ConflictDetector.violations
+
+    def violations(detector):
+        found = incremental(detector)
+        server = detector._server
+        full = InvariantOracle(server.adapter.spec(server.params)).check(
+            server.adapter.extract(
+                server.node.store, server.variant, server.params
+            ),
+            server.region,
+        )
+        assert found == full
+        checks.append((server.region, found))
+        return found
+
+    monkeypatch.setattr(ConflictDetector, "violations", violations)
+    return checks
 
 
 def _ledger_rows(data_dir: str) -> list[dict]:

@@ -1,12 +1,16 @@
-"""The live detector's delta contract: incremental model == fresh extract.
+"""The live detector's delta contract: incremental == full evaluation.
 
 :class:`~repro.store.conflicts.ConflictDetector` keeps the rows every
-object contributes and re-reads only the keys named in the records it
-is told about.  That is admissible only if, at every check, the model
-it grounds equals the adapter's full ``extract`` over the same replica
--- for every application and variant the checker runs, under any
-interleaving of local commits and remote applies -- and if every state
-change that does *not* arrive as a record forces a full re-read.
+object contributes, the observed model and every invariant's falsified
+instances, and re-reads only the keys named in the records it is told
+about.  That is admissible only if, at every check, the model it keeps
+equals the adapter's full ``extract`` over the same replica and its
+violations equal the oracle's full evaluation of that extract --
+witnesses and order included, compiled or interpreted, for every
+application and variant the checker runs, under any interleaving of
+local commits and remote applies -- if a check evaluates no instance
+its changed facts cannot reach, and if every state change that does
+*not* arrive as a record forces a full re-read.
 
 Schedules come from real simulated runs (lossy links plus
 anti-entropy, seeds drawn by hypothesis): each region's log is its
@@ -16,6 +20,8 @@ replica with a detector attached.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -24,10 +30,31 @@ from hypothesis import strategies as st
 
 from repro.check.apps import ADAPTERS, resolve_config
 from repro.check.harness import session_region
+from repro.check.oracles import InvariantOracle
+from repro.compile import set_compilation
+from repro.compile.formula import instance_index
 from repro.crdts.clock import VersionVector
 from repro.errors import StoreError
+from repro.logic.ast import (
+    Add,
+    And,
+    Atom,
+    Card,
+    Cmp,
+    Const,
+    Exists,
+    ForAll,
+    Iff,
+    Implies,
+    Not,
+    NumPred,
+    Or,
+    Var,
+)
+from repro.logic.parser import parse_invariant
 from repro.obs import REGISTRY
 from repro.sim import FaultPlan, Simulator
+from repro.spec.invariants import Invariant
 from repro.store import Cluster
 from repro.store.conflicts import ConflictDetector
 from repro.store.replica import Replica
@@ -38,6 +65,7 @@ CONFIGS = ("Causal", "IPA")  # IPA is rem-wins for Twitter
 
 REBUILDS = REGISTRY.counter("store.conflicts.full_rebuilds")
 RESCANNED = REGISTRY.counter("store.conflicts.keys_rescanned")
+EVALUATED = REGISTRY.counter("store.conflicts.instances_evaluated")
 
 #: A key per app that a *read* can materialise with no record naming
 #: it; TPC-W's starts from the registry's configured stock level, so it
@@ -48,6 +76,77 @@ READ_ONLY_KEYS = {
     "tpcw": "stock:never-written",
     "twitter": "timeline:never-written",
 }
+
+
+def _parsed(text: str):
+    return lambda schema: parse_invariant(text, schema.symbol_table())
+
+
+def _some_row(guard: str, pred: str, outer: str, inner: str):
+    """``forall(outer: x) :- guard(x) => (exists(inner: y) :- pred(y, x))``
+    (the parser takes quantifiers at the top only)."""
+
+    def build(schema):
+        x = Var("x", schema.sorts[outer])
+        y = Var("y", schema.sorts[inner])
+        return ForAll(
+            (x,),
+            Implies(
+                schema.predicates[guard](x),
+                Exists((y,), schema.predicates[pred](y, x)),
+            ),
+        )
+
+    return build
+
+
+#: Invariants beside each app's own, for the shapes its 13 shipped
+#: ones leave out: a product loop whose falsified instances leave by
+#: the domain alone (nothing they read changes), whole re-evaluation (a
+#: nested quantifier, no binder), and invariant 2 with its consequent swapped,
+#: so the traces' disenrolments reach its *second* ``enrolled`` read.
+EXTRA_INVARIANTS = {
+    "tournament": (
+        _parsed("forall(Tournament: t) :- tournament(t)"),
+        _parsed(
+            "forall(Player: p, q, Tournament: t) :- inMatch(p, q, t) => "
+            "enrolled(q, t) and enrolled(p, t)"
+        ),
+        _some_row("active", "enrolled", "Tournament", "Player"),
+    ),
+    "ticket": (
+        _parsed("forall(Event: e) :- event(e)"),
+        _parsed("exists(Event: e) :- #sold(*, e) >= 2"),
+    ),
+    "tpcw": (
+        _parsed("forall(Product: i) :- product(i)"),
+    ),
+    "twitter": (
+        _parsed("forall(User: u) :- user(u)"),
+        _some_row("user", "inTimeline", "User", "Tweet"),
+    ),
+}
+
+
+class WithInvariants:
+    """An adapter whose spec carries extra invariants."""
+
+    def __init__(self, adapter, builders) -> None:
+        self._adapter = adapter
+        self._builders = builders
+
+    def __getattr__(self, name):
+        return getattr(self._adapter, name)
+
+    def spec(self, params):
+        spec = self._adapter.spec(params)
+        return dataclasses.replace(
+            spec,
+            invariants=[
+                *spec.invariants,
+                *(Invariant(build(spec.schema)) for build in self._builders),
+            ],
+        )
 
 
 def region_log(app: str, config: str, seed: int, n_ops: int = 100):
@@ -88,8 +187,15 @@ def region_log(app: str, config: str, seed: int, n_ops: int = 100):
 class Observer:
     """A replica + detector pair standing in for a live server."""
 
-    def __init__(self, app: str, config: str, name: str = "observer"):
-        self.adapter = ADAPTERS[app]
+    def __init__(
+        self,
+        app: str,
+        config: str,
+        name: str = "observer",
+        max_witnesses: int = 5,
+        extra: tuple = (),
+    ):
+        self.adapter = WithInvariants(ADAPTERS[app], extra)
         _mode, self.variant = resolve_config(app, config)
         self.params = self.adapter.defaults()
         self.region = name
@@ -98,6 +204,11 @@ class Observer:
         )
         self.node = SimpleNamespace(store=self.replica)
         self.detector = ConflictDetector(self)
+        # Read when the first check builds the instance watch.
+        self.detector._oracle.max_witnesses = max_witnesses
+        self.oracle = InvariantOracle(
+            self.adapter.spec(self.params), max_witnesses
+        )
 
     def apply(self, record) -> None:
         self.replica.apply_remote(record)
@@ -108,6 +219,11 @@ class Observer:
 
     def assert_model_is_fresh_extract(self) -> None:
         assert self.detector.model() == self.fresh()
+
+    def assert_violations_are_full_evaluation(self) -> None:
+        assert self.detector.violations() == self.oracle.check(
+            self.fresh(), self.region
+        )
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -149,6 +265,172 @@ class TestIncrementalModel:
         touched = {key for key, _payload in last.updates}
         assert RESCANNED.value - before == len(touched)
         assert len(touched) < len(observer.replica.keys())
+
+
+@pytest.mark.parametrize("compiled", (True, False), ids=("compiled", "interp"))
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("app", APPS)
+class TestViolationsEqualFullEvaluation:
+    """The detector's violations after every record are the oracle's
+    full evaluation of a fresh ``extract``: same records, same
+    witnesses, same order, on both the compiled and interpreted
+    paths, at every witness limit, for the shipped invariants and the
+    extra shapes."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        stride=st.integers(1, 4),
+        max_witnesses=st.sampled_from((0, 1, 5)),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_after_every_record(
+        self, app, config, compiled, seed, stride, max_witnesses
+    ) -> None:
+        records = region_log(app, config, seed)
+        # The --no-compile / REPRO_NO_COMPILE lane: both the detector
+        # and the reference oracle interpret.
+        set_compilation(compiled)
+        try:
+            observer = Observer(
+                app,
+                config,
+                max_witnesses=max_witnesses,
+                extra=EXTRA_INVARIANTS[app],
+            )
+        finally:
+            set_compilation(None)
+        assert observer.oracle.is_compiled is compiled
+        for index, record in enumerate(records):
+            observer.apply(record)
+            if index % stride == 0:
+                observer.assert_violations_are_full_evaluation()
+            if index == len(records) // 2:
+                observer.replica.get_object(READ_ONLY_KEYS[app])
+                observer.assert_violations_are_full_evaluation()
+        observer.assert_violations_are_full_evaluation()
+
+
+def _reads(node, out: list) -> None:
+    """Every atom, cardinality and numeric term under ``node``."""
+    if isinstance(node, (Atom, Card, NumPred)):
+        out.append(node)
+    elif isinstance(node, Not):
+        _reads(node.arg, out)
+    elif isinstance(node, (And, Or)):
+        for arg in node.args:
+            _reads(arg, out)
+    elif isinstance(node, (Implies, Iff, Cmp)):
+        _reads(node.lhs, out)
+        _reads(node.rhs, out)
+    elif isinstance(node, Add):
+        for term in node.terms:
+            _reads(term, out)
+
+
+def _facts(model) -> dict:
+    """(pred, row) -> value for every row (True) and numeric cell."""
+    facts = {
+        (name, row): True
+        for name, rows in model.relations.items()
+        for row in rows
+    }
+    for name, cells in model.numerics.items():
+        for key, value in cells.items():
+            facts[(name, key)] = value
+    return facts
+
+
+def reachable(spec, before, after) -> tuple[int, int]:
+    """(instances a change reaches, instances enumerated), by brute
+    force over every invariant instance before or after the change.
+
+    An instance is reached when a fact one of its reads names changed,
+    or when a product loop's binder value entered or left its pool.
+    """
+    old, new = _facts(before), _facts(after)
+    changed = {
+        fact for fact in old.keys() | new.keys()
+        if old.get(fact) != new.get(fact)
+    }
+    pools = {}
+    moved = {}
+    for model in (before, after):
+        for sort, consts in model.domain(spec).constants.items():
+            names = {const.name for const in consts}
+            pools.setdefault(sort.name, set()).update(names)
+            moved.setdefault(sort.name, []).append(names)
+    moved = {sort: a ^ b for sort, (a, b) in moved.items()}
+    reached = total = 0
+    for invariant in spec.invariants:
+        formula = invariant.formula
+        index = instance_index(formula, spec.schema)
+        if index is None:
+            continue
+        binders = formula.vars
+        if index.guard is not None:
+            guard, positions = index.guard
+            candidates = set()
+            for model in (before, after):
+                for row in model.relations.get(guard, ()):
+                    binding = [None] * len(binders)
+                    for pos, i in enumerate(positions):
+                        binding[i] = row[pos]
+                    candidates.add(tuple(binding))
+        else:
+            candidates = set(
+                itertools.product(
+                    *(sorted(pools.get(v.sort.name, ())) for v in binders)
+                )
+            )
+        reads = []
+        _reads(formula.body, reads)
+        for binding in candidates:
+            total += 1
+            env = dict(zip(binders, binding))
+            hit = index.guard is None and any(
+                value in moved.get(v.sort.name, ())
+                for v, value in zip(binders, binding)
+            )
+            for read in reads:
+                pattern = tuple(
+                    env[arg] if isinstance(arg, Var)
+                    else arg.name if isinstance(arg, Const)
+                    else None
+                    for arg in read.args
+                )
+                hit = hit or any(
+                    name == read.pred.name
+                    and len(row) == len(pattern)
+                    and all(p is None or p == r for p, r in zip(pattern, row))
+                    for name, row in changed
+                )
+            reached += hit
+    return reached, total
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("app", APPS)
+def test_a_check_evaluates_only_reachable_instances(app, config):
+    """The operation-count guard: a check evaluates no more instances
+    than its changed facts reach through any read, counted by brute
+    force -- and fewer than half of what full evaluations would."""
+    records = region_log(app, config, seed=7)
+    observer = Observer(app, config)
+    spec = observer.adapter.spec(observer.params)
+    observer.detector.violations()  # the one full rebuild, with no rows
+    evaluated_total = reached_total = everything = 0
+    for record in records:
+        before = observer.fresh()
+        observer.apply(record)
+        counted = EVALUATED.value
+        observer.detector.violations()
+        evaluated = EVALUATED.value - counted
+        reached, total = reachable(spec, before, observer.fresh())
+        assert evaluated <= reached
+        evaluated_total += evaluated
+        reached_total += reached
+        everything += total
+    assert 0 < evaluated_total <= reached_total < everything / 2
 
 
 class TestInvalidation:

@@ -16,6 +16,7 @@ import textwrap
 
 import pytest
 
+from repro.__main__ import _render_top, main
 from repro.check import build_trial, run_trial
 from repro.check.oracles import BoundProbe, Violation
 from repro.store.conflicts import (
@@ -227,6 +228,70 @@ class TestOpenLedgers:
 
     def test_missing_dir_yields_no_ledgers(self, tmp_path):
         assert open_ledgers(str(tmp_path / "absent")) == {}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_clean_ledger_exists_before_any_record(self, tmp_path, engine):
+        """A run that detected nothing still leaves its ledger, so a
+        clean run and a wrong path do not look alike."""
+        ConflictLedger(str(tmp_path / "us-east-conflicts"), engine=engine).close()
+        ledgers = open_ledgers(str(tmp_path))
+        assert sorted(ledgers) == ["us-east"]
+        assert len(ledgers["us-east"]) == 0
+        ledgers["us-east"].close()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_reader_of_an_empty_ledger_loses_no_record(
+        self, tmp_path, engine, monkeypatch
+    ):
+        """A query opening a live, still-empty ledger must not truncate,
+        replace or delete what the writer appends while it opens."""
+        path = str(tmp_path / "us-east-conflicts")
+        writer = ConflictLedger(path, engine=engine)
+        written: list = []
+        engine_cls = type(writer._engine)
+        load = engine_cls.load
+
+        def load_then_writer_appends(self):
+            # The writer's first records land right after the reader
+            # found the ledger empty.
+            loaded = load(self)
+            if not written:
+                written.extend(sample_append(writer, 2))
+            return loaded
+
+        monkeypatch.setattr(engine_cls, "load", load_then_writer_appends)
+        reader = open_ledgers(str(tmp_path))["us-east"]
+        assert len(reader) == 0
+        reader.close()
+        writer.close()
+        monkeypatch.undo()
+        assert ConflictLedger(path, engine=engine).records() == written
+
+
+class TestConflictsCli:
+    def test_no_ledger_exits_nonzero(self, tmp_path, capsys):
+        for path in (tmp_path / "mistyped", tmp_path):
+            assert main(["conflicts", "--ledger", str(path)]) == 2
+            assert "no conflict ledgers" in capsys.readouterr().err
+
+    def test_clean_ledgers_exit_zero(self, tmp_path, capsys):
+        for region in ("eu-west", "us-east", "us-west"):
+            ConflictLedger(str(tmp_path / f"{region}-conflicts")).close()
+        assert main(["conflicts", "--ledger", str(tmp_path)]) == 0
+        assert "0 record(s) across 3 region ledger(s)" in capsys.readouterr().out
+
+    def test_top_shows_the_detector_work(self):
+        counters = {
+            "store.conflicts.keys_rescanned": 12,
+            "store.conflicts.full_rebuilds": 1,
+            "store.conflicts.instances_evaluated": 345,
+        }
+        frame = {"registry": {"counters": counters}}
+        header, _rule, row = _render_top(
+            {"regions": {"us-east": frame}, "proxy": None}
+        ).splitlines()[:3]
+        assert header.split()[-2:] == ["rescan/rebuild", "instances"]
+        assert row.split()[-2:] == ["12/1", "345"]
 
 
 class TestCheckerRecording:
