@@ -24,12 +24,6 @@ recovery benchmark) must stay above ``--min-recovery-speedup``:
 snapshot + tail-replay recovery has to beat a full log replay by a
 clear factor, or checkpointing has silently stopped paying for itself.
 
-Entries carrying ``observability.check.compiled_speedup`` (the checker
-throughput benchmark) must stay above ``--min-check-speedup``: the
-compiled invariant closures have to beat the pure interpreter on an
-oracle-bound trial batch, or spec compilation has silently stopped
-engaging (e.g. every spec falling back to the interpreter).
-
 Entries carrying ``observability.selfheal.mttr_s`` (the self-healing
 benchmark) must stay under ``--max-mttr-s`` *and* report zero
 quarantined objects: a supervised kill must be detected, restarted and
@@ -116,14 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1.5,
         help="min allowed snapshot+tail vs full-replay speedup for "
         "entries reporting observability.store.recovery_speedup "
-        "(default 1.5; measured figures are an order of magnitude up)",
-    )
-    parser.add_argument(
-        "--min-check-speedup",
-        type=float,
-        default=1.5,
-        help="min allowed compiled-vs-interpreted checker speedup for "
-        "entries reporting observability.check.compiled_speedup "
         "(default 1.5; measured figures are an order of magnitude up)",
     )
     parser.add_argument(
@@ -232,27 +218,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{name}: recovery speedup x{speedup:.1f} below "
                 f"x{args.min_recovery_speedup:.1f} (snapshot+tail "
                 f"recovery is no longer sublinear)"
-            )
-
-    # Compilation contract: compiled invariants must beat the
-    # interpreter on an oracle-bound batch, or they stopped engaging.
-    for name, entry in sorted(current.items()):
-        check = entry.get("observability", {}).get("check", {})
-        speedup = check.get("compiled_speedup")
-        if speedup is None:
-            continue
-        verdict = "FAIL" if speedup < args.min_check_speedup else "ok"
-        print(
-            f"{verdict:4} {name}: compiled checker speedup x{speedup:.1f} "
-            f"(compiled {check.get('compiled_ms', 0.0):.1f} ms vs "
-            f"interpreted {check.get('interpreted_ms', 0.0):.1f} ms, "
-            f"floor x{args.min_check_speedup:.1f})"
-        )
-        if speedup < args.min_check_speedup:
-            failures.append(
-                f"{name}: compiled checker speedup x{speedup:.1f} below "
-                f"x{args.min_check_speedup:.1f} (spec compilation is "
-                f"no longer engaging)"
             )
 
     # Self-healing contract: a killed replica must be detected,

@@ -1,37 +1,28 @@
-"""Checker throughput: trials per wall second, compiled vs interpreted.
+"""Checker throughput: trials per wall second on an oracle-bound batch.
 
 The explorer's cost model is ``trials/sec x trials``: every schedule
 the checker can afford to explore is one more interleaving searched
-for an invariant violation.  PR-8 compiles each spec's invariants into
-specialized closures (``repro.compile``); this benchmark measures what
-that buys on the trial loop and pins the contract that makes the
-optimisation admissible -- the compiled and interpreted checkers must
-produce byte-identical trial fingerprints.
+for an invariant violation.  The batch uses entity counts large enough
+that oracle evaluation would dominate if it enumerated the domain
+product (quantifier loops are quadratic in the entity universe); at
+the default 8x3 the sim dominates and the figure would measure noise.
 
-Two figures are recorded:
-
-- ``check_trial_loop`` -- wall time of a fixed trial batch under the
-  compiled default, with ``trials_per_sec`` in params (regression-gated
-  on wall time like every entry).
-- ``observability.check.compiled_speedup`` -- the interpreted/compiled
-  wall ratio over the same batch, gated by ``check_regression.py
-  --min-check-speedup``.  The batch uses entity counts large enough
-  that oracle evaluation dominates (quantifier loops are quadratic in
-  the entity universe); at the default 8x3 the sim dominates and the
-  ratio would measure noise.
+``check_trial_loop`` records the batch's wall time, with
+``trials_per_sec`` in params (regression-gated on wall time like every
+entry), and asserts a throughput floor: on a 2-core machine the
+instance-indexed check runs 15-29 trials/s, the product loop 0.27, so
+falling under 5 means some invariant lost its index and the product
+loop is back.
 """
 
 from repro.check import build_trial, run_trial
-from repro.compile import set_compilation
 from repro.obs import monotonic
 
 SEED = 17
 N_TRIALS = 5
 N_OPS = 300
-#: Entity universe for the oracle-bound batch.  Quantifier loops over
-#: players x tournaments make the interpreted oracle the bottleneck,
-#: which is the regime the paper's checker runs in (many entities,
-#: few violations).
+#: Entity universe for the oracle-bound batch: many entities, few
+#: violations, the regime the paper's checker runs in.
 PARAMS = {"n_players": 150, "n_tournaments": 40}
 
 
@@ -51,34 +42,21 @@ def _trial_specs():
 
 def _run_loop(specs):
     started = monotonic()
-    results = [run_trial(spec) for spec in specs]
-    wall_ms = (monotonic() - started) * 1000.0
-    return wall_ms, [r.fingerprint for r in results]
+    for spec in specs:
+        run_trial(spec)
+    return (monotonic() - started) * 1000.0
 
 
 def test_check_trial_loop(record_bench):
     specs = _trial_specs()
 
-    set_compilation(True)
-    try:
-        _run_loop(specs)  # warm the artifact cache and import paths
-        compiled_ms, compiled_fps = _run_loop(specs)
-        set_compilation(False)
-        interpreted_ms, interpreted_fps = _run_loop(specs)
-    finally:
-        set_compilation(None)
+    _run_loop(specs)  # warm import paths
+    wall_ms = _run_loop(specs)
 
-    # The contract that makes compilation admissible at all: identical
-    # verdicts, witnesses, digests -- hence identical fingerprints.
-    assert compiled_fps == interpreted_fps
-
-    speedup = (
-        interpreted_ms / compiled_ms if compiled_ms > 0 else float("inf")
-    )
-    trials_per_sec = N_TRIALS / (compiled_ms / 1000.0)
+    trials_per_sec = N_TRIALS / (wall_ms / 1000.0)
     record_bench(
         "check_trial_loop",
-        wall_ms=compiled_ms,
+        wall_ms=wall_ms,
         params={
             "seed": SEED,
             "trials": N_TRIALS,
@@ -86,27 +64,20 @@ def test_check_trial_loop(record_bench):
             "trials_per_sec": round(trials_per_sec, 1),
             **PARAMS,
         },
-        observability={
-            "check": {
-                "compiled_ms": round(compiled_ms, 3),
-                "interpreted_ms": round(interpreted_ms, 3),
-                "compiled_speedup": round(speedup, 2),
-            }
-        },
     )
 
     print()
     print(
         "Check trial loop -- %d trials, %d ops, %d players x %d "
-        "tournaments"
-        % (N_TRIALS, N_OPS, PARAMS["n_players"], PARAMS["n_tournaments"])
-    )
-    print(
-        "  compiled %.0f ms (%.1f trials/sec) | interpreted %.0f ms | "
-        "speedup x%.1f" % (compiled_ms, trials_per_sec, interpreted_ms, speedup)
+        "tournaments: %.0f ms (%.1f trials/sec)"
+        % (
+            N_TRIALS,
+            N_OPS,
+            PARAMS["n_players"],
+            PARAMS["n_tournaments"],
+            wall_ms,
+            trials_per_sec,
+        )
     )
 
-    # The CI gate re-checks this figure from the JSON summary with a
-    # noise-tolerant floor; the in-test floor documents the measured
-    # margin (x20+ on an idle machine).
-    assert speedup > 3.0, (compiled_ms, interpreted_ms)
+    assert trials_per_sec >= 5, wall_ms

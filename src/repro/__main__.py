@@ -110,21 +110,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-compile", action="store_true",
-        help="evaluate invariants with the pure interpreter instead "
-        "of compiled closures (also: REPRO_NO_COMPILE=1)",
-    )
-
-
-def _apply_compile_flags(args: argparse.Namespace) -> None:
-    if getattr(args, "no_compile", False):
-        from repro.compile import set_compilation
-
-        set_compilation(False)
-
-
 def _ms(value: float | None) -> str:
     """None-safe fixed-width millisecond figure."""
     return f"{value:6.2f}" if value is not None else "   n/a"
@@ -255,7 +240,6 @@ def _simulate_violations(cluster, config, sessions, caps: dict) -> list:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _apply_compile_flags(args)
     # Imported here: the simulator stack is not needed by the
     # analysis-only commands.
     from repro.bench.configs import CONFIGS, build_tournament
@@ -400,7 +384,6 @@ def _format_ops(ops) -> list[str]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    _apply_compile_flags(args)
     if args.replay:
         return _check_replay(args)
     if not args.app:
@@ -1017,7 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fires",
     )
     _add_engine_flags(simulate)
-    _add_compile_flags(simulate)
     _add_trace_flags(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -1075,7 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print a machine-readable JSON report",
     )
-    _add_compile_flags(check)
     check.set_defaults(func=_cmd_check)
 
     trace = sub.add_parser(

@@ -33,7 +33,7 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.logic.ast import (
     Add,
@@ -62,9 +62,8 @@ from repro.logic.ast import (
 from repro.logic.grounding import Domain
 from repro.obs import REGISTRY
 from repro.spec.application import ApplicationSpec
-
-if TYPE_CHECKING:
-    from repro.compile.formula import InstanceIndex
+from repro.spec.invariants import Invariant
+from repro.spec.predicates import Schema
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,7 @@ _CMP = {
 }
 
 
-#: Top-level formula evaluations (one per invariant per replica check,
-#: on both the interpreter and compiled paths).
+#: Top-level formula evaluations (one per invariant per replica check).
 _FORMULA_EVALS = REGISTRY.counter("check.formula.evals")
 
 
@@ -337,102 +335,66 @@ def _eval(
 class InvariantOracle:
     """Grounds the spec's invariants against an interpretation.
 
-    By default the invariants are compiled once per spec into
-    specialized closures (:mod:`repro.compile`) shared through the
-    process-wide artifact cache; ``compiled=False`` (or the global
-    ``--no-compile`` / ``REPRO_NO_COMPILE`` switch) forces the pure
-    interpreter, ``compiled=True`` demands compilation and lets
-    :class:`~repro.compile.Uncompilable` propagate.  Both paths produce
-    identical violations, witnesses and ordering.
+    One evaluator: :meth:`check` loads an :class:`InvariantWatch` over
+    the model and returns its violations.  Each indexed invariant is
+    judged one instance at a time (:func:`instance_index`); the rest
+    run the product loop whole.  :func:`reference_check` is that
+    product loop over every invariant, the reference the watch is
+    differential-tested against.
     """
 
-    def __init__(
-        self,
-        spec: ApplicationSpec,
-        max_witnesses: int = 5,
-        compiled: bool | None = None,
-    ):
+    def __init__(self, spec: ApplicationSpec, max_witnesses: int = 5):
         self.spec = spec
         self.max_witnesses = max_witnesses
-        if compiled is False:
-            self._compiled = None
-        elif compiled is True:
-            from repro.compile import require_compiled_spec
-
-            self._compiled = require_compiled_spec(spec)
-        else:
-            from repro.compile import maybe_compile_spec
-
-            self._compiled = maybe_compile_spec(spec)
-
-    @property
-    def is_compiled(self) -> bool:
-        return self._compiled is not None
+        self._watched: list[WatchedInvariant] | None = None
 
     def check(self, interp: Interpretation, region: str) -> list[Violation]:
-        if not interp.params:
-            interp.params = dict(self.spec.schema.params)
-        if self._compiled is not None:
-            return self._compiled.check(interp, region, self.max_witnesses)
-        domain = interp.domain(self.spec)
-        found: list[Violation] = []
-        for invariant in self.spec.invariants:
-            if isinstance(invariant.formula, TrueF):
-                continue  # declared-category invariants (unique ids)
-            _FORMULA_EVALS.value += 1
-            _interpret(
-                invariant, interp, domain, region, self.max_witnesses, found
-            )
-        return found
+        watch = InvariantWatch(self, interp, region)
+        _FORMULA_EVALS.value += len(self.watched())
+        watch.load()
+        return watch.violations()
 
     def watched(self) -> list[WatchedInvariant]:
         """Each checked invariant, in spec order, as a watch evaluates it."""
-        from repro.compile.formula import instance_index
+        if self._watched is None:
+            schema = self.spec.schema
+            self._watched = [
+                WatchedInvariant(
+                    invariant=invariant,
+                    name=invariant.name or invariant.describe(),
+                    index=instance_index(invariant.formula, schema),
+                )
+                for invariant in self.spec.invariants
+                if not isinstance(invariant.formula, TrueF)
+            ]
+        return self._watched
 
-        invariants = [
-            invariant
-            for invariant in self.spec.invariants
-            if not isinstance(invariant.formula, TrueF)
-        ]
-        compiled = (
-            self._compiled.invariants
-            if self._compiled is not None
-            else (None,) * len(invariants)
+
+def reference_check(
+    oracle: InvariantOracle, interp: Interpretation, region: str
+) -> list[Violation]:
+    """What ``oracle.check`` must report, by the product loop alone.
+
+    Every invariant enumerates its whole domain product, with no
+    instance index: the reference the watch is tested against, and
+    the loop unindexed invariants run inside it.
+    """
+    if not interp.params:
+        interp.params = dict(oracle.spec.schema.params)
+    domain = interp.domain(oracle.spec)
+    found: list[Violation] = []
+    for invariant in oracle.spec.invariants:
+        if isinstance(invariant.formula, TrueF):
+            continue  # declared-category invariants (unique ids)
+        _FORMULA_EVALS.value += 1
+        _interpret(
+            invariant, interp, domain, region, oracle.max_witnesses, found
         )
-        return [
-            WatchedInvariant(
-                name=invariant.name or invariant.describe(),
-                index=instance_index(invariant.formula, self.spec.schema),
-                holds=(
-                    closure.holds
-                    if closure is not None
-                    else _interpreted_holds(invariant.formula)
-                ),
-                whole=self._whole(invariant, closure),
-            )
-            for invariant, closure in zip(invariants, compiled)
-        ]
-
-    def _whole(self, invariant, closure):
-        limit = self.max_witnesses
-        if closure is not None:
-            domains = self._compiled.domains
-
-            def whole(interp, region, out):
-                doms = domains(interp) if closure.uses_domains else None
-                closure.fn(interp, doms, region, limit, out)
-
-        else:
-
-            def whole(interp, region, out):
-                domain = interp.domain(self.spec)
-                _interpret(invariant, interp, domain, region, limit, out)
-
-        return whole
+    return found
 
 
 def _interpret(invariant, interp, domain, region, max_witnesses, out) -> None:
-    """The interpreter's check of one invariant, appending to ``out``."""
+    """The product loop's check of one invariant, appending to ``out``."""
     formula = invariant.formula
     name = invariant.name or invariant.describe()
     # Fresh environment per invariant: a variable bound here must never
@@ -462,17 +424,133 @@ def _interpret(invariant, interp, domain, region, max_witnesses, out) -> None:
         out.append(Violation("invariant", region, name))
 
 
-def _interpreted_holds(formula: Formula):
-    """The interpreter's ``holds(interp, binding)``, where it applies."""
-    if not isinstance(formula, ForAll):
+# ---------------------------------------------------------------------------
+# Instance index: which instances a changed fact reaches
+# ---------------------------------------------------------------------------
+
+
+def _guard_atom(formula: ForAll, schema: Schema) -> Atom | None:
+    """The atom that can drive enumeration of ``formula``, if any.
+
+    ``forall x̄ :- P(x̄) => Q`` qualifies when ``P``'s arguments are
+    exactly the quantified variables, each once, and the schema
+    declares this very ``P``.  Every binding the product loop could
+    falsify then satisfies ``P``, so it is one of ``P``'s rows -- and
+    each row's constants sit in the binders' domain pools (an atom is
+    well-sorted against its own declaration, and the pools are filled
+    from the schema's), which is what makes the two enumerations visit
+    the same bindings.  A constant, a repeated variable, a binder the
+    guard leaves out or a declaration the schema does not share breaks
+    that bijection: those keep the product loop.
+    """
+    body = formula.body
+    if not isinstance(body, Implies) or not isinstance(body.lhs, Atom):
         return None
-    vars_, body = formula.vars, formula.body
+    guard = body.lhs
+    if schema.predicates.get(guard.pred.name) != guard.pred:
+        return None
+    # ``formula.vars`` are distinct, so equal length + equal sets means
+    # a permutation (a constant argument makes the sets differ).
+    if len(guard.args) != len(formula.vars) or set(guard.args) != set(
+        formula.vars
+    ):
+        return None
+    return guard
 
-    def holds(interp, binding) -> bool:
-        # No nested quantifier in an indexed body: no domain is read.
-        return _eval(body, interp, None, dict(zip(vars_, binding)))
 
-    return holds
+@dataclass(frozen=True)
+class InstanceIndex:
+    """Which instances of ``forall x̄ :- body`` a changed fact reaches.
+
+    An instance is one binding of the binders, a tuple in binder order.
+    The body has no nested quantifier, so an instance's truth reads
+    only the facts its atoms, cardinality terms and numeric terms name
+    under that binding, and a changed fact ``pred(row)`` can flip only
+    the instances some occurrence of ``pred`` matches.  ``reads[pred]``
+    lists, per occurrence, the ``(position, constant)`` pairs a row
+    must carry and the ``(position, binder)`` pairs it binds (a
+    cardinality's wildcard positions bind nothing).  An occurrence that
+    binds only some binders reaches the guard's rows agreeing with it;
+    ``guard`` is the guard's predicate and the binder at each argument
+    (:func:`_guard_atom`).  Without a guard the loop has one binder,
+    whose domain pool (``sorts``) enumerates it: a constant entering or
+    leaving the pool reaches its instance too.
+    """
+
+    names: tuple[str, ...]
+    sorts: tuple[str, ...]
+    guard: tuple[str, tuple[int, ...]] | None
+    reads: dict[str, tuple[tuple[tuple, tuple], ...]]
+
+
+def instance_index(formula: Formula, schema: Schema) -> InstanceIndex | None:
+    """``formula``'s instance index, or ``None`` to re-evaluate it whole.
+
+    Whole re-evaluation is kept for what an instance cannot answer from
+    its own facts -- a nested quantifier, a read naming no binder (or a
+    top-level formula with no binders at all) -- for a product loop over
+    more than one binder, which no shipped invariant is, and for what the
+    interpreter rejects at runtime (free variables, misplaced wildcards,
+    undeclared sorts), so the error surfaces as it always did.
+    """
+    if not isinstance(formula, ForAll) or not formula.vars:
+        return None
+    binders = {var: i for i, var in enumerate(formula.vars)}
+    if len(binders) != len(formula.vars) or any(
+        var.sort.name not in schema.sorts for var in formula.vars
+    ):
+        return None
+    guard = _guard_atom(formula, schema)
+    if guard is None and len(binders) > 1:
+        return None
+    reads: dict[str, list] = {}
+    if not _collect_reads(formula.body, binders, reads):
+        return None
+    return InstanceIndex(
+        names=tuple(var.name for var in formula.vars),
+        sorts=tuple(var.sort.name for var in formula.vars),
+        guard=(
+            None
+            if guard is None
+            else (guard.pred.name, tuple(binders[a] for a in guard.args))
+        ),
+        reads={pred: tuple(found) for pred, found in reads.items()},
+    )
+
+
+def _collect_reads(node, binders: dict[Var, int], reads: dict) -> bool:
+    """Add every fact read under ``node`` to ``reads``; ``False`` when
+    an instance's truth depends on more than its own facts."""
+    if isinstance(node, (Atom, Card, NumPred)):
+        consts, binds = [], []
+        for position, arg in enumerate(node.args):
+            if isinstance(arg, Var):
+                if arg not in binders:
+                    return False
+                binds.append((position, binders[arg]))
+            elif isinstance(arg, Const):
+                consts.append((position, arg.name))
+            elif not (isinstance(arg, Wildcard) and isinstance(node, Card)):
+                return False
+        if not binds:
+            return False
+        reads.setdefault(node.pred.name, []).append(
+            (tuple(consts), tuple(binds))
+        )
+        return True
+    if isinstance(node, (TrueF, FalseF, IntConst, Param)):
+        return True
+    if isinstance(node, Not):
+        return _collect_reads(node.arg, binders, reads)
+    if isinstance(node, (And, Or)):
+        children = node.args
+    elif isinstance(node, (Implies, Iff, Cmp)):
+        children = (node.lhs, node.rhs)
+    elif isinstance(node, Add):
+        children = node.terms
+    else:
+        return False  # a nested quantifier (or an unknown node)
+    return all(_collect_reads(child, binders, reads) for child in children)
 
 
 @dataclass(frozen=True)
@@ -480,15 +558,18 @@ class WatchedInvariant:
     """One invariant as :class:`InvariantWatch` evaluates it.
 
     ``index`` (``None``: re-evaluate whole) says which instances a
-    changed fact reaches, ``holds(interp, binding)`` judges one
-    instance, and ``whole(interp, region, out)`` appends what
-    :meth:`InvariantOracle.check` reports for this invariant alone.
+    changed fact reaches, and :meth:`holds` judges one instance.
     """
 
+    invariant: Invariant
     name: str
     index: InstanceIndex | None
-    holds: Callable | None
-    whole: Callable
+
+    def holds(self, interp: Interpretation, binding: tuple) -> bool:
+        """The body's truth under ``binding`` (binder order)."""
+        formula = self.invariant.formula
+        # No nested quantifier in an indexed body: no domain is read.
+        return _eval(formula.body, interp, None, dict(zip(formula.vars, binding)))
 
 
 def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
@@ -502,24 +583,24 @@ def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
 class InvariantWatch:
     """Every invariant's falsified instances, kept across model changes.
 
-    The incremental twin of :meth:`InvariantOracle.check` over one
-    changing model.  After the model moves, :meth:`apply` takes its net
-    fact changes ``(pred, row, step)`` -- ``step`` +1 for a row or
-    numeric cell that appeared, -1 for one that went, 0 for a cell
-    whose value moved -- and re-evaluates only the instances they reach
-    through each invariant's
-    :class:`~repro.compile.formula.InstanceIndex`: the instances an
-    occurrence of the changed predicate matches (completed from the
-    guard's rows), and for a product loop, which has one binder, the
-    instance of a constant that entered its sort's pool.  A constant
-    that left the pool drops its instance, since no enumeration reaches
-    it any more.  An instance is falsified iff the enumeration visits it
-    (its guard row is present, or its value is in its pool) and
-    ``holds`` is false.  Invariants without an index are re-evaluated whole after
-    any change.
+    :meth:`InvariantOracle.check` is one :meth:`load` of a fresh watch;
+    the live detector keeps one across model changes.  After the model
+    moves, :meth:`apply` takes its net fact changes ``(pred, row,
+    step)`` -- ``step`` +1 for a row or numeric cell that appeared, -1
+    for one that went, 0 for a cell whose value moved -- and
+    re-evaluates only the instances they reach through each
+    invariant's :class:`InstanceIndex`: the instances an occurrence of
+    the changed predicate matches (completed from the guard's rows),
+    and for a product loop, which has one binder, the instance of a
+    constant that entered its sort's pool.  A constant that left the
+    pool drops its instance, since no enumeration reaches it any more.
+    An instance is falsified iff the enumeration visits it (its guard
+    row is present, or its value is in its pool) and ``holds`` is
+    false.  Invariants without an index run the product loop whole
+    after any change.
 
-    :meth:`violations` equals :meth:`InvariantOracle.check` over the
-    same model: per invariant, in spec order,
+    :meth:`violations` equals :func:`reference_check` over the same
+    model: per invariant, in spec order,
     ``sorted(falsified)[:max(max_witnesses, 1)]`` -- the product loop's
     first witnesses, in its own order.  The model must change through
     ``Interpretation.insert``/``remove`` so its cardinality groups
@@ -533,6 +614,7 @@ class InvariantWatch:
             model.params = dict(oracle.spec.schema.params)
         self.model = model
         self.region = region
+        self._spec = oracle.spec
         self._limit = max(oracle.max_witnesses, 1)
         self._watched = oracle.watched()
         self._bad: list[set[tuple]] = [set() for _ in self._watched]
@@ -746,12 +828,18 @@ class InvariantWatch:
     def violations(self) -> list[Violation]:
         """What :meth:`InvariantOracle.check` reports on the model."""
         found: list[Violation] = []
+        domain = None
         for k, watched in enumerate(self._watched):
             out = self._out[k]
             if out is None:
                 out = []
                 if watched.index is None:
-                    watched.whole(self.model, self.region, out)
+                    if domain is None:
+                        domain = self.model.domain(self._spec)
+                    _interpret(
+                        watched.invariant, self.model, domain, self.region,
+                        self._limit, out,
+                    )
                 else:
                     names = watched.index.names
                     top = heapq.nsmallest(self._limit, self._bad[k])

@@ -30,11 +30,11 @@ the ledger is durable regardless of which engine backs the object
 store.
 
 :class:`ConflictDetector` is the live-path driver: it re-grounds the
-application's invariants (compiled closures, PR-8) against a replica's
-observed state after every state change -- re-reading only the objects
-the change touched -- diffs the violation set against the previous
-check, and appends violation records on first sighting and repair
-records when a violation clears.
+application's invariants against a replica's observed state after
+every state change -- re-reading only the objects the change touched
+-- diffs the violation set against the previous check, and appends
+violation records on first sighting and repair records when a
+violation clears.
 """
 
 from __future__ import annotations

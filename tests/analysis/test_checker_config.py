@@ -1,6 +1,8 @@
 """ConflictChecker configuration behaviour: parameter clipping and
 integer-bound auto-sizing."""
 
+import pytest
+
 from repro.analysis.conflicts import ANALYSIS_PARAM_CAP, ConflictChecker
 from repro.analysis.ipa import run_ipa
 from repro.spec import SpecBuilder
@@ -104,3 +106,63 @@ class TestRunIpaKeepsCheckerSettings:
             for entry in [*result.applied, *result.flagged]
         ]
         assert ("enroll", "enroll") in handled
+
+
+#: ROADMAP item 1: the bounded domain is sized by fixed constants, not
+#: from the query, so these conflicts are missed.  A fix flips them.
+domain_not_sized = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: domain not sized from the query"
+)
+
+
+def literal_card_spec(bound):
+    b = SpecBuilder("literal-card")
+    b.predicate("enrolled", "Player", "Tournament")
+    b.invariant(f"forall(Tournament: t) :- #enrolled(*, t) <= {bound}")
+    b.operation("enroll", "Player: p, Tournament: t", true=["enrolled(p, t)"])
+    return b.build()
+
+
+def seats_spec():
+    b = SpecBuilder("seats")
+    b.predicate("seats", "Event", numeric=True)
+    b.invariant("forall(Event: e) :- seats(e) <= 8")
+    b.operation("incr", "Event: e", incr=["seats(e) 1"])
+    return b.build()
+
+
+def self_conflict(spec, name, **settings):
+    op = spec.operation(name)
+    return ConflictChecker(spec, **settings).is_conflicting(op, op)
+
+
+class TestDomainSizedFromTheQuery:
+    """Each case's operation conflicts with itself; the analysis must
+    find it at its default settings."""
+
+    def test_literal_card_bound_1(self):
+        assert self_conflict(literal_card_spec(1), "enroll") is not None
+
+    @domain_not_sized
+    def test_literal_card_bound_3(self):
+        assert self_conflict(literal_card_spec(3), "enroll") is not None
+
+    @domain_not_sized
+    def test_literal_card_bound_5(self):
+        assert self_conflict(literal_card_spec(5), "enroll") is not None
+
+    @domain_not_sized
+    def test_capacity_param_3(self):
+        spec = capacity_spec(3)
+        assert (
+            self_conflict(spec, "enroll", params={"Capacity": 3}) is not None
+        )
+
+    @domain_not_sized
+    def test_literal_numeric_bound_at_derived_int_bound(self):
+        # The derived ``int_bound`` is 8 today: the literal 8 plus one
+        # increment does not fit.
+        assert self_conflict(seats_spec(), "incr") is not None
+
+    def test_literal_numeric_bound_at_int_bound_9(self):
+        assert self_conflict(seats_spec(), "incr", int_bound=9) is not None

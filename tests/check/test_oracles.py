@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.apps.common import Variant
 from repro.apps.tournament import tournament_spec
-from repro.check.apps import TournamentAdapter
+from repro.check.apps import ADAPTERS, TournamentAdapter, resolve_config
+from repro.check.explorer import build_trial
 from repro.check.oracles import (
     BoundProbe,
     CompensationDebtOracle,
@@ -12,7 +15,10 @@ from repro.check.oracles import (
     Interpretation,
     InvariantOracle,
     SessionTracker,
+    instance_index,
 )
+from repro.logic.ast import TrueF
+from repro.obs import REGISTRY
 from repro.sim.events import Simulator
 from repro.sim.latency import REGIONS
 from repro.store.cluster import Cluster, ConsistencyMode
@@ -62,6 +68,45 @@ class TestInvariantOracle:
         interp = _interp(active={("t0",)}, finished={("t0",)})
         found = self.oracle.check(interp, "us-east")
         assert any("active" in v.name and "finished" in v.name for v in found)
+
+
+#: ``check-sweep``'s enlarged universes (benchmarks/ledger/workloads.py).
+ENLARGED = {
+    "tournament": {"n_players": 150, "n_tournaments": 40},
+    "twitter": {"n_users": 40},
+    "tpcw": {"n_products": 40},
+    "ticket": {"n_events": 30},
+}
+
+
+@pytest.mark.parametrize("sizes", ("default", "enlarged"))
+@pytest.mark.parametrize("config", ("Causal", "IPA"))
+@pytest.mark.parametrize("app", sorted(ADAPTERS))
+def test_shipped_invariants_never_run_the_product_loop(app, config, sizes):
+    """Every shipped invariant is judged per instance: none falls back
+    to enumerating its domain product, and a check still counts one
+    formula evaluation per invariant."""
+    resolve_config(app, config)
+    adapter = ADAPTERS[app]
+    trial = build_trial(
+        app, config, 0, 0, n_ops=1,
+        params=ENLARGED[app] if sizes == "enlarged" else None,
+    )
+    spec = adapter.spec({**adapter.defaults(), **trial.params})
+    checked = [
+        invariant
+        for invariant in spec.invariants
+        if not isinstance(invariant.formula, TrueF)
+    ]
+    assert checked
+    for invariant in checked:
+        assert instance_index(invariant.formula, spec.schema) is not None, (
+            invariant.describe()
+        )
+    evals = REGISTRY.counter("check.formula.evals")
+    before = evals.value
+    InvariantOracle(spec).check(Interpretation(), "us-east")
+    assert evals.value - before == len(checked)
 
 
 class TestSessionTracker:

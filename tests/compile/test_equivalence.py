@@ -1,24 +1,26 @@
-"""Differential proof that compiled invariants match the interpreter.
+"""Differential proof that the one evaluator matches the product loop.
 
-The compilation layer (repro.compile) is only admissible if it is
-observationally invisible: every verdict, every witness binding, every
-violation ordering, every trial fingerprint must be identical with and
-without it.  This suite drives both implementations with
+``InvariantOracle.check`` loads an :class:`InvariantWatch`, which
+judges each indexed invariant one instance at a time and runs the
+product loop only for the rest.  It is admissible only if every
+verdict, every witness binding, every violation ordering and every
+trial fingerprint equals the product loop's
+(:func:`~repro.check.oracles.reference_check`).  This suite drives
+both with
 
 - hypothesis-generated random formulas (nested quantifiers including
   shadowed re-binding, cardinalities with wildcards, numeric sums,
-  every connective) over random interpretations;
+  every connective) over random interpretations, indexed and not;
 - hypothesis-generated *guarded* invariants ``forall x :- P(x) => Q``:
-  the shapes the code generator enumerates from ``P``'s rows, and the
+  the shapes whose instances come from ``P``'s rows, and the
   near-misses (constant or repeated variable in the guard, a binder the
   guard leaves out, a sort mismatch) that must keep the product loop;
+- the incremental watch after every model change;
 - hand-picked regression shapes the generator is unlikely to weight
   (colliding variable names across sorts, empty domains, witness
   truncation);
 - full ``run_trial`` runs per app/config, asserting byte-identical
-  fingerprints between the compiled default and ``--no-compile``;
-- the on-disk artifact cache, asserting a disk hit reproduces the
-  freshly-generated behaviour.
+  fingerprints between ``check`` and the reference.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from repro.check.oracles import (
     Interpretation,
     InvariantOracle,
     InvariantWatch,
+    _guard_atom,
     eval_formula,
-)
-from repro.compile import (
-    compile_spec,
-    default_cache,
-    set_compilation,
+    instance_index,
+    reference_check,
 )
 from repro.logic.ast import (
     Add,
@@ -70,8 +70,8 @@ A = Sort("A")
 B = Sort("B")
 VA = Var("a", A)
 VB = Var("b", B)
-#: Same *name* as VA but a different sort: exercises the runtime-sorted
-#: witness path (colliding names cannot be ordered at compile time).
+#: Same *name* as VA but a different sort: witness pairs then sort by
+#: value, not by variable name.
 VA2 = Var("a", B)
 #: A second A-sorted variable, for guards over a same-sort predicate.
 VC = Var("c", A)
@@ -103,6 +103,10 @@ M_PRED = SCHEMA.predicates["m"]
 
 A_NAMES = ("x0", "x1", "x2", "x3")
 B_NAMES = ("y0", "y1", "y2")
+
+#: Witness limits: 0 (the product loop appends before it tests the
+#: count, so it still yields one), 1 and the default 5.
+WITNESS_LIMITS = st.sampled_from((0, 1, 5))
 
 
 def spec_of(formula, name: str = "") -> ApplicationSpec:
@@ -229,16 +233,17 @@ GUARDED_SHAPES = (
 
 
 def guarded_invariants():
+    # Flat bodies let the first two shapes be indexed: their instances
+    # come from the guard's rows.
     return st.builds(
         lambda shape, body: (shape[0](body), shape[1]),
         st.sampled_from(GUARDED_SHAPES),
-        bodies(),
+        st.one_of(bodies(), flat_bodies()),
     )
 
 
-def uses_guard_loop(spec) -> bool:
-    (invariant,) = compile_spec(spec).invariants
-    return "bad = []" in invariant.source
+def has_guard(formula) -> bool:
+    return _guard_atom(formula, SCHEMA) is not None
 
 
 def interpretations():
@@ -277,64 +282,11 @@ def interpretations():
 
 
 def check_both(spec, interp, max_witnesses=5):
-    """(compiled, interpreted) violation lists over isolated copies."""
-    compiled_interp = copy.deepcopy(interp)
-    interpreted_interp = copy.deepcopy(interp)
-    compiled = InvariantOracle(
-        spec, max_witnesses=max_witnesses, compiled=True
-    ).check(compiled_interp, "r0")
-    interpreted = InvariantOracle(
-        spec, max_witnesses=max_witnesses, compiled=False
-    ).check(interpreted_interp, "r0")
-    return compiled, interpreted
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis differential suite
-# ---------------------------------------------------------------------------
-
-
-class TestRandomFormulas:
-    @given(invariants(), interpretations(), st.integers(1, 6))
-    @settings(max_examples=150, deadline=None)
-    def test_verdicts_and_witnesses_agree(self, formula, interp, max_w):
-        spec = spec_of(formula)
-        compiled, interpreted = check_both(spec, interp, max_witnesses=max_w)
-        assert compiled == interpreted
-
-    # max_witnesses 0 included: the product loop appends before it
-    # tests the count, and the guard loop must truncate the same way.
-    @given(guarded_invariants(), interpretations(), st.integers(0, 6))
-    @settings(max_examples=250, deadline=None)
-    def test_guarded_invariants_agree_on_either_path(
-        self, shaped, interp, max_w
-    ) -> None:
-        formula, guard_driven = shaped
-        spec = spec_of(formula)
-        assert uses_guard_loop(spec) == guard_driven
-        compiled, interpreted = check_both(spec, interp, max_witnesses=max_w)
-        assert compiled == interpreted
-
-    @given(invariants(), interpretations())
-    @settings(max_examples=100, deadline=None)
-    def test_eval_formula_agrees_with_compiled_verdict(
-        self, formula, interp
-    ) -> None:
-        spec = spec_of(formula)
-        interp.params = dict(interp.params) or {"P": 3}
-        holds = eval_formula(formula, interp, interp.domain(spec))
-        compiled, _ = check_both(spec, interp)
-        assert holds == (not compiled)
-
-    @given(invariants(), interpretations())
-    @settings(max_examples=60, deadline=None)
-    def test_compiled_is_deterministic_across_instances(
-        self, formula, interp
-    ) -> None:
-        spec = spec_of(formula)
-        first = compile_spec(spec).check(copy.deepcopy(interp), "r0")
-        second = compile_spec(spec).check(copy.deepcopy(interp), "r0")
-        assert first == second
+    """(``check``, reference) violation lists over isolated copies."""
+    oracle = InvariantOracle(spec, max_witnesses=max_witnesses)
+    checked = oracle.check(copy.deepcopy(interp), "r0")
+    reference = reference_check(oracle, copy.deepcopy(interp), "r0")
+    return checked, reference
 
 
 def flat_bodies():
@@ -354,11 +306,41 @@ def flat_bodies():
     return st.recursive(leaves(), extend, max_leaves=6)
 
 
+def a_bodies():
+    """Flat bodies over ``a`` alone: single-binder product loops, whose
+    instances enter and leave with the A pool."""
+    nums = st.sampled_from(
+        [
+            NumPred(N_PRED, (VA,)),
+            Card(Q_PRED, (VA, Wildcard(B))),
+            Card(S_PRED, (Wildcard(A), VA)),
+            Param("P"),
+            IntConst(1),
+        ]
+    )
+    leaf = st.one_of(
+        st.sampled_from(
+            [P_PRED(VA), S_PRED(VA, VA), S_PRED(VA, Const("x0", A))]
+        ),
+        st.builds(Cmp, st.sampled_from(("<=", ">=", "!=")), nums, nums),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Not, children),
+            st.builds(lambda x, y: And((x, y)), children, children),
+            st.builds(lambda x, y: Or((x, y)), children, children),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=4)
+
+
 def watched_invariants():
     return st.one_of(
         invariants(),
         guarded_invariants().map(lambda shaped: shaped[0]),
         st.builds(lambda x: ForAll((VA, VB), x), flat_bodies()),
+        st.builds(lambda x: ForAll((VA,), x), a_bodies()),
         st.builds(
             lambda x: ForAll((VA, VB), Implies(Q_PRED(VA, VB), x)),
             flat_bodies(),
@@ -369,6 +351,55 @@ def watched_invariants():
             flat_bodies(),
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis differential suite
+# ---------------------------------------------------------------------------
+
+
+class TestRandomFormulas:
+    @given(watched_invariants(), interpretations(), WITNESS_LIMITS)
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_and_witnesses_agree(self, formula, interp, max_w):
+        spec = spec_of(formula)
+        checked, reference = check_both(spec, interp, max_witnesses=max_w)
+        assert checked == reference
+
+    @given(guarded_invariants(), interpretations(), WITNESS_LIMITS)
+    @settings(max_examples=250, deadline=None)
+    def test_guarded_invariants_agree_on_either_path(
+        self, shaped, interp, max_w
+    ) -> None:
+        formula, guard_driven = shaped
+        spec = spec_of(formula)
+        assert has_guard(formula) == guard_driven
+        index = instance_index(formula, SCHEMA)
+        if index is not None:
+            assert (index.guard is not None) == guard_driven
+        checked, reference = check_both(spec, interp, max_witnesses=max_w)
+        assert checked == reference
+
+    @given(watched_invariants(), interpretations())
+    @settings(max_examples=100, deadline=None)
+    def test_eval_formula_agrees_with_check_verdict(
+        self, formula, interp
+    ) -> None:
+        spec = spec_of(formula)
+        interp.params = dict(interp.params) or {"P": 3}
+        holds = eval_formula(formula, interp, interp.domain(spec))
+        checked, _ = check_both(spec, interp)
+        assert holds == (not checked)
+
+    @given(watched_invariants(), interpretations())
+    @settings(max_examples=60, deadline=None)
+    def test_check_is_deterministic_across_instances(
+        self, formula, interp
+    ) -> None:
+        spec = spec_of(formula)
+        first = InvariantOracle(spec).check(copy.deepcopy(interp), "r0")
+        second = InvariantOracle(spec).check(copy.deepcopy(interp), "r0")
+        assert first == second
 
 
 def move(model: Interpretation, target: Interpretation) -> list:
@@ -425,9 +456,9 @@ def edited(state: Interpretation, edits) -> Interpretation:
 
 
 class TestInstanceWatch:
-    """The incremental watch reports what a full check reports, after
-    every model change, on both paths: many small edits (one to three
-    facts) and a few wholesale ones."""
+    """The incremental watch reports what the product loop reports,
+    after every model change: many small edits (one to three facts)
+    and a few wholesale ones."""
 
     @given(
         watched_invariants(),
@@ -440,30 +471,49 @@ class TestInstanceWatch:
             min_size=1,
             max_size=10,
         ),
-        st.integers(0, 4),
+        WITNESS_LIMITS,
     )
     @settings(max_examples=250, deadline=None)
     def test_watch_equals_full_check_after_every_change(
         self, formula, start, steps, max_w
     ) -> None:
         spec = spec_of(formula)
-        for compiled in (True, False):
-            oracle = InvariantOracle(
-                spec, max_witnesses=max_w, compiled=compiled
-            )
-            model = copy.deepcopy(start)
-            watch = InvariantWatch(oracle, model, "r0")
-            watch.load()
-            state = start
-            for step in steps:
-                if isinstance(step, Interpretation):
-                    state = copy.deepcopy(step)
-                    state.params = dict(start.params)
-                else:
-                    state = edited(state, step)
-                watch.apply(move(model, state))
-                full = oracle.check(copy.deepcopy(state), "r0")
-                assert watch.violations() == full
+        oracle = InvariantOracle(spec, max_witnesses=max_w)
+        model = copy.deepcopy(start)
+        watch = InvariantWatch(oracle, model, "r0")
+        watch.load()
+        state = start
+        for step in steps:
+            if isinstance(step, Interpretation):
+                state = copy.deepcopy(step)
+                state.params = dict(start.params)
+            else:
+                state = edited(state, step)
+            watch.apply(move(model, state))
+            full = reference_check(oracle, copy.deepcopy(state), "r0")
+            assert watch.violations() == full
+
+    def test_a_constant_leaving_the_pool_drops_its_instance(self) -> None:
+        # x0 is in the A pool only through q(x0, y0).  Dropping that row
+        # changes no fact the body reads, but x0 leaves the pool, so its
+        # falsified instance must go with it.
+        formula = ForAll((VA,), Cmp(">=", NumPred(N_PRED, (VA,)), IntConst(1)))
+        oracle = InvariantOracle(spec_of(formula))
+        start = Interpretation(
+            relations={"p": set(), "q": {("x0", "y0")}, "r": set(), "s": set()},
+            numerics={"n": {}, "m": {}},
+            params={"P": 3},
+        )
+        model = copy.deepcopy(start)
+        watch = InvariantWatch(oracle, model, "r0")
+        watch.load()
+        assert watch.violations() == reference_check(
+            oracle, copy.deepcopy(start), "r0"
+        )
+        assert watch.violations()
+        state = edited(start, [("q", ("x0", "y0"))])
+        watch.apply(move(model, state))
+        assert watch.violations() == reference_check(oracle, state, "r0") == []
 
 
 # ---------------------------------------------------------------------------
@@ -484,25 +534,31 @@ class TestRegressionShapes:
             },
             params={"P": 3},
         )
-        compiled, interpreted = check_both(spec_of(formula), interp)
-        assert compiled == interpreted == []
+        checked, reference = check_both(spec_of(formula), interp)
+        assert checked == reference == []
 
     def test_colliding_witness_names_sort_at_runtime(self) -> None:
         # Both binders are named "a" (different sorts): witness pairs
-        # cannot be pre-sorted at compile time.
-        formula = ForAll((VA, VA2), Not(Q_PRED(VA, VA2)))
+        # sort by value, on the product loop and on the guard's rows.
         interp = Interpretation(
             relations={"q": {("x0", "y1"), ("x1", "y0")}}, params={"P": 3}
         )
-        compiled, interpreted = check_both(spec_of(formula), interp)
-        assert compiled == interpreted
-        assert all(len(v.witness) == 2 for v in compiled)
+        product = ForAll((VA, VA2), Not(Q_PRED(VA, VA2)))
+        guarded = ForAll((VA2, VA), Implies(Q_PRED(VA, VA2), P_PRED(VA)))
+        assert instance_index(product, SCHEMA) is None
+        assert instance_index(guarded, SCHEMA) is not None
+        for formula in (product, guarded):
+            checked, reference = check_both(spec_of(formula), interp)
+            assert checked == reference
+            assert checked
+            assert all(len(v.witness) == 2 for v in checked)
 
     def test_empty_domain_is_vacuous(self) -> None:
         formula = ForAll((VA,), P_PRED(VA))
+        assert instance_index(formula, SCHEMA) is not None
         interp = Interpretation(params={"P": 3})
-        compiled, interpreted = check_both(spec_of(formula), interp)
-        assert compiled == interpreted == []
+        checked, reference = check_both(spec_of(formula), interp)
+        assert checked == reference == []
 
     def test_witness_truncation_matches(self) -> None:
         formula = ForAll((VA,), P_PRED(VA))
@@ -514,11 +570,11 @@ class TestRegressionShapes:
             params={"P": 3},
         )
         for max_w in (1, 2, 3, 10):
-            compiled, interpreted = check_both(
+            checked, reference = check_both(
                 spec_of(formula), interp, max_witnesses=max_w
             )
-            assert compiled == interpreted
-            assert len(compiled) == min(max_w, len(A_NAMES))
+            assert checked == reference
+            assert len(checked) == min(max_w, len(A_NAMES))
 
     def test_guard_loop_truncates_like_the_product(self) -> None:
         # Twelve falsifying rows, guard arguments in non-binder order:
@@ -526,37 +582,48 @@ class TestRegressionShapes:
         # in (b, a) order, not the first rows the set happens to yield.
         formula = ForAll((VB, VA), Implies(Q_PRED(VA, VB), P_PRED(VA)))
         spec = spec_of(formula)
-        assert uses_guard_loop(spec)
+        assert instance_index(formula, SCHEMA).guard is not None
         interp = Interpretation(
             relations={"q": {(x, y) for x in A_NAMES for y in B_NAMES}},
             params={"P": 3},
         )
         for max_w in (1, 2, 5, 12, 20):
-            compiled, interpreted = check_both(
+            checked, reference = check_both(
                 spec, interp, max_witnesses=max_w
             )
-            assert compiled == interpreted
-            assert len(compiled) == min(max_w, 12)
-        assert compiled[0].witness == (("a", "x0"), ("b", "y0"))
-        assert compiled[1].witness == (("a", "x1"), ("b", "y0"))
+            assert checked == reference
+            assert len(checked) == min(max_w, 12)
+        assert checked[0].witness == (("a", "x0"), ("b", "y0"))
+        assert checked[1].witness == (("a", "x1"), ("b", "y0"))
 
-    def test_guard_free_spec_skips_domain_extraction(self) -> None:
-        guarded = compile_spec(
-            spec_of(ForAll((VA, VB), Implies(Q_PRED(VA, VB), P_PRED(VA))))
+    def test_guard_free_spec_skips_domain_extraction(
+        self, monkeypatch
+    ) -> None:
+        # Only the product loop reads ``Interpretation.domain``: an
+        # indexed invariant's instances come from its guard's rows or
+        # from the pool the watch counts itself.
+        extracted = []
+        domain = Interpretation.domain
+        monkeypatch.setattr(
+            Interpretation,
+            "domain",
+            lambda interp, spec: extracted.append(spec) or domain(interp, spec),
         )
-        assert not any(i.uses_domains for i in guarded.invariants)
-        product = compile_spec(spec_of(ForAll((VA,), P_PRED(VA))))
-        assert all(i.uses_domains for i in product.invariants)
+        interp = Interpretation(
+            relations={"p": {("x0",)}, "q": {("x0", "y0"), ("x1", "y0")}},
+            params={"P": 3},
+        )
+        guarded = ForAll((VA, VB), Implies(Q_PRED(VA, VB), P_PRED(VA)))
+        product = ForAll((VA,), P_PRED(VA))
+        for formula in (guarded, product):
+            InvariantOracle(spec_of(formula)).check(copy.deepcopy(interp), "r0")
+        assert extracted == []
         # A domain needed only inside the consequent still counts.
-        nested = compile_spec(
-            spec_of(
-                ForAll(
-                    (VA, VB),
-                    Implies(Q_PRED(VA, VB), Exists((VA,), P_PRED(VA))),
-                )
-            )
+        nested = ForAll(
+            (VA, VB), Implies(Q_PRED(VA, VB), Exists((VA,), P_PRED(VA)))
         )
-        assert all(i.uses_domains for i in nested.invariants)
+        InvariantOracle(spec_of(nested)).check(copy.deepcopy(interp), "r0")
+        assert len(extracted) == 1
 
     def test_card_memo_agrees_with_fresh_count(self) -> None:
         interp = Interpretation(
@@ -564,8 +631,8 @@ class TestRegressionShapes:
             params={"P": 2},
         )
         formula = ForAll((VA,), Cmp("<=", Card(Q_PRED, (VA, Wildcard(B))), Param("P")))
-        compiled, interpreted = check_both(spec_of(formula), interp)
-        assert compiled == interpreted == []
+        checked, reference = check_both(spec_of(formula), interp)
+        assert checked == reference == []
         group = interp.card_group("q", (0,))
         assert group == {("x0",): 2, ("x1",): 1}
         assert interp.card_group("q", (0,)) is group  # memoized
@@ -587,49 +654,26 @@ class TestRegressionShapes:
 APPS = ("tournament", "ticket", "tpcw", "twitter")
 
 
-@pytest.fixture
-def compilation_toggle():
-    yield set_compilation
-    set_compilation(None)
-
-
 @pytest.mark.parametrize("app", APPS)
 @pytest.mark.parametrize("config", ["Causal", "IPA"])
-def test_trial_fingerprints_identical(app, config, compilation_toggle):
+def test_trial_fingerprints_identical(app, config, monkeypatch):
     spec = build_trial(app, config, root_seed=11, index=1)
-    compilation_toggle(True)
-    compiled = run_trial(spec)
-    compilation_toggle(False)
-    interpreted = run_trial(spec)
-    assert compiled.fingerprint == interpreted.fingerprint
-    assert compiled.violations == interpreted.violations
-    assert compiled.digests == interpreted.digests
+    checked = run_trial(spec)
+    monkeypatch.setattr(InvariantOracle, "check", reference_check)
+    reference = run_trial(spec)
+    assert checked.fingerprint == reference.fingerprint
+    assert checked.violations == reference.violations
+    assert checked.digests == reference.digests
 
 
-def test_live_deployment_spec_identical(compilation_toggle):
+def test_live_deployment_spec_identical(monkeypatch):
     # The deployment dict is everything `repro serve` replays live --
     # schedules and the digests the live cluster must reproduce byte
-    # for byte.  Compilation must not perturb any of it.
+    # for byte.  The evaluator must not perturb any of it.
     from repro.net.oracle import record_trial
 
     spec = build_trial("tournament", "Causal", root_seed=11, index=1)
-    compilation_toggle(True)
-    _, compiled = record_trial(spec)
-    compilation_toggle(False)
-    _, interpreted = record_trial(spec)
-    assert compiled == interpreted
-
-
-# ---------------------------------------------------------------------------
-# Artifact cache
-# ---------------------------------------------------------------------------
-
-
-class TestArtifactCache:
-    def test_default_cache_shares_artifacts(self) -> None:
-        from repro.apps.tournament import tournament_spec
-
-        spec = tournament_spec(capacity=4)
-        first = default_cache().get_or_build(spec)
-        second = default_cache().get_or_build(spec)
-        assert first is second
+    _, checked = record_trial(spec)
+    monkeypatch.setattr(InvariantOracle, "check", reference_check)
+    _, reference = record_trial(spec)
+    assert checked == reference

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.explorer import PLAN_KINDS, build_trial
-from repro.check.oracles import InvariantOracle
+from repro.check.oracles import InvariantOracle, reference_check
 from repro.net.harness import HarnessError, run_live
 from repro.net.oracle import record_trial
 from repro.net.server import resume_position
@@ -119,15 +119,16 @@ class TestLiveDigestEquality:
 
 def _assert_full_evaluation(monkeypatch) -> list:
     """Patch every live check to assert its violations equal the
-    oracle's full evaluation of a fresh ``extract``; returns the list
-    of (region, violations) it fills."""
+    product loop's full evaluation of a fresh ``extract``; returns the
+    list of (region, violations) it fills."""
     checks = []
     incremental = ConflictDetector.violations
 
     def violations(detector):
         found = incremental(detector)
         server = detector._server
-        full = InvariantOracle(server.adapter.spec(server.params)).check(
+        full = reference_check(
+            InvariantOracle(server.adapter.spec(server.params)),
             server.adapter.extract(
                 server.node.store, server.variant, server.params
             ),

@@ -5,12 +5,13 @@ object contributes, the observed model and every invariant's falsified
 instances, and re-reads only the keys named in the records it is told
 about.  That is admissible only if, at every check, the model it keeps
 equals the adapter's full ``extract`` over the same replica and its
-violations equal the oracle's full evaluation of that extract --
-witnesses and order included, compiled or interpreted, for every
-application and variant the checker runs, under any interleaving of
-local commits and remote applies -- if a check evaluates no instance
-its changed facts cannot reach, and if every state change that does
-*not* arrive as a record forces a full re-read.
+violations equal the product loop's full evaluation of that extract
+(:func:`~repro.check.oracles.reference_check`) -- witnesses and order
+included, for every application and variant the checker runs, under
+any interleaving of local commits and remote applies -- if a check
+evaluates no instance its changed facts cannot reach, and if every
+state change that does *not* arrive as a record forces a full
+re-read.
 
 Schedules come from real simulated runs (lossy links plus
 anti-entropy, seeds drawn by hypothesis): each region's log is its
@@ -30,9 +31,11 @@ from hypothesis import strategies as st
 
 from repro.check.apps import ADAPTERS, resolve_config
 from repro.check.harness import session_region
-from repro.check.oracles import InvariantOracle
-from repro.compile import set_compilation
-from repro.compile.formula import instance_index
+from repro.check.oracles import (
+    InvariantOracle,
+    instance_index,
+    reference_check,
+)
 from repro.crdts.clock import VersionVector
 from repro.errors import StoreError
 from repro.logic.ast import (
@@ -221,8 +224,8 @@ class Observer:
         assert self.detector.model() == self.fresh()
 
     def assert_violations_are_full_evaluation(self) -> None:
-        assert self.detector.violations() == self.oracle.check(
-            self.fresh(), self.region
+        assert self.detector.violations() == reference_check(
+            self.oracle, self.fresh(), self.region
         )
 
 
@@ -267,15 +270,13 @@ class TestIncrementalModel:
         assert len(touched) < len(observer.replica.keys())
 
 
-@pytest.mark.parametrize("compiled", (True, False), ids=("compiled", "interp"))
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("app", APPS)
 class TestViolationsEqualFullEvaluation:
-    """The detector's violations after every record are the oracle's
-    full evaluation of a fresh ``extract``: same records, same
-    witnesses, same order, on both the compiled and interpreted
-    paths, at every witness limit, for the shipped invariants and the
-    extra shapes."""
+    """The detector's violations after every record are the product
+    loop's full evaluation of a fresh ``extract``: same records, same
+    witnesses, same order, at every witness limit, for the shipped
+    invariants and the extra shapes."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -284,22 +285,15 @@ class TestViolationsEqualFullEvaluation:
     )
     @settings(max_examples=8, deadline=None)
     def test_after_every_record(
-        self, app, config, compiled, seed, stride, max_witnesses
+        self, app, config, seed, stride, max_witnesses
     ) -> None:
         records = region_log(app, config, seed)
-        # The --no-compile / REPRO_NO_COMPILE lane: both the detector
-        # and the reference oracle interpret.
-        set_compilation(compiled)
-        try:
-            observer = Observer(
-                app,
-                config,
-                max_witnesses=max_witnesses,
-                extra=EXTRA_INVARIANTS[app],
-            )
-        finally:
-            set_compilation(None)
-        assert observer.oracle.is_compiled is compiled
+        observer = Observer(
+            app,
+            config,
+            max_witnesses=max_witnesses,
+            extra=EXTRA_INVARIANTS[app],
+        )
         for index, record in enumerate(records):
             observer.apply(record)
             if index % stride == 0:
