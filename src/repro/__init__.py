@@ -27,7 +27,7 @@ See the subpackages for the full API:
 - :mod:`repro.apps` / :mod:`repro.bench` -- the paper's evaluation.
 """
 
-from repro.analysis import IpaSession, IpaTool, run_ipa
+from repro.analysis import run_ipa
 from repro.errors import ReproError
 from repro.spec import ApplicationSpec, SpecBuilder, merge_specs
 from repro.specfile import load_specfile, parse_specfile
@@ -36,8 +36,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ApplicationSpec",
-    "IpaSession",
-    "IpaTool",
     "ReproError",
     "SpecBuilder",
     "__version__",

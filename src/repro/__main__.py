@@ -651,7 +651,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             corrupt_regions=tuple(args.corrupt or ()),
             heartbeat_ms=args.heartbeat_ms,
             overload_limit=args.overload_limit,
-            record_limit=args.record_limit,
             scrub_ms=args.scrub_ms,
         )
     )
@@ -825,10 +824,7 @@ def _render_top(snapshot: dict) -> str:
             f"{stats.get('store.scrub.repaired', 0):.0f}/"
             f"{stats.get('store.scrub.quarantined', 0):.0f}"
         )
-        shed = (
-            stats.get("net.overload.shed_ops", 0)
-            + stats.get("net.overload.shed_records", 0)
-        )
+        shed = stats.get("net.overload.shed_ops", 0)
         lines.append(
             f"{region:<12} "
             f"{stats.get('net.health.heartbeats', 0):>7.0f} "
@@ -1202,12 +1198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--overload-limit", type=int, default=0, metavar="N",
         help="max parked ops per replica before new ops are shed "
         "with a retryable 'overloaded' ack (default 0: unlimited)",
-    )
-    load.add_argument(
-        "--record-limit", type=int, default=0, metavar="N",
-        help="max buffered remote records per replica before "
-        "non-gating records are shed to anti-entropy "
-        "(default 0: unlimited)",
     )
     load.add_argument(
         "--scrub-ms", type=float, default=0.0, metavar="MS",

@@ -30,9 +30,8 @@ from repro.analysis.conflicts import (
     opposing_effects,
 )
 from repro.analysis.generation import CandidateRepair, generate_candidates
-from repro.analysis.ipa import AnalysisStats, IpaResult, IpaTool, run_ipa
+from repro.analysis.ipa import AnalysisStats, IpaResult, run_ipa
 from repro.analysis.repair import Resolution, first_resolution, repair_conflict
-from repro.analysis.session import IpaSession
 
 __all__ = [
     "AnalysisStats",
@@ -42,8 +41,6 @@ __all__ = [
     "ConflictWitness",
     "InvariantClass",
     "IpaResult",
-    "IpaSession",
-    "IpaTool",
     "PairBinding",
     "Resolution",
     "SolverCache",

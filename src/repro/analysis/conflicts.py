@@ -549,46 +549,47 @@ class ConflictChecker:
 
     # -- pair enumeration ----------------------------------------------------
 
-    def pairs(
-        self, operations: list[Operation] | None = None
-    ) -> list[tuple[Operation, Operation]]:
+    def pairs(self) -> list[tuple[Operation, Operation]]:
         """All unordered pairs, including self-pairs."""
-        ops = operations or list(self._spec.operations.values())
         return list(
-            itertools.combinations_with_replacement(ops, 2)
+            itertools.combinations_with_replacement(
+                self._spec.operations.values(), 2
+            )
         )
 
-    def find_conflicts(
-        self,
-        operations: list[Operation] | None = None,
-        rules: ConvergenceRules | None = None,
-    ) -> list[ConflictWitness]:
+    def find_conflicts(self) -> list[ConflictWitness]:
         """All conflicting pairs of the specification."""
         witnesses = []
-        for op1, op2 in self.pairs(operations):
-            witness = self.is_conflicting(op1, op2, rules)
+        for op1, op2 in self.pairs():
+            witness = self.is_conflicting(op1, op2)
             if witness is not None:
                 witnesses.append(witness)
         return witnesses
 
     def find_first(
         self,
-        operations: list[Operation] | None = None,
-        rules: ConvergenceRules | None = None,
-        skip: set[tuple[str, str]] | None = None,
+        skip: set[tuple[str, str]] = frozenset(),
+        clean: set[tuple[str, str]] | None = None,
     ) -> ConflictWitness | None:
         """The first conflicting pair, skipping flagged ones.
 
         This is ``findConflictingPair`` of Algorithm 1; ``skip`` holds
-        the pairs already flagged unsolvable.
+        the pairs already flagged unsolvable (in either order).
+        ``clean`` memoises pairs verified non-conflicting: they are
+        not queried again, and each pair this call clears is added.
+        The caller discards entries whose operations or rules change.
         """
-        skip = skip or set()
-        for op1, op2 in self.pairs(operations):
-            if (op1.name, op2.name) in skip or (op2.name, op1.name) in skip:
+        for op1, op2 in self.pairs():
+            key = (op1.name, op2.name)
+            if key in skip or (op2.name, op1.name) in skip:
                 continue
-            witness = self.is_conflicting(op1, op2, rules)
+            if clean is not None and key in clean:
+                continue
+            witness = self.is_conflicting(op1, op2)
             if witness is not None:
                 return witness
+            if clean is not None:
+                clean.add(key)
         return None
 
     # -- witness decoding -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""The IPA main loop (Algorithm 1) and the tool façade.
+"""The IPA main loop (Algorithm 1).
 
 ``run_ipa`` iterates: find a conflicting pair, generate and verify
 repairs, let the pick policy choose one, install it (replacing the
@@ -66,21 +66,6 @@ class AnalysisStats:
         self.cache_disk_hits = stats.disk_hits
         self.cache_misses = stats.misses
         self.cache_rejected = stats.rejected
-
-    def as_dict(self) -> dict:
-        return {
-            "scan_seconds": self.scan_seconds,
-            "repair_seconds": self.repair_seconds,
-            "compensation_seconds": self.compensation_seconds,
-            "scan_queries": self.scan_queries,
-            "repair_queries": self.repair_queries,
-            "solver_solves": self.solver_solves,
-            "cache_memory_hits": self.cache_memory_hits,
-            "cache_disk_hits": self.cache_disk_hits,
-            "cache_misses": self.cache_misses,
-            "cache_rejected": self.cache_rejected,
-            "solver": self.solver.as_dict(),
-        }
 
     def describe(self) -> str:
         lines = [
@@ -244,13 +229,15 @@ class IpaResult:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+#: Rounds after which ``run_ipa`` gives up with an ``AnalysisError``.
+MAX_ROUNDS = 100
+
+
 def run_ipa(
     spec: ApplicationSpec,
     pick: PickPolicy = default_policy,
     max_effects: int = 2,
-    max_rounds: int = 100,
     allow_rule_changes: bool = True,
-    require_semantics_preserving: bool = True,
     strict: bool = False,
     checker: ConflictChecker | None = None,
     jobs: int = 1,
@@ -260,9 +247,12 @@ def run_ipa(
     """Make ``spec`` invariant-preserving (Algorithm 1).
 
     The input spec is not mutated; the returned result carries the
-    modified copy.  ``strict=True`` raises
-    :class:`~repro.errors.UnsolvableConflictError` instead of flagging a
-    pair that not even a compensation covers.
+    modified copy.  ``pick(witness, solutions)`` is the programmer's
+    choice for each conflict: it returns one of the verified
+    ``solutions`` to install, or ``None`` to flag the pair (which then
+    gets a compensation where its invariant allows one).
+    ``strict=True`` raises :class:`~repro.errors.UnsolvableConflictError`
+    instead of flagging a pair that not even a compensation covers.
 
     The solver cache (the outcome is identical with or without it, see
     :meth:`IpaResult.fingerprint`):
@@ -303,12 +293,12 @@ def run_ipa(
     clean: set[tuple[str, str]] = set()
     rounds = 0
     try:
-        while rounds < max_rounds:
+        while rounds < MAX_ROUNDS:
             rounds += 1
             scan_started = monotonic()
             scan_span = TRACER.start("analysis.scan", round=rounds)
             queries_before = checker.queries_issued
-            witness = _find_first(checker, skip, clean)
+            witness = checker.find_first(skip, clean)
             stats.scan_seconds += monotonic() - scan_started
             stats.scan_queries += checker.queries_issued - queries_before
             TRACER.end(
@@ -332,7 +322,6 @@ def run_ipa(
                 witness,
                 max_effects=max_effects,
                 allow_rule_changes=allow_rule_changes,
-                require_semantics_preserving=require_semantics_preserving,
             )
             stats.repair_seconds += monotonic() - repair_started
             stats.repair_queries += checker.queries_issued - queries_before
@@ -380,7 +369,7 @@ def run_ipa(
             )
         else:
             raise AnalysisError(
-                f"IPA did not converge within {max_rounds} rounds"
+                f"IPA did not converge within {MAX_ROUNDS} rounds"
             )
         stats.solver_solves = checker.solver_solves
         stats.solver.add(checker.solver_counters)
@@ -407,49 +396,3 @@ def run_ipa(
         if checker.cache is not None:
             checker.cache.flush()
 
-
-def _find_first(
-    checker: ConflictChecker,
-    skip: set[tuple[str, str]],
-    clean: set[tuple[str, str]],
-) -> ConflictWitness | None:
-    """``findConflictingPair`` with a memo of verified-clean pairs."""
-    for op1, op2 in checker.pairs():
-        key = (op1.name, op2.name)
-        if key in skip or (op2.name, op1.name) in skip:
-            continue
-        if key in clean:
-            continue
-        witness = checker.is_conflicting(op1, op2)
-        if witness is not None:
-            return witness
-        clean.add(key)
-    return None
-
-
-class IpaTool:
-    """Convenience façade mirroring the paper's command-line tool.
-
-    Wraps a spec, runs the analysis lazily, and exposes the pieces the
-    evaluation needs (modified operations, compensations, report).
-    """
-
-    def __init__(self, spec: ApplicationSpec, **kwargs) -> None:
-        self._spec = spec
-        self._kwargs = kwargs
-        self._result: IpaResult | None = None
-
-    @property
-    def result(self) -> IpaResult:
-        if self._result is None:
-            self._result = run_ipa(self._spec, **self._kwargs)
-        return self._result
-
-    @property
-    def modified_spec(self) -> ApplicationSpec:
-        return self.result.modified
-
-    def report(self) -> str:
-        from repro.analysis.report import render_result
-
-        return render_result(self.result)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,11 +33,3 @@ class AppHarness:
     @property
     def sim(self):
         return self.cluster.sim
-
-    def rng(self, seed: int) -> random.Random:
-        return random.Random(seed)
-
-
-def spread_initial(regions: tuple[str, ...], index: int) -> str:
-    """Deterministically spread initial data across regions."""
-    return regions[index % len(regions)]

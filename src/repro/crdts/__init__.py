@@ -12,13 +12,20 @@ needs (§4.2.1-§4.2.2):
 
 - wildcard (predicate-scoped) adds/removes on both set flavours,
   implementing effects such as ``enrolled(*, t) = false``;
-- the *touch* operation: an add that preserves the payload associated
-  with the element (:class:`~repro.crdts.ormap.ORMap`);
+- the *touch* operation: a flag on set adds (``AWAdd.touch``,
+  ``RWAdd.touch``) with the visibility of a plain add; no app carries
+  per-element payloads, so nothing else reads it;
 - the *Compensation Set*: a bounded set that detects constraint
   violations on read and emits deterministic, idempotent compensating
   updates (:mod:`repro.crdts.compset`);
 - a compensated counter with replenish/cancel semantics for numeric
-  invariants, and an escrow-style bounded counter for comparison.
+  invariants.
+
+Indigo is modelled by :mod:`repro.store.reservations`, not by a CRDT:
+the escrow-style :class:`~repro.crdts.bcounter.BoundedCounter` is only
+the numeric-strategy ablation's comparison point.  Unique identifiers
+need no type either: the workloads mint them inline, prefixed with the
+issuing region.
 """
 
 from repro.crdts.base import CRDT, Dot, EventContext
@@ -27,9 +34,7 @@ from repro.crdts.bcounter import BoundedCounter
 from repro.crdts.clock import VersionVector
 from repro.crdts.compset import CompensationSet
 from repro.crdts.counter import CompensatedCounter, PNCounter
-from repro.crdts.idgen import UniqueIdGenerator
 from repro.crdts.lww import LWWRegister
-from repro.crdts.ormap import ORMap
 from repro.crdts.pattern import Pattern
 from repro.crdts.rwset import RWSet
 
@@ -42,10 +47,8 @@ __all__ = [
     "Dot",
     "EventContext",
     "LWWRegister",
-    "ORMap",
     "PNCounter",
     "Pattern",
     "RWSet",
-    "UniqueIdGenerator",
     "VersionVector",
 ]

@@ -15,8 +15,8 @@ Extensions for IPA (§4.2.1):
   compensations (deterministic trims must not cancel adds they did not
   observe).
 - ``prepare_touch(element)``: identical visibility effect to an add,
-  but flagged so payload-bearing containers (:class:`~repro.crdts.ormap.ORMap`)
-  preserve the element's associated state instead of resetting it.
+  flagged as a touch (the paper's add that keeps an entity's payload;
+  no app here attaches payloads to elements).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class AWSet(CRDT):
         return {e for e in self._dots if pattern.matches(e)}
 
     def dots_of(self, element: Hashable) -> frozenset[Dot]:
-        """The alive add-dots of an element (used by ORMap and tests)."""
+        """The alive add-dots of an element."""
         return frozenset(self._dots.get(element, ()))
 
     def clone(self) -> "AWSet":

@@ -42,14 +42,6 @@ class EventContext:
     dot: Dot
     vv: VersionVector
 
-    def happened_before(self, other: "EventContext") -> bool:
-        return other.vv.contains_dot(self.dot.replica, self.dot.counter)
-
-    def concurrent_with(self, other: "EventContext") -> bool:
-        return not self.happened_before(other) and not other.happened_before(
-            self
-        )
-
 
 class CRDT:
     """Base class of every replicated type.
@@ -118,10 +110,3 @@ class CRDT:
         copy only the mutable containers.
         """
         return copy.deepcopy(self)
-
-    # -- helpers -------------------------------------------------------------
-
-    @staticmethod
-    def _require(condition: bool, message: str) -> None:
-        if not condition:
-            raise CRDTError(message)

@@ -53,10 +53,14 @@ class HarnessError(ReproError):
 
 
 def free_ports(count: int, host: str = "127.0.0.1") -> list[int]:
-    """Ask the kernel for distinct free TCP ports.
+    """Ask the kernel for ``count`` distinct free TCP ports.
 
-    The listeners are opened shortly after, so the usual
-    close-then-rebind race is tolerable for a local harness.
+    All ``count`` sockets are bound at once, so the ports differ from
+    each other; they are closed before returning.  A listener that
+    binds port 0 afterwards may be handed one of the released ports,
+    so a run takes every port it listens on from one call.  The
+    listeners are opened shortly after, so the usual close-then-rebind
+    race with other processes is tolerable for a local harness.
     """
     sockets = []
     try:
@@ -77,21 +81,33 @@ def build_topology(
     host: str = "127.0.0.1",
     heartbeat_ms: float = 25.0,
     overload_limit: int = 0,
-    record_limit: int = 0,
     scrub_ms: float = 0.0,
     hint_limit: int = 512,
 ) -> dict:
-    ports = free_ports(2 * len(regions), host)
+    """The cluster-wide settings file every server and client reads.
+
+    Every port the run listens on is reserved here, in one
+    :func:`free_ports` call: each region's client and peer port, one
+    port per directed chaos link (``links``) and the proxy's admin
+    port (``proxy_admin``).
+    """
+    links = [
+        f"{source}->{target}"
+        for source in regions
+        for target in regions
+        if source != target
+    ]
+    ports = free_ports(2 * len(regions) + len(links) + 1, host)
     topology: dict = {
         "epoch_unix_ms": time.time() * 1000.0,
         "antientropy_ms": antientropy_ms,
         "heartbeat_ms": heartbeat_ms,
         "overload_limit": overload_limit,
-        "record_limit": record_limit,
         "scrub_ms": scrub_ms,
         "hint_limit": hint_limit,
         "regions": {},
         "links": {},
+        "proxy_admin": {"host": host, "port": ports[-1]},
     }
     for index, region in enumerate(regions):
         topology["regions"][region] = {
@@ -99,6 +115,8 @@ def build_topology(
             "client_port": ports[2 * index],
             "peer_port": ports[2 * index + 1],
         }
+    for index, name in enumerate(links, start=2 * len(regions)):
+        topology["links"][name] = {"host": host, "port": ports[index]}
     return topology
 
 
@@ -483,7 +501,6 @@ async def run_live(
     corrupt_regions: tuple[str, ...] = (),
     heartbeat_ms: float = 25.0,
     overload_limit: int = 0,
-    record_limit: int = 0,
     scrub_ms: float = 0.0,
     hint_limit: int = 512,
 ) -> LiveReport:
@@ -524,7 +541,6 @@ async def run_live(
         antientropy_ms=antientropy_ms,
         heartbeat_ms=heartbeat_ms,
         overload_limit=overload_limit,
-        record_limit=record_limit,
         scrub_ms=scrub_ms,
         hint_limit=hint_limit,
     )

@@ -38,15 +38,10 @@ import time
 import zlib
 from dataclasses import replace
 
-from repro.errors import ReproError
 from repro.net import wire
 from repro.net.retry import RetryPolicy
 from repro.obs import REGISTRY, TRACER
 from repro.sim.faults import FaultInjector, FaultPlan
-
-
-class ProxyError(ReproError):
-    """A chaos link that cannot be set up."""
 
 
 #: Trace time reported before the epoch is set: just under zero, so
@@ -269,24 +264,20 @@ class ChaosProxy:
                 )
 
     async def start(self) -> None:
-        """Open every listener and record the ports in the topology.
+        """Open every listener on the port the topology reserved for it.
 
-        Also opens the *admin* listener -- a metrics endpoint serving
-        per-link fault counters, so ``repro top`` can show chaos rates
-        alongside replica metrics.  Its port lands in the topology as
-        ``proxy_admin``.
+        Also opens the *admin* listener (``proxy_admin``) -- a metrics
+        endpoint serving per-link fault counters, so ``repro top`` can
+        show chaos rates alongside replica metrics.  No listener binds
+        port 0: the kernel could hand it a server port that
+        :func:`~repro.net.harness.build_topology` reserved and released.
         """
-        links = self._topology.setdefault("links", {})
         for name, link in self.links.items():
-            port = await link.start()
-            links[name] = {"host": "127.0.0.1", "port": port}
+            await link.start(self._topology["links"][name]["port"])
+        admin = self._topology["proxy_admin"]
         self._admin = await asyncio.start_server(
-            self._serve_admin, "127.0.0.1", 0
+            self._serve_admin, admin["host"], admin["port"]
         )
-        admin_port = self._admin.sockets[0].getsockname()[1]
-        self._topology["proxy_admin"] = {
-            "host": "127.0.0.1", "port": admin_port,
-        }
 
     async def _serve_admin(self, reader, writer) -> None:
         try:

@@ -69,7 +69,6 @@ _handoff_queued = REGISTRY.counter("net.handoff.queued")
 _handoff_replayed = REGISTRY.counter("net.handoff.replayed")
 _handoff_dropped = REGISTRY.counter("net.handoff.dropped")
 _overload_ops = REGISTRY.counter("net.overload.shed_ops")
-_overload_records = REGISTRY.counter("net.overload.shed_records")
 
 
 class Broadcast:
@@ -269,15 +268,6 @@ class ScheduleEngine:
         return None
 
     @property
-    def gating_record_key(self) -> tuple[str, int] | None:
-        """The (origin, counter) the gate is blocked on, if an apply."""
-        if self.position < len(self.schedule):
-            step = self.schedule[self.position]
-            if step["kind"] == "apply":
-                return (step["origin"], step["counter"])
-        return None
-
-    @property
     def parked_ops(self) -> int:
         return len(self._op_waiting)
 
@@ -296,17 +286,6 @@ class ScheduleEngine:
             self._server.stats["net.records.duplicates"] += 1
             return
         key = (record.origin, record.dot.counter)
-        limit = self._server.record_limit
-        if (
-            limit
-            and len(self._records) >= limit
-            and key != self.gating_record_key
-        ):
-            # Bounded buffer: shed everything but the record the gate
-            # is waiting for; anti-entropy redelivers what we shed.
-            self._server.stats["net.overload.shed_records"] += 1
-            _overload_records.inc()
-            return
         async with self._cond:
             if key in self._records:
                 self._server.stats["net.records.duplicates"] += 1
@@ -509,7 +488,6 @@ class ReplicaServer:
             "net.handoff.dropped": 0,
             "net.breaker.opened": 0,
             "net.overload.shed_ops": 0,
-            "net.overload.shed_records": 0,
             "store.scrub.corrupt": 0,
             "store.scrub.repaired": 0,
             "store.scrub.quarantined": 0,
@@ -518,12 +496,11 @@ class ReplicaServer:
 
         # Self-healing knobs, all cluster-wide via the topology file so
         # every process agrees: heartbeat cadence feeding the failure
-        # detector; op/record buffer bounds (0 = unbounded, the
+        # detector; the parked-op bound (0 = unbounded, the
         # historical behaviour); hint-queue bound per down peer; and
         # the periodic scrub interval (0 = startup-only).
         self.heartbeat_ms = float(topology.get("heartbeat_ms", 25.0))
         self.overload_limit = int(topology.get("overload_limit", 0))
-        self.record_limit = int(topology.get("record_limit", 0))
         self.hint_limit = int(topology.get("hint_limit", 512))
         self.scrub_ms = float(topology.get("scrub_ms", 0.0))
 
@@ -774,10 +751,6 @@ class ReplicaServer:
         self._servers.clear()
         self._tasks.clear()
         self.engine.drop_parked_ops()
-
-    async def wait_done(self) -> None:
-        while not self.engine.done:
-            await asyncio.sleep(0.005)
 
     # -- engine wrapper -------------------------------------------------------
 

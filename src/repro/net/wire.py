@@ -95,7 +95,6 @@ def _build_registry() -> dict[str, type]:
         clock,
         counter,
         lww,
-        ormap,
         pattern,
         rwset,
     )
@@ -109,7 +108,7 @@ def _build_registry() -> dict[str, type]:
             raise WireError(f"duplicate wire class name {name}")
         registry[name] = cls
 
-    for module in (awset, rwset, counter, bcounter, lww, ormap):
+    for module in (awset, rwset, counter, bcounter, lww):
         for obj in vars(module).values():
             if (
                 isinstance(obj, type)

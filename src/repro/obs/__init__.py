@@ -58,7 +58,6 @@ from repro.obs.tracer import (
     SpanRecord,
     Tracer,
     configure,
-    get_tracer,
     monotonic,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "chrome_trace",
     "configure",
     "dump_process",
-    "get_tracer",
     "monotonic",
     "quantile",
     "quantile_sorted",

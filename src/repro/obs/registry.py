@@ -59,9 +59,6 @@ class Counter:
     def inc(self, by: int = 1) -> None:
         self.value += by
 
-    def snapshot(self):
-        return self.value
-
 
 class Gauge:
     """A point-in-time value (buffer depth, backoff delay, ratio)."""
@@ -74,9 +71,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def snapshot(self):
-        return self.value
 
 
 #: Histograms keep every sample up to this many, then switch to

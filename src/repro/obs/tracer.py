@@ -358,6 +358,3 @@ def configure(
     )
     return TRACER
 
-
-def get_tracer() -> Tracer:
-    return TRACER

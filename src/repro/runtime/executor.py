@@ -96,9 +96,6 @@ class SpecExecutor:
     def cluster(self) -> Cluster:
         return self._cluster
 
-    def known_entities(self) -> dict[str, set[str]]:
-        return {name: set(values) for name, values in self._entities.items()}
-
     # -- execution -------------------------------------------------------------
 
     def execute(

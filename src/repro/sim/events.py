@@ -61,20 +61,6 @@ class Simulator:
     def cancel(self, event: Event) -> None:
         self._cancelled.add(event[1])
 
-    def step(self) -> bool:
-        """Process one event; False when the queue is empty."""
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            time_, seq, fn, args = heappop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._now = time_
-            fn(*args)
-            return True
-        return False
-
     def run(self, until: float | None = None) -> None:
         """Process events until the queue drains or ``until`` (ms)."""
         heap = self._heap

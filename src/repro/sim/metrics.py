@@ -54,18 +54,6 @@ class LatencyStats:
             maximum=ordered[-1],
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
 
 @dataclass
 class StaleWindow:
@@ -98,7 +86,6 @@ class MetricsCollector:
         self, warmup_ms: float = 0.0, window_ms: float | None = None
     ) -> None:
         self._warmup = warmup_ms
-        self._window = window_ms
         # Precomputed window end: the per-event check is two float
         # comparisons against constants -- one shared, branch-predictable
         # helper instead of hand-inlined None checks at every call site.
@@ -107,8 +94,6 @@ class MetricsCollector:
         )
         self._samples: dict[str, list[float]] = {}
         self._counters: dict[str, int] = {}
-        self._count_points: dict[str, list[float]] = {}
-        self._values: dict[str, list[float]] = {}
 
     def _in_window(self, now: float) -> bool:
         return self._warmup <= now <= self._window_end
@@ -126,16 +111,6 @@ class MetricsCollector:
         if not self._in_window(now):
             return
         self._counters[counter] = self._counters.get(counter, 0) + by
-        self._count_points.setdefault(counter, []).append(now)
-
-    def observe(self, now: float, gauge: str, value: float) -> None:
-        """Record one sample of a sampled quantity (e.g. buffer depth).
-
-        Unlike :meth:`increment`, observations ignore the measurement
-        window: chaos metrics (pending depth, convergence lag) are
-        meaningful during warm-up and drain too.
-        """
-        self._values.setdefault(gauge, []).append(value)
 
     # -- summaries --------------------------------------------------------------
 
@@ -154,16 +129,6 @@ class MetricsCollector:
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
-    def counters(self) -> dict[str, int]:
-        return dict(sorted(self._counters.items()))
-
-    def values(self, gauge: str) -> list[float]:
-        return list(self._values.get(gauge, ()))
-
-    def max_value(self, gauge: str) -> float:
-        samples = self._values.get(gauge)
-        return max(samples) if samples else 0.0
-
     def total_operations(self) -> int:
         return sum(len(samples) for samples in self._samples.values())
 
@@ -172,30 +137,3 @@ class MetricsCollector:
         if window_ms <= 0:
             return 0.0
         return self.total_operations() / (window_ms / 1000.0)
-
-    def snapshot(self) -> dict:
-        """One nested, JSON-safe view of everything collected.
-
-        Mirrors :meth:`repro.obs.MetricsRegistry.snapshot`: counters,
-        observed-value summaries, and per-operation latency statistics
-        (plus the cross-operation aggregate under ``"*"``).
-        """
-        latencies = {
-            op: self.stats(op).as_dict() for op in self.operations()
-        }
-        latencies["*"] = self.stats().as_dict()
-        return {
-            "window": {
-                "warmup_ms": self._warmup,
-                "window_ms": self._window,
-            },
-            "counters": self.counters(),
-            "observations": {
-                name: {
-                    "count": len(values),
-                    "max": max(values) if values else None,
-                }
-                for name, values in sorted(self._values.items())
-            },
-            "latency_ms": latencies,
-        }

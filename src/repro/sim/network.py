@@ -49,14 +49,6 @@ class Network:
         self.messages_duplicated = 0
         self.messages_reordered = 0
 
-    @property
-    def latency_model(self) -> GeoLatencyModel:
-        return self._latency
-
-    @property
-    def injector(self) -> FaultInjector | None:
-        return self._injector
-
     def send(
         self,
         source: str,

@@ -63,15 +63,6 @@ class SolverCounters:
         self.restarts += other.restarts
         self.learned_clauses += other.learned_clauses
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-            "restarts": self.restarts,
-            "learned_clauses": self.learned_clauses,
-        }
-
 
 class SatSolver:
     """Incremental CDCL SAT solver.

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from repro.errors import SpecError
 from repro.logic.ast import Const, Formula, Term, TrueF, Var
-from repro.spec.effects import BoolEffect, Effect, NumEffect
+from repro.spec.effects import Effect, NumEffect
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,12 @@ class Operation:
         """Name of the unmodified operation this one derives from."""
         return self.base or self.name
 
-    def bool_effects(self) -> tuple[BoolEffect, ...]:
-        return tuple(e for e in self.effects if isinstance(e, BoolEffect))
-
     def num_effects(self) -> tuple[NumEffect, ...]:
         return tuple(e for e in self.effects if isinstance(e, NumEffect))
 
     def touched_predicates(self) -> set[str]:
         """Names of predicates this operation assigns."""
         return {e.pred.name for e in self.effects}
-
-    def has_effect(self, effect: Effect) -> bool:
-        return effect in self.effects
 
     # -- construction ------------------------------------------------------
 

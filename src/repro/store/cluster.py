@@ -166,9 +166,6 @@ class Cluster:
     def receiver(self, region: str) -> CausalReceiver:
         return self._receivers[region]
 
-    def queue(self, region: str) -> ProcessingQueue:
-        return self._queues[region]
-
     def fail_region(self, region: str) -> None:
         """Partition a region away (fault-tolerance experiments)."""
         self._down.add(region)

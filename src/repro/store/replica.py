@@ -34,15 +34,6 @@ class ReplicaSnapshot:
     dirty: dict[str, int]
     commits_applied: int
 
-    @property
-    def objects(self) -> dict[str, CRDT]:
-        """The merged object map (shard layout flattened away)."""
-        merged: dict[str, CRDT] = {}
-        for shard_map in self.shards:
-            if shard_map:
-                merged.update(shard_map)
-        return merged
-
 
 class Replica:
     """Object store + causality bookkeeping for one region.

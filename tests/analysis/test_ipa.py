@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.conflicts import ConflictChecker
-from repro.analysis.ipa import IpaTool, run_ipa
+from repro.analysis.ipa import run_ipa
 from repro.errors import UnsolvableConflictError
 from repro.spec import SpecBuilder
 
@@ -142,17 +142,3 @@ class TestRuleChangesRepairMutex:
         assert result.is_invariant_preserving
         assert not result.flagged
         assert result.applied
-
-
-class TestIpaTool:
-    def test_tool_lazy_and_cached(self):
-        tool = IpaTool(make_mini_tournament_spec())
-        first = tool.result
-        assert tool.result is first
-        assert tool.modified_spec is first.modified
-
-    def test_tool_report_contains_patch(self):
-        tool = IpaTool(make_mini_tournament_spec())
-        report = tool.report()
-        assert "patch:" in report
-        assert "tournament(t) = true" in report

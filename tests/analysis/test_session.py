@@ -1,50 +1,57 @@
-"""Interactive session tests."""
+"""The programmer's choice, through ``run_ipa(pick=...)``.
 
-import pytest
+The paper's tool asks the programmer to choose the preferred semantics
+for each conflicting pair.  Here that choice is the ``pick(witness,
+solutions)`` callable: it returns one of the verified resolutions, or
+``None`` to flag the pair.
+"""
 
 from repro.analysis.conflicts import ConflictChecker
-from repro.analysis.session import IpaSession
-from repro.errors import AnalysisError
+from repro.analysis.ipa import run_ipa
 from repro.spec import SpecBuilder
+from repro.spec.effects import ConvergencePolicy
 
 from tests.conftest import make_mini_tournament_spec
 
 
+def pick_side(name, calls=None):
+    """A pick choosing the repair that modifies operation ``name``."""
+
+    def pick(witness, solutions):
+        if calls is not None:
+            calls.append((witness, list(solutions)))
+        return next(
+            r for r in solutions if r.modified_op.original_name == name
+        )
+
+    return pick
+
+
 class TestSessionFlow:
     def test_choose_figure2b(self):
-        session = IpaSession(make_mini_tournament_spec())
-        conflict = session.next_conflict()
-        assert conflict is not None
-        options = session.options()
-        assert len(options) == 2
-        # Pick the enroll-side repair explicitly (Figure 2b).
-        index = next(
-            i for i, r in enumerate(options)
-            if r.modified_op.original_name == "enroll"
+        calls = []
+        result = run_ipa(
+            make_mini_tournament_spec(), pick=pick_side("enroll", calls)
         )
-        chosen = session.choose(index)
-        assert chosen.modified_op.original_name == "enroll"
-        assert session.next_conflict() is None
-        patched = session.finish()
-        assert ConflictChecker(patched).find_conflicts() == []
+        assert len(calls) == 1
+        assert len(calls[0][1]) == 2
+        (applied,) = result.applied
+        assert applied.resolution.modified_op.original_name == "enroll"
+        assert not result.flagged
+        assert ConflictChecker(result.modified).find_conflicts() == []
 
     def test_choose_figure2c_instead(self):
         """The programmer may prefer the other semantics."""
-        session = IpaSession(make_mini_tournament_spec())
-        session.next_conflict()
-        options = session.options()
-        index = next(
-            i for i, r in enumerate(options)
-            if r.modified_op.original_name == "rem_tourn"
+        result = run_ipa(
+            make_mini_tournament_spec(), pick=pick_side("rem_tourn")
         )
-        session.choose(index)
-        assert session.next_conflict() is None
-        patched = session.finish()
-        from repro.spec.effects import ConvergencePolicy
-
-        assert patched.rules.policy("enrolled") is (
+        (applied,) = result.applied
+        assert applied.resolution.modified_op.original_name == "rem_tourn"
+        assert result.modified.rules.policy("enrolled") is (
             ConvergencePolicy.REM_WINS
         )
+        assert not result.flagged
+        assert ConflictChecker(result.modified).find_conflicts() == []
 
     def test_flag_generates_compensation(self):
         b = SpecBuilder("cap")
@@ -56,55 +63,37 @@ class TestSessionFlow:
         b.operation(
             "enroll", "Player: p, Tournament: t", true=["enrolled(p, t)"]
         )
-        session = IpaSession(b.build())
-        assert session.next_conflict() is not None
-        compensations = session.flag()
+        result = run_ipa(b.build(), pick=lambda witness, solutions: None)
+        assert not result.applied
+        (flagged,) = result.flagged
+        assert (flagged.witness.op1.name, flagged.witness.op2.name) == (
+            "enroll", "enroll",
+        )
+        compensations = flagged.compensations
         assert compensations and compensations[0].kind == "trim-collection"
-        assert session.done
-        session.finish()
-        assert session.compensations() == compensations
+        assert result.compensations == compensations
+        assert result.is_invariant_preserving
 
     def test_log_records_decisions(self):
-        session = IpaSession(make_mini_tournament_spec())
-        session.next_conflict()
-        session.choose(0)
-        assert len(session.log) == 1
-        assert session.log[0].resolution is not None
+        calls = []
 
+        def pick(witness, solutions):
+            calls.append((witness, solutions))
+            return solutions[0]
 
-class TestSessionErrors:
-    def test_options_before_next_conflict(self):
-        session = IpaSession(make_mini_tournament_spec())
-        with pytest.raises(AnalysisError):
-            session.options()
-
-    def test_choose_without_conflict(self):
-        session = IpaSession(make_mini_tournament_spec())
-        with pytest.raises(AnalysisError):
-            session.choose(0)
-
-    def test_double_next_conflict(self):
-        session = IpaSession(make_mini_tournament_spec())
-        session.next_conflict()
-        with pytest.raises(AnalysisError, match="resolve"):
-            session.next_conflict()
-
-    def test_choose_out_of_range(self):
-        session = IpaSession(make_mini_tournament_spec())
-        session.next_conflict()
-        with pytest.raises(AnalysisError, match="out of range"):
-            session.choose(99)
-
-    def test_finish_with_pending_conflict(self):
-        session = IpaSession(make_mini_tournament_spec())
-        session.next_conflict()
-        with pytest.raises(AnalysisError, match="unresolved"):
-            session.finish()
+        result = run_ipa(make_mini_tournament_spec(), pick=pick)
+        assert len(calls) == len(result.applied) == 1
+        witness, solutions = calls[0]
+        applied = result.applied[0]
+        assert applied.witness is witness
+        assert applied.resolution is solutions[0]
+        assert applied.alternatives == len(solutions)
 
     def test_original_spec_untouched(self):
         spec = make_mini_tournament_spec()
         before = dict(spec.operations)
-        session = IpaSession(spec)
-        session.next_conflict()
-        session.choose(0)
+        rules = dict(spec.rules.policies)
+        result = run_ipa(spec, pick=pick_side("rem_tourn"))
+        assert result.applied
         assert spec.operations == before
+        assert dict(spec.rules.policies) == rules

@@ -1,13 +1,6 @@
-"""LWW register, OR-map (touch/payload preservation) and id generation."""
+"""LWW register."""
 
-from repro.crdts import (
-    AWSet,
-    LWWRegister,
-    ORMap,
-    Pattern,
-    UniqueIdGenerator,
-    VersionVector,
-)
+from repro.crdts import LWWRegister
 from repro.crdts.lww import LWWWrite
 
 from tests.conftest import ctx
@@ -41,111 +34,3 @@ class TestLWWRegister:
         reg.effect(LWWWrite("new", 2), ctx("A", 1))
         assert reg.value() == "new"
 
-
-class TestORMap:
-    def make(self, semantics="add-wins"):
-        return ORMap(lambda: LWWRegister(), key_semantics=semantics)
-
-    def test_put_and_update(self):
-        m = self.make()
-        m.effect(m.prepare_put("alice"), ctx("A", 1))
-        payload = m.prepare_update(
-            "alice", lambda reg: reg.prepare_write("Alice Smith")
-        )
-        m.effect(payload, ctx("A", 2, {"A": 1}))
-        assert m.get("alice").value() == "Alice Smith"
-        assert m.value() == {"alice": "Alice Smith"}
-
-    def test_update_implies_visibility(self):
-        m = self.make()
-        payload = m.prepare_update(
-            "bob", lambda reg: reg.prepare_write("Bob")
-        )
-        m.effect(payload, ctx("A", 1))
-        assert "bob" in m
-
-    def test_remove_hides_but_preserves_payload(self):
-        m = self.make()
-        m.effect(
-            m.prepare_update("alice", lambda r: r.prepare_write("Alice")),
-            ctx("A", 1),
-        )
-        m.effect(m.prepare_remove("alice"), ctx("A", 2, {"A": 1}))
-        assert m.get("alice") is None
-        assert m.peek("alice").value() == "Alice"
-
-    def test_touch_restores_payload(self):
-        """The §4.2.1 touch: re-appearing entities keep their data."""
-        m = self.make()
-        m.effect(
-            m.prepare_update("alice", lambda r: r.prepare_write("Alice")),
-            ctx("A", 1),
-        )
-        m.effect(m.prepare_remove("alice"), ctx("A", 2, {"A": 1}))
-        m.effect(m.prepare_touch("alice"), ctx("B", 1, {"A": 1}))
-        assert "alice" in m
-        assert m.get("alice").value() == "Alice"
-
-    def test_concurrent_remove_and_touch_add_wins(self):
-        a, b = self.make(), self.make()
-        seed = a.prepare_update("u", lambda r: r.prepare_write("payload"))
-        c_seed = ctx("A", 1)
-        a.effect(seed, c_seed)
-        b.effect(seed, c_seed)
-        p_rem = a.prepare_remove("u")
-        p_touch = b.prepare_touch("u")
-        c_rem, c_touch = ctx("A", 2, {"A": 1}), ctx("B", 1, {"A": 1})
-        a.effect(p_rem, c_rem)
-        a.effect(p_touch, c_touch)
-        b.effect(p_touch, c_touch)
-        b.effect(p_rem, c_rem)
-        assert "u" in a and "u" in b
-        assert a.get("u").value() == b.get("u").value() == "payload"
-
-    def test_rem_wins_key_semantics(self):
-        a, b = self.make("rem-wins"), self.make("rem-wins")
-        seed = a.prepare_put("u")
-        c_seed = ctx("A", 1)
-        a.effect(seed, c_seed)
-        b.effect(seed, c_seed)
-        p_rem = a.prepare_remove("u")
-        p_touch = b.prepare_touch("u")
-        c_rem, c_touch = ctx("A", 2, {"A": 1}), ctx("B", 1, {"A": 1})
-        a.effect(p_rem, c_rem)
-        a.effect(p_touch, c_touch)
-        b.effect(p_touch, c_touch)
-        b.effect(p_rem, c_rem)
-        assert "u" not in a and "u" not in b
-
-    def test_compact_drops_tombstoned_values(self):
-        m = self.make()
-        m.effect(
-            m.prepare_update("alice", lambda r: r.prepare_write("Alice")),
-            ctx("A", 1),
-        )
-        m.effect(m.prepare_remove("alice"), ctx("A", 2, {"A": 1}))
-        m.compact(VersionVector.of({"A": 2}))
-        assert m.peek("alice") is None
-
-    def test_remove_where_on_keys(self):
-        m = ORMap(AWSet, key_semantics="add-wins")
-        m.effect(m.prepare_put(("p1", "t1")), ctx("A", 1))
-        m.effect(m.prepare_put(("p2", "t1")), ctx("A", 2, {"A": 1}))
-        payload = m.prepare_remove_where(Pattern.of("*", "t1"))
-        m.effect(payload, ctx("A", 3, {"A": 2}))
-        assert m.keys() == set()
-
-
-class TestUniqueIdGenerator:
-    def test_ids_unique_within_replica(self):
-        gen = UniqueIdGenerator("us-east")
-        ids = [gen.next_id() for _ in range(100)]
-        assert len(set(ids)) == 100
-        assert gen.issued == 100
-
-    def test_ids_disjoint_across_replicas(self):
-        east = UniqueIdGenerator("us-east")
-        west = UniqueIdGenerator("us-west")
-        east_ids = {east.next_id() for _ in range(50)}
-        west_ids = {west.next_id() for _ in range(50)}
-        assert not east_ids & west_ids

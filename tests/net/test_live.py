@@ -274,6 +274,38 @@ def test_a_finished_fleet_is_freed_without_the_cycle_collector(tmp_path):
     assert left == []
 
 
+@pytest.mark.timeout(90)
+def test_no_listener_binds_a_port_the_topology_released(
+    tmp_path, monkeypatch
+):
+    """``free_ports`` releases the ports it reserves, and the kernel may
+    hand a later port-0 listener one of them -- a server then fails to
+    bind with EADDRINUSE.  The stub allocator here does that every
+    time: each port-0 listener gets the next released port.  The run
+    survives only if no listener binds port 0."""
+    from repro.net import harness
+
+    released: list[int] = []
+    reserve = harness.free_ports
+    start_server = asyncio.start_server
+
+    def recording_free_ports(count, host="127.0.0.1"):
+        ports = reserve(count, host)
+        released.extend(ports)
+        return ports
+
+    async def recycling_start_server(callback, host=None, port=None, **kw):
+        if not port and released:
+            port = released.pop(0)
+        return await start_server(callback, host, port, **kw)
+
+    monkeypatch.setattr(harness, "free_ports", recording_free_ports)
+    monkeypatch.setattr(asyncio, "start_server", recycling_start_server)
+    _, report = run(tmp_path, index=0)
+    assert report.ok, report.reason
+    assert report.digest_match
+
+
 class TestResumePosition:
     def test_resume_scans_to_last_provable_step(self):
         from repro.crdts import AWSet

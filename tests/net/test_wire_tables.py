@@ -50,7 +50,6 @@ from repro.crdts.bcounter import BCDecrement, BCIncrement, BCTransfer
 from repro.crdts.clock import VersionVector
 from repro.crdts.counter import Correction, CounterDelta
 from repro.crdts.lww import LWWWrite
-from repro.crdts.ormap import MapKeyOp, MapValueOp
 from repro.crdts.pattern import WILDCARD, Pattern
 from repro.crdts.rwset import RWAdd, RWRemove, RWRemoveWhere
 from repro.net import commitlog, wire
@@ -186,10 +185,10 @@ def catalogue():
     return [
         LWWWrite(value=("x", 1), stamp=4),
         LWWWrite(value=None, stamp=1),
-        MapKeyOp(inner=AWAdd(("k", 1), touch=True)),
-        MapKeyOp(inner=RWRemoveWhere(Pattern.of("*", "t1"))),
-        MapValueOp(key=("k", 2), inner=CounterDelta(-2), key_add=AWAdd(("k", 2))),
-        MapValueOp(key="plain", inner=LWWWrite(frozenset({1, 2}), 7)),
+        LWWWrite(frozenset({1, 2}), 7),
+        AWAdd(("k", 1), touch=True),
+        RWRemoveWhere(Pattern.of("*", "t1")),
+        CounterDelta(-2),
         BCIncrement("us-east", 5),
         BCDecrement("eu-west", 2),
         BCTransfer("us-east", "eu-west", 1),

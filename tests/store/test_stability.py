@@ -1,7 +1,6 @@
 """Causal-stability GC integration tests (§4.2.1)."""
 
-from repro.crdts import ORMap, Pattern, RWSet
-from repro.crdts.lww import LWWRegister
+from repro.crdts import Pattern, RWSet
 from repro.sim.events import Simulator
 from repro.sim.latency import EU_WEST, REGIONS, US_EAST, US_WEST
 from repro.store.cluster import Cluster
@@ -11,9 +10,6 @@ from repro.store.registry import TypeRegistry
 def make_cluster():
     registry = TypeRegistry()
     registry.register("rwset", RWSet)
-    registry.register(
-        "entities", lambda: ORMap(lambda: LWWRegister())
-    )
     sim = Simulator()
     return sim, Cluster(sim, registry)
 
@@ -76,31 +72,6 @@ class TestStabilityService:
         sim.run(until=sim.now + 5_000.0)
         east = cluster.replica(US_EAST).get_object("rwset")
         assert east._pattern_tombstones  # eu-west never confirmed
-
-    def test_ormap_tombstoned_payloads_collected(self):
-        sim, cluster = make_cluster()
-        cluster.start_stability_service(interval_ms=500.0)
-
-        def put(txn):
-            txn.update(
-                "entities",
-                lambda m: m.prepare_update(
-                    "alice", lambda r: r.prepare_write("Alice"),
-                ),
-            )
-            return "put"
-
-        def remove(txn):
-            txn.update("entities", lambda m: m.prepare_remove("alice"))
-            return "remove"
-
-        cluster.submit(US_EAST, put, lambda _op: None)
-        sim.run(until=sim.now + 1_500.0)
-        cluster.submit(US_EAST, remove, lambda _op: None)
-        sim.run(until=sim.now + 3_000.0)
-        for region in REGIONS:
-            entities = cluster.replica(region).get_object("entities")
-            assert entities.peek("alice") is None
 
     def test_service_idempotent_start(self):
         sim, cluster = make_cluster()
