@@ -186,26 +186,3 @@ def default_policy(
         key=lambda r: (r.clears_with_wildcard, r.candidate.size),
     )
     return ranked[0] if ranked else None
-
-
-def prefer_operation(name: str, fallback: PickPolicy = default_policy) -> PickPolicy:
-    """A policy that prefers repairs keeping operation ``name`` intact.
-
-    "Giving preference to an operation" in the paper means *its* effects
-    prevail, i.e. the *other* operation is the one augmented -- e.g.
-    preferring ``enroll`` over ``rem_tourn`` modifies ``enroll`` to
-    restore the tournament.  Here the selection is by modified-operation
-    name, which callers choose per conflict.
-    """
-
-    def pick(
-        witness: ConflictWitness, solutions: list[Resolution]
-    ) -> Resolution | None:
-        preferred = [
-            r for r in solutions if r.modified_op.original_name == name
-        ]
-        if preferred:
-            return default_policy(witness, preferred) or preferred[0]
-        return fallback(witness, solutions)
-
-    return pick

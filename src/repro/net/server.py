@@ -65,6 +65,12 @@ class ServeError(ReproError):
 #: the requester's next round fetches the rest).
 SYNC_BATCH_LIMIT = 512
 
+#: Hinted-handoff records kept per down peer.
+HINT_LIMIT = 512
+
+#: Base interval of each peer's anti-entropy pull, before back-off.
+ANTIENTROPY_MS = 50.0
+
 _handoff_queued = REGISTRY.counter("net.handoff.queued")
 _handoff_replayed = REGISTRY.counter("net.handoff.replayed")
 _handoff_dropped = REGISTRY.counter("net.handoff.dropped")
@@ -497,11 +503,10 @@ class ReplicaServer:
         # Self-healing knobs, all cluster-wide via the topology file so
         # every process agrees: heartbeat cadence feeding the failure
         # detector; the parked-op bound (0 = unbounded, the
-        # historical behaviour); hint-queue bound per down peer; and
-        # the periodic scrub interval (0 = startup-only).
+        # historical behaviour); and the periodic scrub interval
+        # (0 = startup-only).
         self.heartbeat_ms = float(topology.get("heartbeat_ms", 25.0))
         self.overload_limit = int(topology.get("overload_limit", 0))
-        self.hint_limit = int(topology.get("hint_limit", 512))
         self.scrub_ms = float(topology.get("scrub_ms", 0.0))
 
         # Engine/shard resolution: explicit argument (the serve CLI's
@@ -601,7 +606,7 @@ class ReplicaServer:
             )
             self._hints[peer] = HintQueue(
                 os.path.join(data_dir, f"{region}-hints-{peer}.log"),
-                limit=self.hint_limit,
+                limit=HINT_LIMIT,
             )
             self._count_dropped_hints(self._hints[peer].dropped)
 
@@ -1006,7 +1011,7 @@ class ReplicaServer:
         Unanswered rounds back off with the shared
         :class:`~repro.net.retry.RetryPolicy`.
         """
-        interval_ms = float(self.topology.get("antientropy_ms", 50.0))
+        interval_ms = ANTIENTROPY_MS
         policy = RetryPolicy(
             base_ms=interval_ms,
             cap_ms=max(interval_ms * 20.0, 1_000.0),

@@ -70,10 +70,11 @@ class SyncRequest:
 
     ``shard_digests`` carries the requester's per-shard canonical state
     digests when it runs a sharded store (empty for the single-shard
-    default, which keeps the common round free of state hashing).  A
-    responder forced onto the snapshot fallback uses them to prune
-    shards the requester already agrees on -- see
-    :meth:`~repro.store.replica.Replica.sync_answer`.
+    default, which keeps the common round free of state hashing).  The
+    store keeps them up to date key by key, so attaching them costs the
+    keys written since the previous round.  A responder forced onto the
+    snapshot fallback uses them to prune shards the requester already
+    agrees on -- see :meth:`~repro.store.replica.Replica.sync_answer`.
     """
 
     requester: str

@@ -53,6 +53,10 @@ ENGINE_NAMES = ("memory", "file", "sqlite")
 _checkpoints = REGISTRY.counter("store.shard.checkpoints")
 _syncs = REGISTRY.counter("store.engine.syncs")
 _keys_synced = REGISTRY.counter("store.engine.keys_synced")
+_digest_keys = REGISTRY.counter("store.shard.digest_keys")
+
+#: Shard digests are sums modulo this (256-bit SHA-256 terms).
+_DIGEST_MOD = 1 << 256
 
 
 def default_engine() -> str:
@@ -110,25 +114,34 @@ def shard_map_digest(
     registry: "TypeRegistry",
     default_cache: dict[str, str],
 ) -> str:
-    """Canonical fingerprint of one shard's live object map.
+    """Canonical fingerprint of one shard's live object map, from scratch.
 
-    Mirrors :func:`repro.store.cluster.replica_state_digest` exactly
-    (default-valued and empty objects skipped), restricted to one
-    shard: two replicas agree on a shard digest iff every read of a
-    key owned by that shard would agree.
+    A multiset hash (AdHash): the sum, mod 2**256, of one SHA-256 term
+    per key, so :class:`ShardedStore` can keep it up to date key by key.
+    It shares :func:`repro.store.cluster.replica_state_digest`'s
+    canonicalisation and skip rule (default-valued and empty objects
+    add nothing): two replicas agree on a shard digest iff every read
+    of a key owned by that shard would agree, up to a hash collision.
     """
-    parts = []
-    for key in sorted(objects):
-        value = canonical_value(objects[key].value())
-        if value == "":
-            continue
-        default = default_cache.get(key)
-        if default is None:
-            default = default_cache[key] = canonical_value(registry.create(key).value())
-        if value == default:
-            continue
-        parts.append((key, value))
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
+    total = 0
+    for key, obj in objects.items():
+        total += _key_term(key, obj, registry, default_cache)
+    return f"{total % _DIGEST_MOD:064x}"
+
+
+def _key_term(
+    key: str, obj: "CRDT", registry: "TypeRegistry", default_cache: dict[str, str]
+) -> int:
+    """One key's addend in its shard's digest; 0 for a skipped key."""
+    value = canonical_value(obj.value())
+    if value == "":
+        return 0
+    default = default_cache.get(key)
+    if default is None:
+        default = default_cache[key] = canonical_value(registry.create(key).value())
+    if value == default:
+        return 0
+    return int.from_bytes(hashlib.sha256(repr((key, value)).encode()).digest(), "big")
 
 
 class HashRing:
@@ -697,12 +710,16 @@ class ShardedStore:
             )
             for index in range(self.n_shards)
         ]
-        # Dirty keys per shard (durability) and a per-shard digest
-        # cache (anti-entropy): both tracked only when something can
+        # Dirty keys per shard (durability) and stale digest keys per
+        # shard (anti-entropy): both tracked only when something can
         # consume them, so the default configuration pays nothing.
+        # Each shard's digest is kept as one term per key plus their
+        # running sum; a digest re-hashes only the stale keys.
         self.tracking = self.durable or self.n_shards > 1
         self._dirty: list[set[str]] = [set() for _ in range(self.n_shards)]
-        self._digest_cache: list[str | None] = [None] * self.n_shards
+        self._stale: list[set[str]] = [set() for _ in range(self.n_shards)]
+        self._terms: list[dict[str, int]] = [{} for _ in range(self.n_shards)]
+        self._sums = [0] * self.n_shards
         self._default_cache: dict[str, str] = {}
         self._sorted_keys: list[str] | None = None
         self.syncs = 0
@@ -729,13 +746,13 @@ class ShardedStore:
         self._sorted_keys = None
         if self.tracking:
             self._dirty[shard].add(key)
-            self._digest_cache[shard] = None
+            self._stale[shard].add(key)
 
     def note_write(self, key: str) -> None:
         """An existing object mutated in place (effect application)."""
         shard = self.ring.shard_of(key)
         self._dirty[shard].add(key)
-        self._digest_cache[shard] = None
+        self._stale[shard].add(key)
 
     def keys(self) -> list[str]:
         """Sorted union of every shard's keys; cached until a write."""
@@ -775,25 +792,25 @@ class ShardedStore:
         store's ring -- behavioural identity across shard counts is
         the contract, placement is not.
         """
-        if len(shards) == self.n_shards:
-            self.maps = [
-                (
-                    self.maps[index]
-                    if shard_map is None
-                    else {k: o.clone() for k, o in shard_map.items()}
-                )
-                for index, shard_map in enumerate(shards)
-            ]
-        else:
+        if len(shards) != self.n_shards:
             merged: dict[str, "CRDT"] = {}
             for shard_map in shards:
                 if shard_map:
                     merged.update(shard_map)
-            self.maps = [{} for _ in range(self.n_shards)]
+            rerouted: list[dict[str, "CRDT"]] = [{} for _ in range(self.n_shards)]
             for key, obj in merged.items():
-                self.maps[self.ring.shard_of(key)][key] = obj.clone()
+                rerouted[self.ring.shard_of(key)][key] = obj
+            shards = tuple(rerouted)
+        for index, shard_map in enumerate(shards):
+            if shard_map is None:
+                continue
+            self.maps[index] = {k: o.clone() for k, o in shard_map.items()}
+            if self.tracking:
+                # The adopted shard's digest starts over: every key stale.
+                self._stale[index] = set(shard_map)
+                self._terms[index] = {}
+                self._sums[index] = 0
         self._sorted_keys = None
-        self._digest_cache = [None] * self.n_shards
         if self.n_shards == 1:
             self.get = self.maps[0].get  # type: ignore[method-assign]
             self.contains = self.maps[0].__contains__  # type: ignore[method-assign]
@@ -853,15 +870,33 @@ class ShardedStore:
     # -- digests and stats ---------------------------------------------------
 
     def shard_digests(self) -> tuple[str, ...]:
-        """Per-shard canonical digests (anti-entropy pruning), cached."""
-        digests = []
-        for shard, cached in enumerate(self._digest_cache):
-            if cached is None:
-                cached = self._digest_cache[shard] = shard_map_digest(
-                    self.maps[shard], self._registry, self._default_cache
-                )
-            digests.append(cached)
-        return tuple(digests)
+        """Per-shard canonical digests (anti-entropy pruning).
+
+        Equal to :func:`shard_map_digest` of each live shard map, but
+        only the keys written since the last call are re-hashed: each
+        one's old term leaves its shard's sum and its new term enters.
+        """
+        if not self.tracking:
+            # Nothing reports writes to an untracked store.
+            return (shard_map_digest(self.maps[0], self._registry, self._default_cache),)
+        for shard, stale in enumerate(self._stale):
+            if not stale:
+                continue
+            terms = self._terms[shard]
+            shard_map = self.maps[shard]
+            total = self._sums[shard]
+            for key in stale:
+                total -= terms.pop(key, 0)
+                obj = shard_map.get(key)
+                if obj is not None:
+                    term = _key_term(key, obj, self._registry, self._default_cache)
+                    if term:
+                        terms[key] = term
+                        total += term
+            self._sums[shard] = total % _DIGEST_MOD
+            _digest_keys.inc(len(stale))
+            stale.clear()
+        return tuple(f"{total:064x}" for total in self._sums)
 
     def stats(self) -> dict[str, int | float]:
         counts = [len(shard_map) for shard_map in self.maps]

@@ -6,7 +6,6 @@ from repro.analysis.conflicts import ConflictChecker
 from repro.analysis.repair import (
     default_policy,
     first_resolution,
-    prefer_operation,
     repair_conflict,
 )
 from repro.logic.ast import Wildcard
@@ -114,15 +113,3 @@ class TestPolicies:
         solutions = repair_conflict(spec, checker, witness)
         chosen = default_policy(witness, solutions)
         assert not chosen.clears_with_wildcard
-
-    def test_prefer_operation(self, setup):
-        spec, checker, witness = setup
-        solutions = repair_conflict(spec, checker, witness)
-        chosen = prefer_operation("rem_tourn")(witness, solutions)
-        assert chosen.modified_op.original_name == "rem_tourn"
-
-    def test_prefer_operation_fallback(self, setup):
-        spec, checker, witness = setup
-        solutions = repair_conflict(spec, checker, witness)
-        chosen = prefer_operation("ghost")(witness, solutions)
-        assert chosen is not None  # falls back to the default policy
