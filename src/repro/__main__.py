@@ -647,9 +647,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             subprocess_servers=args.subprocess,
             fsync=args.fsync,
             trace_dir=args.trace_dir,
-            max_restart_attempts=args.max_restart_attempts,
             corrupt_regions=tuple(args.corrupt or ()),
-            heartbeat_ms=args.heartbeat_ms,
             overload_limit=args.overload_limit,
             scrub_ms=args.scrub_ms,
         )
@@ -1183,16 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed mid-file bit rot into REGION's commit log and "
         "object log while it is down in a crash window; the salvage "
         "path and scrubber must heal it (repeatable)",
-    )
-    load.add_argument(
-        "--max-restart-attempts", type=int, default=5, metavar="N",
-        help="supervised restart attempts per incident before "
-        "declaring the replica permanently dead (default 5)",
-    )
-    load.add_argument(
-        "--heartbeat-ms", type=float, default=25.0, metavar="MS",
-        help="inter-replica heartbeat interval feeding the phi "
-        "failure detector (default 25)",
     )
     load.add_argument(
         "--overload-limit", type=int, default=0, metavar="N",

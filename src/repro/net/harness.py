@@ -48,6 +48,11 @@ from repro.sim.faults import FaultPlan
 from repro.store import framedlog
 
 
+#: Supervised restart attempts per incident before a replica is
+#: declared permanently dead.
+MAX_RESTART_ATTEMPTS = 5
+
+
 class HarnessError(ReproError):
     """A live run that could not be orchestrated to a verdict."""
 
@@ -78,7 +83,6 @@ def free_ports(count: int, host: str = "127.0.0.1") -> list[int]:
 def build_topology(
     regions: tuple[str, ...],
     host: str = "127.0.0.1",
-    heartbeat_ms: float = 25.0,
     overload_limit: int = 0,
     scrub_ms: float = 0.0,
 ) -> dict:
@@ -98,7 +102,6 @@ def build_topology(
     ports = free_ports(2 * len(regions) + len(links) + 1, host)
     topology: dict = {
         "epoch_unix_ms": time.time() * 1000.0,
-        "heartbeat_ms": heartbeat_ms,
         "overload_limit": overload_limit,
         "scrub_ms": scrub_ms,
         "regions": {},
@@ -276,23 +279,16 @@ def corrupt_region_files(
 ) -> list[str]:
     """Seed mid-file bit rot into a (dead) region's durable state.
 
-    Flips one bit in a *non-final* record of the first commit-log
-    shard and of the first engine object log found -- damage past the
+    Flips one bit in a *non-final* record of the region's commit log
+    and of the first engine object log found -- damage past the
     torn-tail repair, exercising salvage (commit log) and the startup
     scrub (object log) on the next boot.  Only meaningful while the
     region's process is down; returns the files touched.
     """
     corrupted: list[str] = []
-    try:
-        names = sorted(os.listdir(data_dir))
-    except OSError:
-        return corrupted
-    for name in names:
-        if name.startswith(region) and name.endswith(".commitlog"):
-            path = os.path.join(data_dir, name)
-            if framedlog.flip_bit(path, seed=seed) is not None:
-                corrupted.append(path)
-                break
+    log_path = os.path.join(data_dir, f"{region}.commitlog")
+    if framedlog.flip_bit(log_path, seed=seed) is not None:
+        corrupted.append(log_path)
     store_dir = os.path.join(data_dir, f"{region}-store")
     if os.path.isdir(store_dir):
         for name in sorted(os.listdir(store_dir)):
@@ -351,14 +347,12 @@ class Supervisor:
         topology: dict,
         data_dir: str,
         poll_ms: float = 40.0,
-        max_attempts: int = 5,
         corrupt_regions: tuple[str, ...] = (),
     ) -> None:
         self._nodes = nodes
         self._topology = topology
         self._data_dir = data_dir
         self._poll_ms = poll_ms
-        self._max_attempts = max_attempts
         self._corrupt_pending = set(corrupt_regions)
         self._kill_times: dict[str, float] = {}
         self.incidents: list[dict] = []
@@ -404,7 +398,7 @@ class Supervisor:
         policy = RetryPolicy(
             base_ms=50.0,
             cap_ms=2_000.0,
-            max_attempts=self._max_attempts,
+            max_attempts=MAX_RESTART_ATTEMPTS,
             seed=zlib.crc32(f"supervisor:{region}".encode()),
         )
         attempts = 0
@@ -492,9 +486,7 @@ async def run_live(
     subprocess_servers: bool = False,
     fsync: bool = False,
     trace_dir: str | None = None,
-    max_restart_attempts: int = 5,
     corrupt_regions: tuple[str, ...] = (),
-    heartbeat_ms: float = 25.0,
     overload_limit: int = 0,
     scrub_ms: float = 0.0,
 ) -> LiveReport:
@@ -532,7 +524,6 @@ async def run_live(
         obs.TRACER.process_name = "harness"
     topology = build_topology(
         regions,
-        heartbeat_ms=heartbeat_ms,
         overload_limit=overload_limit,
         scrub_ms=scrub_ms,
     )
@@ -576,7 +567,6 @@ async def run_live(
             nodes,
             topology,
             data_dir,
-            max_attempts=max_restart_attempts,
             corrupt_regions=corrupt_regions,
         )
         supervisor_task = asyncio.ensure_future(supervisor.run())

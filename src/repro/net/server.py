@@ -71,6 +71,9 @@ HINT_LIMIT = 512
 #: Base interval of each peer's anti-entropy pull, before back-off.
 ANTIENTROPY_MS = 50.0
 
+#: Heartbeat cadence feeding each server's failure detector.
+HEARTBEAT_MS = 25.0
+
 _handoff_queued = REGISTRY.counter("net.handoff.queued")
 _handoff_replayed = REGISTRY.counter("net.handoff.replayed")
 _handoff_dropped = REGISTRY.counter("net.handoff.dropped")
@@ -501,18 +504,15 @@ class ReplicaServer:
         self.lag_gauge = REGISTRY.gauge("store.convergence.lag_ms")
 
         # Self-healing knobs, all cluster-wide via the topology file so
-        # every process agrees: heartbeat cadence feeding the failure
-        # detector; the parked-op bound (0 = unbounded, the
-        # historical behaviour); and the periodic scrub interval
+        # every process agrees: the parked-op bound (0 = unbounded, the
+        # historical behaviour) and the periodic scrub interval
         # (0 = startup-only).
-        self.heartbeat_ms = float(topology.get("heartbeat_ms", 25.0))
         self.overload_limit = int(topology.get("overload_limit", 0))
         self.scrub_ms = float(topology.get("scrub_ms", 0.0))
 
-        # Engine/shard resolution: explicit argument (the serve CLI's
-        # --engine/--shards overrides) > the recorded trial spec > the
-        # REPRO_ENGINE/REPRO_SHARDS environment defaults.  The commit
-        # log must shard exactly like the store, so both resolve here.
+        # Engine/shard resolution for the store: explicit argument (the
+        # serve CLI's --engine/--shards overrides) > the recorded trial
+        # spec > the REPRO_ENGINE/REPRO_SHARDS environment defaults.
         self.engine_name = (
             engine if engine is not None else self.spec.engine
         ) or default_engine()
@@ -525,8 +525,8 @@ class ReplicaServer:
 
         os.makedirs(data_dir, exist_ok=True)
         self.data_dir = data_dir
-        self.log = commitlog.ShardedCommitLog(
-            data_dir, region, shards=self.shards, fsync=fsync
+        self.log = commitlog.CommitLog(
+            os.path.join(data_dir, f"{region}.commitlog"), fsync=fsync
         )
         # Salvage mode: mid-log damage (bit rot while the process was
         # dead) truncates to the intact prefix instead of refusing to
@@ -591,7 +591,7 @@ class ReplicaServer:
         self._running = False
         self.engine_error: str | None = None
         self.health = FailureDetector(
-            self.peers, interval_ms=self.heartbeat_ms,
+            self.peers, interval_ms=HEARTBEAT_MS,
             start_ms=self.now_ms(),
         )
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -804,7 +804,7 @@ class ReplicaServer:
             self.stats["net.health.heartbeats"] = self.health.heartbeats
             self.stats["net.health.suspects"] = self.health.suspects
             self.stats["net.health.recoveries"] = self.health.recoveries
-            await asyncio.sleep(self.heartbeat_ms / 1000.0)
+            await asyncio.sleep(HEARTBEAT_MS / 1000.0)
 
     async def _scrub_main(self) -> None:
         """Periodic engine scrub: catch bit rot while still running.
@@ -929,7 +929,7 @@ class ReplicaServer:
                 return
             wait_ms = min(
                 max(breaker.cooldown_remaining_ms(now), 5.0),
-                self.heartbeat_ms if self.heartbeat_ms > 0 else 25.0,
+                HEARTBEAT_MS,
             )
             try:
                 message = await asyncio.wait_for(

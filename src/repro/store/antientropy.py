@@ -68,20 +68,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SyncRequest:
     """Digest ``requester`` sends to ``responder``: "what am I missing?".
 
-    ``shard_digests`` carries the requester's per-shard canonical state
-    digests when it runs a sharded store (empty for the single-shard
-    default, which keeps the common round free of state hashing).  The
-    store keeps them up to date key by key, so attaching them costs the
-    keys written since the previous round.  A responder forced onto the
-    snapshot fallback uses them to prune shards the requester already
-    agrees on -- see :meth:`~repro.store.replica.Replica.sync_answer`.
+    The digest is the requester's version vector and nothing else: the
+    responder answers with every record the vector lacks, or with its
+    whole snapshot when the vector predates its log truncation (see
+    :meth:`~repro.store.replica.Replica.sync_answer`).
     """
 
     requester: str
     responder: str
     request_id: int
     vv: VersionVector
-    shard_digests: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
@@ -234,16 +230,11 @@ class AntiEntropyEngine:
         self, requester: str, responder: str, state: _PairState
     ) -> None:
         self._next_request_id = request_id = self._next_request_id + 1
-        replica = self._cluster.replica(requester)
-        # Per-shard digests ride along only for sharded stores: the
-        # single-shard default keeps rounds free of state hashing, and
-        # one shard's digest could prune nothing anyway.
         request = SyncRequest(
             requester,
             responder,
             request_id,
-            replica.vv_digest(),
-            replica.shard_digests() if replica.n_shards > 1 else (),
+            self._cluster.replica(requester).vv_digest(),
         )
         state.outstanding = request_id
         self.digests_sent += 1
@@ -265,9 +256,7 @@ class AntiEntropyEngine:
             else None
         )
         replica = self._cluster.replica(responder)
-        missing, snapshot = replica.sync_answer(
-            request.vv, request.shard_digests
-        )
+        missing, snapshot = replica.sync_answer(request.vv)
         response = SyncResponse(
             responder,
             request.requester,

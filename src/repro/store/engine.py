@@ -53,7 +53,6 @@ ENGINE_NAMES = ("memory", "file", "sqlite")
 _checkpoints = REGISTRY.counter("store.shard.checkpoints")
 _syncs = REGISTRY.counter("store.engine.syncs")
 _keys_synced = REGISTRY.counter("store.engine.keys_synced")
-_digest_keys = REGISTRY.counter("store.shard.digest_keys")
 
 #: Shard digests are sums modulo this (256-bit SHA-256 terms).
 _DIGEST_MOD = 1 << 256
@@ -87,7 +86,7 @@ def canonical_value(value: Any) -> str:
     """Order-insensitive repr for digesting CRDT read values.
 
     The single canonicalisation every digest in the repo hashes
-    through (replica fingerprints, per-shard digests, engine digests):
+    through (replica fingerprints, engine digests):
     sets ordered, empties and zeros collapsed to ``""`` -- an unwritten
     object and an empty one are observably equal.
     """
@@ -109,39 +108,23 @@ def canonical_value(value: Any) -> str:
     return repr(value)
 
 
-def shard_map_digest(
-    objects: dict[str, "CRDT"],
-    registry: "TypeRegistry",
-    default_cache: dict[str, str],
-) -> str:
-    """Canonical fingerprint of one shard's live object map, from scratch.
+def shard_map_digest(objects: dict[str, "CRDT"], registry: "TypeRegistry") -> str:
+    """Canonical fingerprint of one shard's object map.
 
     A multiset hash (AdHash): the sum, mod 2**256, of one SHA-256 term
-    per key, so :class:`ShardedStore` can keep it up to date key by key.
-    It shares :func:`repro.store.cluster.replica_state_digest`'s
-    canonicalisation and skip rule (default-valued and empty objects
-    add nothing): two replicas agree on a shard digest iff every read
-    of a key owned by that shard would agree, up to a hash collision.
+    per key, independent of iteration order.  It shares
+    :func:`repro.store.cluster.replica_state_digest`'s canonicalisation
+    and skip rule (default-valued and empty objects add nothing): two
+    maps digest equal iff every read of their keys would agree, up to a
+    hash collision.
     """
     total = 0
     for key, obj in objects.items():
-        total += _key_term(key, obj, registry, default_cache)
+        value = canonical_value(obj.value())
+        if value == "" or value == canonical_value(registry.create(key).value()):
+            continue
+        total += int.from_bytes(hashlib.sha256(repr((key, value)).encode()).digest(), "big")
     return f"{total % _DIGEST_MOD:064x}"
-
-
-def _key_term(
-    key: str, obj: "CRDT", registry: "TypeRegistry", default_cache: dict[str, str]
-) -> int:
-    """One key's addend in its shard's digest; 0 for a skipped key."""
-    value = canonical_value(obj.value())
-    if value == "":
-        return 0
-    default = default_cache.get(key)
-    if default is None:
-        default = default_cache[key] = canonical_value(registry.create(key).value())
-    if value == default:
-        return 0
-    return int.from_bytes(hashlib.sha256(repr((key, value)).encode()).digest(), "big")
 
 
 class HashRing:
@@ -149,16 +132,14 @@ class HashRing:
 
     Hashes through :func:`hashlib.blake2b` -- never the builtin
     ``hash`` -- so routing is identical across processes, restarts and
-    Python versions: the sharded commit log and the store must agree
-    on ownership after any recovery.  ``vnodes`` virtual points per
-    shard keep the keyspace split even for small shard counts.
+    Python versions.  ``vnodes`` virtual points per shard keep the
+    keyspace split even for small shard counts.
 
     Routing is memoised per ring: the hash and the bisect run once per
-    distinct key, however often the key is read, written or logged.
-    The memo holds one entry per key its owner has routed -- a store
-    the keys it reads and writes (a read of a missing key creates it),
-    a log its records' keys -- and neither deletes keys, so the memo
-    is as large as the keyspace its owner has touched, no larger.
+    distinct key, however often the key is read or written.  The memo
+    holds one entry per key the store has routed (a read of a missing
+    key creates it), and the store deletes no keys, so the memo is as
+    large as the keyspace the store has touched, no larger.
     """
 
     def __init__(self, shards: int, vnodes: int = 64) -> None:
@@ -246,7 +227,7 @@ class StorageEngine:
 
     def digest(self, registry: "TypeRegistry") -> str:
         """Canonical fingerprint of the *persisted* state."""
-        return shard_map_digest(self.load(), registry, {})
+        return shard_map_digest(self.load(), registry)
 
     def restore(self, objects: dict[str, "CRDT"]) -> None:
         """Replace the persisted state wholesale (checkpoint)."""
@@ -413,6 +394,11 @@ class SqliteEngine(StorageEngine):
     -- sqlite's journal gives the same "complete records only"
     contract the framed file formats enforce by CRC.
 
+    Durability follows :class:`FileEngine`: a committed transaction
+    survives process death, and host death only with ``fsync=True``
+    (``PRAGMA synchronous=FULL``; ``OFF`` otherwise, leaving the
+    written pages to the operating system).
+
     Each row also stores ``crc32(obj)``: sqlite's journal protects
     against torn transactions, not against the medium flipping bits in
     a committed page, and a flipped blob can still be a *valid* pickle
@@ -423,9 +409,10 @@ class SqliteEngine(StorageEngine):
     name = "sqlite"
     durable = True
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = os.fspath(path)
         self._conn = sqlite3.connect(self.path)
+        self._conn.execute("PRAGMA synchronous=" + ("FULL" if fsync else "OFF"))
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS kv ("
             "key TEXT PRIMARY KEY, obj BLOB NOT NULL, crc INTEGER)"
@@ -651,7 +638,7 @@ def make_engine(name: str, path: str | None = None, fsync: bool = False) -> Stor
     if name == "file":
         return FileEngine(path + ".objlog", fsync=fsync)
     if name == "sqlite":
-        return SqliteEngine(path + ".db")
+        return SqliteEngine(path + ".db", fsync=fsync)
     names = ", ".join(ENGINE_NAMES)
     raise StoreError(f"unknown storage engine {name!r} (one of: {names})")
 
@@ -710,17 +697,9 @@ class ShardedStore:
             )
             for index in range(self.n_shards)
         ]
-        # Dirty keys per shard (durability) and stale digest keys per
-        # shard (anti-entropy): both tracked only when something can
-        # consume them, so the default configuration pays nothing.
-        # Each shard's digest is kept as one term per key plus their
-        # running sum; a digest re-hashes only the stale keys.
-        self.tracking = self.durable or self.n_shards > 1
+        # Dirty keys per shard, tracked only when a durable engine
+        # consumes them, so a volatile store pays nothing.
         self._dirty: list[set[str]] = [set() for _ in range(self.n_shards)]
-        self._stale: list[set[str]] = [set() for _ in range(self.n_shards)]
-        self._terms: list[dict[str, int]] = [{} for _ in range(self.n_shards)]
-        self._sums = [0] * self.n_shards
-        self._default_cache: dict[str, str] = {}
         self._sorted_keys: list[str] | None = None
         self.syncs = 0
         self.checkpoints = 0
@@ -744,15 +723,12 @@ class ShardedStore:
         shard = self.ring.shard_of(key)
         self.maps[shard][key] = obj
         self._sorted_keys = None
-        if self.tracking:
+        if self.durable:
             self._dirty[shard].add(key)
-            self._stale[shard].add(key)
 
     def note_write(self, key: str) -> None:
         """An existing object mutated in place (effect application)."""
-        shard = self.ring.shard_of(key)
-        self._dirty[shard].add(key)
-        self._stale[shard].add(key)
+        self._dirty[self.ring.shard_of(key)].add(key)
 
     def keys(self) -> list[str]:
         """Sorted union of every shard's keys; cached until a write."""
@@ -784,8 +760,8 @@ class ShardedStore:
             for shard_map in self.maps
         )
 
-    def restore_shards(self, shards: tuple[dict[str, "CRDT"] | None, ...]) -> None:
-        """Adopt snapshot shard maps; ``None`` entries keep the local shard.
+    def restore_shards(self, shards: tuple[dict[str, "CRDT"], ...]) -> None:
+        """Adopt snapshot shard maps, every shard whole.
 
         A shard-count mismatch (snapshot taken under a different
         sharding) is handled by rerouting every key through this
@@ -795,21 +771,12 @@ class ShardedStore:
         if len(shards) != self.n_shards:
             merged: dict[str, "CRDT"] = {}
             for shard_map in shards:
-                if shard_map:
-                    merged.update(shard_map)
+                merged.update(shard_map)
             rerouted: list[dict[str, "CRDT"]] = [{} for _ in range(self.n_shards)]
             for key, obj in merged.items():
                 rerouted[self.ring.shard_of(key)][key] = obj
             shards = tuple(rerouted)
-        for index, shard_map in enumerate(shards):
-            if shard_map is None:
-                continue
-            self.maps[index] = {k: o.clone() for k, o in shard_map.items()}
-            if self.tracking:
-                # The adopted shard's digest starts over: every key stale.
-                self._stale[index] = set(shard_map)
-                self._terms[index] = {}
-                self._sums[index] = 0
+        self.maps = [{k: o.clone() for k, o in shard_map.items()} for shard_map in shards]
         self._sorted_keys = None
         if self.n_shards == 1:
             self.get = self.maps[0].get  # type: ignore[method-assign]
@@ -867,36 +834,7 @@ class ShardedStore:
         """Each engine's persisted shard map (tests / inspection)."""
         return tuple(engine.load() for engine in self.engines)
 
-    # -- digests and stats ---------------------------------------------------
-
-    def shard_digests(self) -> tuple[str, ...]:
-        """Per-shard canonical digests (anti-entropy pruning).
-
-        Equal to :func:`shard_map_digest` of each live shard map, but
-        only the keys written since the last call are re-hashed: each
-        one's old term leaves its shard's sum and its new term enters.
-        """
-        if not self.tracking:
-            # Nothing reports writes to an untracked store.
-            return (shard_map_digest(self.maps[0], self._registry, self._default_cache),)
-        for shard, stale in enumerate(self._stale):
-            if not stale:
-                continue
-            terms = self._terms[shard]
-            shard_map = self.maps[shard]
-            total = self._sums[shard]
-            for key in stale:
-                total -= terms.pop(key, 0)
-                obj = shard_map.get(key)
-                if obj is not None:
-                    term = _key_term(key, obj, self._registry, self._default_cache)
-                    if term:
-                        terms[key] = term
-                        total += term
-            self._sums[shard] = total % _DIGEST_MOD
-            _digest_keys.inc(len(stale))
-            stale.clear()
-        return tuple(f"{total:064x}" for total in self._sums)
+    # -- stats ---------------------------------------------------------------
 
     def stats(self) -> dict[str, int | float]:
         counts = [len(shard_map) for shard_map in self.maps]

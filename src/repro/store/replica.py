@@ -8,7 +8,7 @@ from typing import Callable
 from repro.errors import StoreError
 from repro.crdts.base import CRDT, Dot, EventContext
 from repro.crdts.clock import VersionVector
-from repro.store.engine import ShardedStore, shard_map_digest
+from repro.store.engine import ShardedStore
 from repro.store.registry import TypeRegistry
 from repro.store.transaction import CommitRecord, Transaction
 
@@ -21,15 +21,10 @@ class ReplicaSnapshot:
     of ``vv`` without the truncated log prefix: the per-shard object
     maps, the per-origin context vectors for delta-dependency decoding,
     and the dirty-entry map feeding the *next* local commit's delta.
-
-    ``shards`` entries may be ``None`` in a snapshot served over
-    anti-entropy: the responder pruned shards whose digests matched the
-    requester's (see :meth:`Replica.sync_answer`), and the installer
-    keeps its local shard for those.
     """
 
     vv: VersionVector
-    shards: tuple[dict[str, CRDT] | None, ...]
+    shards: tuple[dict[str, CRDT], ...]
     origin_ctx: dict[str, VersionVector]
     dirty: dict[str, int]
     commits_applied: int
@@ -109,11 +104,10 @@ class Replica:
         )
         self._store_get = self.storage.get
         self._store_set = self.storage.set
-        # Only consulted when something consumes write notifications
-        # (durable engine or multi-shard digests); None keeps the
-        # default configuration's apply loop unchanged.
+        # Only consulted when a durable engine consumes write
+        # notifications; None keeps the volatile apply loop unchanged.
         self._note_write = (
-            self.storage.note_write if self.storage.tracking else None
+            self.storage.note_write if self.storage.durable else None
         )
         self.vv = VersionVector()
         self._vv_digest: VersionVector | None = None
@@ -168,10 +162,6 @@ class Replica:
     @property
     def n_shards(self) -> int:
         return self.storage.n_shards
-
-    def shard_digests(self) -> tuple[str, ...]:
-        """Per-shard canonical state digests (anti-entropy pruning)."""
-        return self.storage.shard_digests()
 
     def vv_digest(self) -> VersionVector:
         """``vv`` as of now, shared and read-only (see the class docstring)."""
@@ -345,54 +335,21 @@ class Replica:
         return missing
 
     def sync_answer(
-        self, vv: VersionVector, shard_digests: tuple[str, ...] = ()
+        self, vv: VersionVector
     ) -> tuple[list[CommitRecord], ReplicaSnapshot | None]:
         """Anti-entropy answer for a peer digest: records, maybe snapshot.
 
         If the peer's vector predates this replica's truncation base
         for some origin, the retained log alone cannot close the gap:
-        answer with the snapshot plus the records beyond it.  Causal
-        stability makes this unreachable for live peers (truncation
-        stays below every replica's vector), so it is a defensive path
-        for operator-restored or far-behind replicas.
-
-        When the request carries the peer's per-shard digests (and the
-        shard layouts match), shards whose snapshot content already
-        digests identically are pruned to ``None`` -- the installer
-        keeps its local shard.  Safe because installation additionally
-        requires the snapshot vector to dominate the installer's: under
-        that domination a matching digest means no record covered by
-        the snapshot still differentiates the two shard states.
+        answer with the snapshot (every shard, whole) plus the records
+        beyond it.  Causal stability makes this unreachable for live
+        peers (truncation stays below every replica's vector), so it is
+        a defensive path for operator-restored or far-behind replicas.
         """
         for origin, base in self._log_base.items():
             if vv.get(origin) < base:
                 snap = self._snapshot
                 if snap is not None:
-                    if shard_digests and len(shard_digests) == len(snap.shards):
-                        cache: dict[str, str] = {}
-                        pruned = tuple(
-                            None
-                            if shard_map is not None
-                            and shard_map_digest(
-                                shard_map, self._registry, cache
-                            )
-                            == theirs
-                            else shard_map
-                            for shard_map, theirs in zip(
-                                snap.shards, shard_digests
-                            )
-                        )
-                        if any(
-                            new is not old
-                            for new, old in zip(pruned, snap.shards)
-                        ):
-                            snap = ReplicaSnapshot(
-                                vv=snap.vv,
-                                shards=pruned,
-                                origin_ctx=snap.origin_ctx,
-                                dirty=snap.dirty,
-                                commits_applied=snap.commits_applied,
-                            )
                     return self.records_since(snap.vv), snap
                 break
         return self.records_since(vv), None

@@ -142,8 +142,7 @@ class TestSalvage:
     refusing to start.  The dropped suffix is regenerated live (own
     commits re-execute under the schedule gate, remote records
     re-arrive via anti-entropy), which is only sound for a *prefix* of
-    the application order -- hence the sequence-gap cut for sharded
-    logs.
+    the application order -- exactly what one file's salvage keeps.
     """
 
     def damage_record(self, path, records, index):
@@ -190,58 +189,6 @@ class TestSalvage:
         self.damage_record(path, records, 0)
         with pytest.raises(commitlog.CommitLogError, match="not a tail"):
             commitlog.replay(path)
-
-    def test_sharded_gap_cuts_merged_stream(self, tmp_path):
-        """Damage in one shard file drops everything past the seq gap.
-
-        Records beyond a gap may causally depend on the swallowed
-        ones, so the merged replay must stop at the first hole even
-        though later records survived intact in the *other* shard.
-        """
-        from repro.store.engine import HashRing
-
-        ring = HashRing(2)
-        by_shard: dict[int, str] = {}
-        for i in range(100):
-            key = f"key-{i}"
-            by_shard.setdefault(ring.shard_of(key), key)
-            if len(by_shard) == 2:
-                break
-        registry = TypeRegistry()
-        registry.register_prefix("", AWSet)
-        replica = Replica("A", registry)
-        records = []
-        log = commitlog.ShardedCommitLog(str(tmp_path), "A", shards=2)
-        for seq in range(6):
-            txn = replica.begin()
-            txn.update(
-                by_shard[seq % 2], lambda s, seq=seq: s.prepare_add(f"e{seq}")
-            )
-            record = txn.commit()
-            records.append(record)
-            log.append(record)
-        log.close()
-        # Shard 0 holds seqs 0,2,4: kill seq 2 (mid-file, CRC damage).
-        shard0 = tmp_path / "A-shard00.commitlog"
-        frames = framedlog.scan(shard0)[0]
-        data = bytearray(shard0.read_bytes())
-        data[frames[1][1] - 1] ^= 0xFF  # last byte of frame 1's body
-        shard0.write_bytes(bytes(data))
-        counter = REGISTRY.counter("net.commitlog.salvaged")
-        before = counter.value
-        fresh = commitlog.ShardedCommitLog(str(tmp_path), "A", shards=2)
-        # Seqs 0 and 1 survive; 3 and 5 are intact in shard 1 but sit
-        # past the gap left by 2 and 4, so they are dropped too.
-        assert fresh.replay(salvage=True) == records[:2]
-        assert counter.value > before
-        # The sequence counter resumed past the cut: a re-append of
-        # the regenerated records restores the full ordered stream.
-        for record in records[2:]:
-            fresh.append(record)
-        fresh.close()
-        reread = commitlog.ShardedCommitLog(str(tmp_path), "A", shards=2)
-        assert reread.replay(salvage=True) == records
-        reread.close()
 
 
 #: CRC-valid bodies the codec must refuse with WireError: each used to

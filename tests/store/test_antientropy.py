@@ -309,68 +309,3 @@ class TestRestart:
         sent = cluster.antientropy.digests_sent
         sim.run(until=5_000.0)
         assert cluster.antientropy.digests_sent == sent
-
-
-class TestShardDigestPruning:
-    """Snapshot-fallback responses prune shards the peer agrees on."""
-
-    def make_sharded_pair(self):
-        sim = Simulator()
-        cluster = Cluster(sim, set_registry(), shards=3)
-        for i in range(24):
-            add(cluster, (US_EAST, US_WEST, EU_WEST)[i % 3], f"k{i % 8}", i)
-        assert cluster.run_until_converged(timeout_ms=60_000.0) is not None
-        return cluster
-
-    def test_matching_shards_pruned_to_none(self):
-        cluster = self.make_sharded_pair()
-        a = cluster.replica(US_EAST)
-        b = cluster.replica(US_WEST)
-        assert a.compact_log(a.vv, min_records=1) > 0
-        # Force the snapshot fallback with the peer's shard digests:
-        # converged peers agree on every shard, so all are pruned.
-        records, snapshot = a.sync_answer(
-            VersionVector(), b.shard_digests()
-        )
-        assert snapshot is not None
-        assert all(shard is None for shard in snapshot.shards)
-        # Without digests (the single-shard request path) the full
-        # snapshot ships.
-        _, full = a.sync_answer(VersionVector())
-        assert all(shard is not None for shard in full.shards)
-
-    def test_divergent_shard_still_ships(self):
-        cluster = self.make_sharded_pair()
-        a = cluster.replica(US_EAST)
-        b = cluster.replica(US_WEST)
-        assert a.compact_log(a.vv, min_records=1) > 0
-        # Perturb one key on the peer: only the owning shard's digest
-        # changes, so exactly that shard ships.
-        from repro.crdts.base import Dot, EventContext
-
-        victim = "k0"
-        owner = b.storage.shard_of(victim)
-        obj = b.get_object(victim)
-        obj.effect(
-            obj.prepare_add("divergence"),
-            EventContext(dot=Dot("X", 1), vv=VersionVector({"X": 1})),
-        )
-        _, snapshot = a.sync_answer(VersionVector(), b.shard_digests())
-        assert snapshot is not None
-        for index, shard in enumerate(snapshot.shards):
-            if index == owner:
-                assert shard is not None
-            else:
-                assert shard is None
-
-    def test_pruned_snapshot_installs_with_local_shards_kept(self):
-        cluster = self.make_sharded_pair()
-        a = cluster.replica(US_EAST)
-        b = cluster.replica(US_WEST)
-        assert a.compact_log(a.vv, min_records=1) > 0
-        before = {key: b.get_object(key).value() for key in b.keys()}
-        _, snapshot = a.sync_answer(VersionVector(), b.shard_digests())
-        assert b.install_snapshot(snapshot)
-        assert {
-            key: b.get_object(key).value() for key in b.keys()
-        } == before

@@ -122,7 +122,6 @@ class TestEngineShardMatrix:
         assert replica.n_shards == 8
         populated = sum(1 for m in replica.storage.maps if m)
         assert populated > 1
-        assert len(replica.shard_digests()) == 8
 
 
 @settings(max_examples=15, deadline=None)

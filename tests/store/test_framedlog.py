@@ -22,7 +22,7 @@ from repro.net import commitlog, wire
 from repro.net.health import HintQueue
 from repro.obs import REGISTRY
 from repro.store import framedlog
-from repro.store.engine import FileEngine, HashRing
+from repro.store.engine import FileEngine
 from repro.store.registry import TypeRegistry
 from repro.store.replica import Replica
 
@@ -151,21 +151,16 @@ def test_one_damage_rule(tmp_path, user, kind, where, salvage):
 # -- byte identity with the historical format -----------------------------
 
 
-def test_four_shard_commit_log_frames_are_unchanged(tmp_path):
-    keys = tuple(f"key-{i}" for i in range(12))
-    records = make_records(30, keys=keys)
-    with commitlog.ShardedCommitLog(str(tmp_path), "A", shards=4) as log:
+def test_commit_log_frames_are_unchanged(tmp_path):
+    records = make_records(30, keys=tuple(f"key-{i}" for i in range(12)))
+    path = tmp_path / "A.commitlog"
+    with commitlog.CommitLog(path) as log:
         for record in records:
             log.append(record)
-    ring = HashRing(4)
-    expected = [b""] * 4
-    for seq, record in enumerate(records):
-        body = wire.encode_body({"record": record, "seq": seq})
-        expected[ring.shard_of(record.updates[0][0])] += reference_frame(body)
-    assert sum(1 for part in expected if part) > 1
-    for path, want in zip(log.paths, expected):
-        with open(path, "rb") as fh:
-            assert fh.read() == want
+    expected = b"".join(
+        reference_frame(wire.encode_body({"record": record})) for record in records
+    )
+    assert path.read_bytes() == expected
 
 
 def test_object_log_frames_are_unchanged(tmp_path):
