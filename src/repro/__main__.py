@@ -560,9 +560,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             topology,
             args.region,
             args.data_dir,
-            fsync=args.fsync,
-            engine=args.engine,
-            shards=args.shards,
         )
         await server.start()
         stop = asyncio.Event()
@@ -755,7 +752,7 @@ def _render_top(snapshot: dict) -> str:
     header = (
         f"{'region':<12} {'schedule':>9} {'ops':>5} {'applied':>7} "
         f"{'dups':>5} {'sync t/o':>8} {'lag ms':>8} {'keys':>6} "
-        f"{'syncs':>6} {'conflicts':>18} {'rescan/rebuild':>15} "
+        f"{'ckpts':>6} {'conflicts':>18} {'rescan/rebuild':>15} "
         f"{'instances':>9}"
     )
     lines = [header, "-" * len(header)]
@@ -793,7 +790,7 @@ def _render_top(snapshot: dict) -> str:
             f"{stats.get('net.sync.timeouts', 0):>8.0f} "
             f"{lag if lag is not None else float('nan'):>8.1f} "
             f"{store.get('store.shard.keys_total', 0):>6} "
-            f"{store.get('store.engine.syncs', 0):>6} "
+            f"{store.get('store.shard.checkpoints', 0):>6} "
             f"{conflict_txt:>18} "
             f"{detector_txt:>15} "
             f"{instances:>9}"
@@ -1099,15 +1096,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the durable commit log (survives crashes)",
     )
     serve.add_argument(
-        "--fsync", action="store_true",
-        help="fsync the commit log on every append",
-    )
-    serve.add_argument(
         "--trace-dir", metavar="DIR", default=None,
         help="spool spans write-through into DIR for fleet stitching "
         "(survives SIGKILL; see 'load --trace-dir')",
     )
-    _add_engine_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
     load = sub.add_parser(
@@ -1155,7 +1147,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--fsync", action="store_true",
-        help="fsync commit logs on every append",
+        help="fsync every file a replica writes: commit-log appends, "
+        "conflict-ledger appends and store checkpoints",
     )
     load.add_argument(
         "--workdir", metavar="DIR", default=None,

@@ -176,14 +176,12 @@ def explore(
     n_ops: int = 40,
     regions: tuple[str, ...] = REGIONS,
     params: dict | None = None,
-    stop_at_first: bool = False,
 ) -> ExploreResult:
     """Run up to ``trials`` deterministic trials within ``budget_s``.
 
     The trial sequence is a pure function of (app, seed, n_ops,
-    regions, params): the wall-clock budget and ``stop_at_first`` only
-    decide how far down the sequence the sweep gets, never what any
-    trial contains.
+    regions, params): the wall-clock budget only decides how far down
+    the sequence the sweep gets, never what any trial contains.
     """
     if config not in CONFIG_NAMES:
         raise CheckError(
@@ -221,7 +219,5 @@ def explore(
         if trial.violations:
             violating_counter.inc()
             result.failures.append(trial)
-            if stop_at_first:
-                break
     result.elapsed_s = monotonic() - started
     return result

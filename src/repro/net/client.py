@@ -36,6 +36,17 @@ from repro.net.retry import RetryPolicy
 from repro.obs import REGISTRY, TRACER
 
 
+#: Per-attempt wait for a connection or an ack.
+ACK_TIMEOUT_MS = 1_000.0
+
+#: The decorrelated-jitter back-off between attempts.
+RETRY_BASE_MS = 40.0
+RETRY_CAP_MS = 2_000.0
+
+#: Wall-clock budget of one operation, every attempt included.
+OP_DEADLINE_S = 60.0
+
+
 class ClientError(ReproError):
     """A client op that exhausted its retry budget."""
 
@@ -86,17 +97,9 @@ class ClientFleet:
         deployment: dict,
         topology: dict,
         time_scale: float = 1.0,
-        ack_timeout_ms: float = 1_000.0,
-        retry_base_ms: float = 40.0,
-        retry_cap_ms: float = 2_000.0,
-        op_deadline_s: float = 60.0,
     ) -> None:
         self._topology = topology
         self._time_scale = time_scale
-        self._ack_timeout_ms = ack_timeout_ms
-        self._retry_base_ms = retry_base_ms
-        self._retry_cap_ms = retry_cap_ms
-        self._op_deadline_s = op_deadline_s
         self._sessions: dict[str, list[dict]] = defaultdict(list)
         for op in deployment["ops"]:
             self._sessions[op["session"]].append(op)
@@ -143,8 +146,8 @@ class ClientFleet:
         entry = self._topology["regions"][region]
         addr = (entry.get("host", "127.0.0.1"), entry["client_port"])
         policy = RetryPolicy(
-            base_ms=self._retry_base_ms,
-            cap_ms=self._retry_cap_ms,
+            base_ms=RETRY_BASE_MS,
+            cap_ms=RETRY_CAP_MS,
             seed=zlib.crc32(f"client:{session}".encode()),
         )
         reader = writer = None
@@ -166,7 +169,7 @@ class ClientFleet:
                 writer.close()
 
     async def _send_op(self, op, addr, policy, reader, writer):
-        deadline = time.time() + self._op_deadline_s
+        deadline = time.time() + OP_DEADLINE_S
         span = TRACER.start(
             "net.client.op",
             session=op["session"],
@@ -181,7 +184,7 @@ class ClientFleet:
                 TRACER.end(span, gave_up=True, attempts=attempts)
                 raise ClientError(
                     f"op {op['index']} ({op['op']}) for {op['session']} "
-                    f"got no ack in {self._op_deadline_s:.0f}s "
+                    f"got no ack in {OP_DEADLINE_S:.0f}s "
                     f"({attempts} attempts)"
                 )
             attempts += 1
@@ -189,7 +192,7 @@ class ClientFleet:
                 if writer is None or writer.is_closing():
                     reader, writer = await asyncio.wait_for(
                         asyncio.open_connection(*addr),
-                        timeout=self._ack_timeout_ms / 1000.0,
+                        timeout=ACK_TIMEOUT_MS / 1000.0,
                     )
                 await wire.write_frame(
                     writer,
@@ -204,7 +207,7 @@ class ClientFleet:
                 self.stats["client.frames_sent"] += 1
                 ack = await asyncio.wait_for(
                     self._read_ack(reader, op["index"]),
-                    timeout=self._ack_timeout_ms / 1000.0,
+                    timeout=ACK_TIMEOUT_MS / 1000.0,
                 )
                 if ack["status"] == "overloaded":
                     # An explicit retryable shed: the server is alive

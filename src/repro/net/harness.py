@@ -52,6 +52,9 @@ from repro.store import framedlog
 #: declared permanently dead.
 MAX_RESTART_ATTEMPTS = 5
 
+#: How often the supervisor looks for dead nodes.
+SUPERVISOR_POLL_MS = 40.0
+
 
 class HarnessError(ReproError):
     """A live run that could not be orchestrated to a verdict."""
@@ -85,13 +88,15 @@ def build_topology(
     host: str = "127.0.0.1",
     overload_limit: int = 0,
     scrub_ms: float = 0.0,
+    fsync: bool = False,
 ) -> dict:
     """The cluster-wide settings file every server and client reads.
 
     Every port the run listens on is reserved here, in one
     :func:`free_ports` call: each region's client and peer port, one
     port per directed chaos link (``links``) and the proxy's admin
-    port (``proxy_admin``).
+    port (``proxy_admin``).  ``fsync`` makes every server fsync its
+    commit log, conflict ledger and store checkpoints.
     """
     links = [
         f"{source}->{target}"
@@ -104,6 +109,7 @@ def build_topology(
         "epoch_unix_ms": time.time() * 1000.0,
         "overload_limit": overload_limit,
         "scrub_ms": scrub_ms,
+        "fsync": fsync,
         "regions": {},
         "links": {},
         "proxy_admin": {"host": host, "port": ports[-1]},
@@ -183,8 +189,8 @@ class LiveReport:
 class _InprocessNode:
     """One region's server lifecycle, in this process."""
 
-    def __init__(self, deployment, topology, region, data_dir, fsync):
-        self._args = (deployment, topology, region, data_dir, fsync)
+    def __init__(self, deployment, topology, region, data_dir):
+        self._args = (deployment, topology, region, data_dir)
         self.server: ReplicaServer | None = None
 
     @property
@@ -306,8 +312,8 @@ async def _rot_live_region(
     """Bit-flip ``region``'s object log while its server keeps running.
 
     The live-replica counterpart of :func:`corrupt_region_files`: waits
-    until the region's periodic scrub loop has flushed at least two
-    object frames (the scrub cadence doubles as the live checkpoint
+    until the region's periodic scrub loop has checkpointed at least
+    two object frames (the scrub cadence doubles as the live checkpoint
     cadence), then rots a non-final frame.  The *next* scrub pass must
     detect the damage and repair it from the live map -- no restart
     involved.  Returns the path touched, or None if nothing durable
@@ -346,13 +352,11 @@ class Supervisor:
         nodes: dict[str, object],
         topology: dict,
         data_dir: str,
-        poll_ms: float = 40.0,
         corrupt_regions: tuple[str, ...] = (),
     ) -> None:
         self._nodes = nodes
         self._topology = topology
         self._data_dir = data_dir
-        self._poll_ms = poll_ms
         self._corrupt_pending = set(corrupt_regions)
         self._kill_times: dict[str, float] = {}
         self.incidents: list[dict] = []
@@ -375,7 +379,7 @@ class Supervisor:
 
     async def run(self) -> None:
         while not self.failed_event.is_set():
-            await asyncio.sleep(self._poll_ms / 1000.0)
+            await asyncio.sleep(SUPERVISOR_POLL_MS / 1000.0)
             for region, node in self._nodes.items():
                 if not node.alive:
                     await self._recover(region, node)
@@ -526,6 +530,7 @@ async def run_live(
         regions,
         overload_limit=overload_limit,
         scrub_ms=scrub_ms,
+        fsync=fsync,
     )
 
     proxy = ChaosProxy(regions, plan, topology, time_scale=time_scale)
@@ -550,7 +555,7 @@ async def run_live(
             )
         else:
             nodes[region] = _InprocessNode(
-                deployment, topology, region, data_dir, fsync
+                deployment, topology, region, data_dir
             )
     mode = "subprocess" if subprocess_servers else "inprocess"
 

@@ -51,7 +51,7 @@ from repro.net.retry import RetryPolicy
 from repro.obs import REGISTRY, TRACER
 from repro.store.cluster import replica_state_digest
 from repro.store.conflicts import ConflictDetector, ConflictLedger
-from repro.store.engine import default_engine, default_shards
+from repro.store.engine import default_engine
 from repro.store.replica import Replica
 from repro.store.scrub import scrub_replica
 from repro.store.transaction import CommitRecord
@@ -153,6 +153,7 @@ class LiveNode:
         engine: str | None = None,
         shards: int | None = None,
         data_dir: str | None = None,
+        fsync: bool = False,
     ) -> None:
         self.region_id = region
         self.store = Replica(
@@ -162,6 +163,7 @@ class LiveNode:
             engine=engine,
             shards=shards,
             data_dir=data_dir,
+            fsync=fsync,
         )
         self._on_commit = on_commit
         self.setup_skip = 0
@@ -451,9 +453,6 @@ class ReplicaServer:
         topology: dict,
         region: str,
         data_dir: str,
-        fsync: bool = False,
-        engine: str | None = None,
-        shards: int | None = None,
     ) -> None:
         if region not in deployment["schedules"]:
             raise ServeError(f"deployment has no schedule for {region!r}")
@@ -503,25 +502,19 @@ class ReplicaServer:
         }
         self.lag_gauge = REGISTRY.gauge("store.convergence.lag_ms")
 
-        # Self-healing knobs, all cluster-wide via the topology file so
-        # every process agrees: the parked-op bound (0 = unbounded, the
-        # historical behaviour) and the periodic scrub interval
-        # (0 = startup-only).
+        # Cluster-wide settings, all via the topology file so every
+        # process agrees: the parked-op bound (0 = unbounded, the
+        # historical behaviour), the periodic scrub interval
+        # (0 = startup-only) and whether every file this replica writes
+        # -- commit log, conflict ledger, store checkpoints -- is
+        # fsync'd.  Hints are not: anti-entropy regenerates them.
         self.overload_limit = int(topology.get("overload_limit", 0))
         self.scrub_ms = float(topology.get("scrub_ms", 0.0))
+        fsync = bool(topology.get("fsync", False))
 
-        # Engine/shard resolution for the store: explicit argument (the
-        # serve CLI's --engine/--shards overrides) > the recorded trial
-        # spec > the REPRO_ENGINE/REPRO_SHARDS environment defaults.
-        self.engine_name = (
-            engine if engine is not None else self.spec.engine
-        ) or default_engine()
-        if shards is not None:
-            self.shards = shards
-        elif self.spec.shards is not None:
-            self.shards = self.spec.shards
-        else:
-            self.shards = default_shards()
+        # The store's engine and shard count come from the recorded
+        # trial spec, else the REPRO_ENGINE/REPRO_SHARDS defaults.
+        self.engine_name = self.spec.engine or default_engine()
 
         os.makedirs(data_dir, exist_ok=True)
         self.data_dir = data_dir
@@ -552,8 +545,9 @@ class ReplicaServer:
             self.now_ms,
             lambda record: me._commit_local(record),
             engine=self.engine_name,
-            shards=self.shards,
+            shards=self.spec.shards,
             data_dir=os.path.join(data_dir, f"{region}-store"),
+            fsync=fsync,
         )
         if recovered:
             self.node.store.adopt_log(recovered)
@@ -703,8 +697,8 @@ class ReplicaServer:
         self._release()
         for writer in list(self._conns):
             writer.close()
-        # Graceful shutdown is a durability point: flush dirty keys
-        # through the storage engines before releasing them.  kill()
+        # Graceful shutdown is a durability point: checkpoint the live
+        # maps into the storage engines before releasing them.  kill()
         # deliberately skips this -- a SIGKILL'd process flushes
         # nothing, and recovery must come from the commit log alone.
         self.node.store.storage.sync()
@@ -809,21 +803,20 @@ class ReplicaServer:
     async def _scrub_main(self) -> None:
         """Periodic engine scrub: catch bit rot while still running.
 
-        Flushes dirty live objects first -- the scrub verifies the
-        *fresh* persisted copy, so the scrub cadence doubles as the
-        live fleet's checkpoint cadence (without it, engines would
-        only fill at graceful shutdown and a mid-run scrub would
-        verify an empty file).
+        Verifies first, then checkpoints: the scrub reads the copy the
+        previous pass persisted, and the checkpoint after it makes the
+        scrub cadence the live fleet's checkpoint cadence.  The other
+        order would rewrite any rot before the scrub could see it.
         """
         while self._running:
             await asyncio.sleep(self.scrub_ms / 1000.0)
             try:
-                self.node.store.storage.sync()
                 report = scrub_replica(self.node.store)
                 self._note_scrub(report)
                 if not report.clean and self.detector is not None:
                     # A heal is a state change no commit record names.
                     self.detector.invalidate()
+                self.node.store.storage.sync()
             except asyncio.CancelledError:
                 raise
             except Exception as exc:

@@ -7,10 +7,11 @@ The one place wall-clock time and metric naming live.  Three pieces:
 - :mod:`repro.obs.registry` -- typed counters / gauges / histograms
   under ``dotted.namespace`` names, plus the single shared
   :func:`quantile` implementation;
-- :mod:`repro.obs.export` -- JSONL span logs, Chrome trace-event JSON
-  (Perfetto-loadable, with cross-process flow arrows and per-process
-  clock alignment) and human summary tables;
-- :mod:`repro.obs.collect` -- fleet stitching: merge the per-process
+- :mod:`repro.obs.export` -- Chrome trace-event JSON (Perfetto-loadable,
+  with cross-process flow arrows and per-process clock alignment) and
+  human summary tables;
+- :mod:`repro.obs.collect` -- the JSONL span spool (:func:`dump_process`
+  / :func:`read_spool`) and fleet stitching: merge the per-process
   spool files a live multi-process run leaves behind into one trace
   with per-replica tracks.
 
@@ -37,10 +38,8 @@ from repro.obs.collect import (
 from repro.obs.export import (
     align_spans,
     chrome_trace,
-    read_jsonl,
     summarize,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.registry import (
     REGISTRY,
@@ -80,10 +79,8 @@ __all__ = [
     "monotonic",
     "quantile",
     "quantile_sorted",
-    "read_jsonl",
     "read_spool",
     "stitch_dir",
     "summarize",
     "write_chrome_trace",
-    "write_jsonl",
 ]

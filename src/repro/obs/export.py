@@ -1,10 +1,9 @@
-"""Trace exporters: JSONL, Chrome trace-event JSON, summary table.
+"""Trace exporters: Chrome trace-event JSON and a summary table.
 
-Three views of the same span list:
+Two views of the same span list (the JSONL archive format -- one
+:class:`~repro.obs.tracer.SpanRecord` per line -- is the spool's, see
+:mod:`repro.obs.collect`):
 
-- :func:`write_jsonl` -- one :class:`~repro.obs.tracer.SpanRecord` per
-  line, the stable machine-readable archive format (live servers spool
-  the same layout);
 - :func:`chrome_trace` / :func:`write_chrome_trace` -- the Chrome
   trace-event format (``{"traceEvents": [...]}`` with complete ``"X"``
   events), loadable in Perfetto (https://ui.perfetto.dev) or
@@ -31,26 +30,9 @@ Cross-process traces add two features:
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.obs.tracer import SpanRecord
-
-
-def write_jsonl(spans: Iterable[SpanRecord], path: str) -> None:
-    """One span per line; round-trips through ``SpanRecord.from_dict``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for span in spans:
-            handle.write(json.dumps(span.as_dict(), sort_keys=True) + "\n")
-
-
-def read_jsonl(path: str) -> list[SpanRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(SpanRecord.from_dict(json.loads(line)))
-    return records
 
 
 def align_spans(

@@ -30,27 +30,28 @@ DEFAULT_RTT = {
 #: RTT between a client and its co-located server.
 LOCAL_RTT = 0.6
 
+#: :func:`synthetic_topology` draws its extra region pairs' RTTs from a
+#: ``SYNTHETIC_SEED``-seeded RNG, in ``SYNTHETIC_RTT_MS +/-
+#: SYNTHETIC_SPREAD_MS / 2``.
+SYNTHETIC_SEED = 11
+SYNTHETIC_RTT_MS = 110.0
+SYNTHETIC_SPREAD_MS = 80.0
 
-def synthetic_topology(
-    n_regions: int,
-    *,
-    base_rtt_ms: float = 110.0,
-    spread_ms: float = 80.0,
-    seed: int = 11,
-) -> tuple[tuple[str, ...], dict[frozenset, float]]:
+
+def synthetic_topology(n_regions: int) -> tuple[tuple[str, ...], dict[frozenset, float]]:
     """A deterministic ``n``-region topology extending the paper's three.
 
     The first three regions keep their measured RTTs; additional
     regions are named ``region-<i>`` and every new pair gets a seeded
-    RTT in ``base_rtt_ms +/- spread_ms/2``.  Used by the scale
-    benchmarks to run the tournament at 5 and 8 regions.
+    RTT (see ``SYNTHETIC_RTT_MS``).  Used by the scale benchmarks to
+    run the tournament at 5 and 8 regions.
     """
     if n_regions < 1:
         raise SimulationError(f"need at least one region, got {n_regions}")
     names = list(REGIONS[:n_regions])
     for index in range(len(names), n_regions):
         names.append(f"region-{index}")
-    rng = random.Random(seed)
+    rng = random.Random(SYNTHETIC_SEED)
     rtt: dict[frozenset, float] = {}
     for i in range(n_regions):
         for j in range(i + 1, n_regions):
@@ -59,8 +60,8 @@ def synthetic_topology(
             if known is not None:
                 rtt[key] = known
             else:
-                rtt[key] = base_rtt_ms + rng.uniform(
-                    -spread_ms / 2.0, spread_ms / 2.0
+                rtt[key] = SYNTHETIC_RTT_MS + rng.uniform(
+                    -SYNTHETIC_SPREAD_MS / 2.0, SYNTHETIC_SPREAD_MS / 2.0
                 )
     return tuple(names), rtt
 

@@ -82,7 +82,6 @@ class Cluster:
         primary: str | None = None,
         latency: GeoLatencyModel | None = None,
         service: ServiceModel | None = None,
-        workers_per_replica: int = 1,
         faults: FaultPlan | None = None,
         batch_ms: float = 0.0,
         full_vv: bool = False,
@@ -138,9 +137,7 @@ class Cluster:
             self._receivers[region] = CausalReceiver(
                 replica, on_apply=partial(self._note_apply, region)
             )
-            self._queues[region] = ProcessingQueue(
-                sim, workers=workers_per_replica
-            )
+            self._queues[region] = ProcessingQueue(sim)
             self._deliver_record[region] = partial(self.deliver, region)
             self._deliver_batch[region] = partial(self.deliver_batch, region)
         self.reservations = ReservationManager(sim, self.network)
@@ -440,18 +437,19 @@ class Cluster:
                 stable[origin] = counter
         return VersionVector(stable)
 
-    def compact_all(self, min_log_records: int = 1024) -> None:
+    def compact_all(self) -> None:
         """Run stability GC at every replica (§4.2.1).
 
         Compacts both CRDT metadata (tombstones covered by the stable
         vector) and the commit log (entries every replica has applied,
-        once at least ``min_log_records`` are truncatable -- the
-        threshold amortises the pre-truncation state snapshot).
+        once :meth:`~repro.store.replica.Replica.compact_log`'s
+        threshold of truncatable records is reached -- it amortises the
+        pre-truncation state snapshot).
         """
         stable = self.stable_vector()
         for replica in self._replicas.values():
             replica.compact(stable)
-            replica.compact_log(stable, min_records=min_log_records)
+            replica.compact_log(stable)
 
     def start_stability_service(self, interval_ms: float = 1_000.0) -> None:
         """Periodically compute the stable vector and compact.
@@ -580,9 +578,6 @@ class Cluster:
         stats["store.shard.keys_max"] = max(
             max((len(m) for m in r.storage.maps), default=0)
             for r in replicas
-        )
-        stats["store.engine.syncs"] = sum(
-            r.storage.syncs for r in replicas
         )
         stats["store.shard.checkpoints"] = sum(
             r.storage.checkpoints for r in replicas

@@ -13,10 +13,10 @@ log replay can absorb.  This module splits the concern in two:
 - A :class:`ShardedStore` owns the *live* object maps -- one plain
   dict per shard, routed by :class:`HashRing` consistent hashing -- so
   the replica's hot path stays a dict lookup regardless of engine.
-  Engines only see writes at explicit durability points
-  (:meth:`ShardedStore.sync` for dirty keys,
-  :meth:`ShardedStore.checkpoint` for whole-shard snapshots), which is
-  exactly the PR-3 snapshot cadence.
+  Engines only see writes at durability points, and every durability
+  point is a checkpoint (:meth:`ShardedStore.sync`): each engine is
+  handed its shard's whole live map, so between durability points the
+  engines hold the last checkpoint of the live maps, nothing else.
 
 Engine and shard count default from the ``REPRO_ENGINE`` and
 ``REPRO_SHARDS`` environment variables (``memory`` / ``1``), which is
@@ -51,11 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENGINE_NAMES = ("memory", "file", "sqlite")
 
 _checkpoints = REGISTRY.counter("store.shard.checkpoints")
-_syncs = REGISTRY.counter("store.engine.syncs")
-_keys_synced = REGISTRY.counter("store.engine.keys_synced")
 
 #: Shard digests are sums modulo this (256-bit SHA-256 terms).
 _DIGEST_MOD = 1 << 256
+
+#: Virtual points per shard on a :class:`HashRing`.
+_VNODES = 64
 
 
 def default_engine() -> str:
@@ -132,7 +133,7 @@ class HashRing:
 
     Hashes through :func:`hashlib.blake2b` -- never the builtin
     ``hash`` -- so routing is identical across processes, restarts and
-    Python versions.  ``vnodes`` virtual points per shard keep the
+    Python versions.  ``_VNODES`` virtual points per shard keep the
     keyspace split even for small shard counts.
 
     Routing is memoised per ring: the hash and the bisect run once per
@@ -142,13 +143,13 @@ class HashRing:
     large as the keyspace the store has touched, no larger.
     """
 
-    def __init__(self, shards: int, vnodes: int = 64) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise StoreError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         points: list[tuple[int, int]] = []
         for shard in range(shards):
-            for vnode in range(vnodes):
+            for vnode in range(_VNODES):
                 token = f"shard-{shard}-{vnode}".encode()
                 points.append((_ring_hash(token), shard))
         points.sort()
@@ -230,11 +231,11 @@ class StorageEngine:
         return shard_map_digest(self.load(), registry)
 
     def restore(self, objects: dict[str, "CRDT"]) -> None:
-        """Replace the persisted state wholesale (checkpoint)."""
+        """Replace the persisted state wholesale; durable after the next :meth:`sync`."""
         raise NotImplementedError
 
     def sync(self) -> None:
-        """Make staged puts durable."""
+        """Make staged puts and restores durable."""
 
     def close(self) -> None:
         """Release file handles / connections (idempotent)."""
@@ -296,14 +297,15 @@ def _unpickle_entry(body: bytes) -> tuple[str, "CRDT"]:
 
 
 class FileEngine(StorageEngine):
-    """Append-only object log: one :mod:`repro.store.framedlog` frame per put.
+    """Object log: one :mod:`repro.store.framedlog` frame per object.
 
-    Each put appends a frame around ``pickle((key, obj))``; the latest
-    frame per key wins on load.  A crash mid-append damages at most the
-    final frame, which load cuts in place under the framed log's one
-    damage rule (mid-log damage raises; the scrubber's :meth:`verify`
-    handles it).  :meth:`restore` rewrites the file compacted, so
-    checkpoints double as garbage collection of superseded frames.
+    Each frame holds ``pickle((key, obj))`` and the latest frame per key
+    wins on load.  :meth:`restore` -- a store checkpoint -- rewrites the
+    file atomically (temp file + :func:`os.replace`), one frame per key;
+    :meth:`put` appends a frame (the conflict ledger's write path).  A
+    crash mid-append damages at most the final frame, which load cuts in
+    place under the framed log's one damage rule (mid-log damage raises;
+    the scrubber's :meth:`verify` handles it).
     """
 
     name = "file"
@@ -336,10 +338,12 @@ class FileEngine(StorageEngine):
 
         Latest-frame-wins means a damaged frame threatens more than its
         own key: any key whose newest *good* frame precedes the damage
-        may have been superseded by it.  A damaged body that still
-        unpickles to ``(key, ...)`` pins the damage to that key; one
-        that does not widens the quarantine to every key the damaged
-        offset could have superseded (and is counted unattributed).
+        may have been superseded by it.  A damaged body pins the damage
+        to the key it names when it is trustworthy evidence -- intact
+        behind a rotted CRC field, or naming a key a good frame also
+        holds; any other damage widens the quarantine to every key the
+        damaged offset could have superseded (and is counted
+        unattributed).
         """
         self.sync()  # staged appends must be on disk before scanning
         frames, damage = framedlog.scan(self.path)
@@ -354,7 +358,7 @@ class FileEngine(StorageEngine):
                 continue
             latest[key] = (offset, obj)
         scrub = EngineScrub()
-        for offset, body, _reason in damage:
+        for offset, body, reason in damage:
             key = None
             if body is not None:
                 try:
@@ -367,12 +371,14 @@ class FileEngine(StorageEngine):
                     and isinstance(candidate[0], str)
                 ):
                     key = candidate[0]
-            if key is not None and key in latest:
-                # A CRC-failed body is untrusted evidence: a flipped
-                # bit inside the key string still unpickles, naming a
-                # key that never existed.  Only pin the damage when the
-                # named key is independently known from a good frame.
-                if latest[key][0] < offset:
+            # A CRC-failed body is untrusted evidence: a flipped bit
+            # inside the key string still unpickles, naming a key that
+            # never existed.  Only pin the damage when the body is
+            # intact behind a rotted CRC field (a checkpoint holds one
+            # frame per key, so that is often the only evidence), or
+            # when the named key is independently known from a good frame.
+            if key is not None and (reason == framedlog.CRC_FIELD_FLIP or key in latest):
+                if key not in latest or latest[key][0] < offset:
                     scrub.corrupt.add(key)
             else:
                 scrub.unattributed += 1
@@ -388,11 +394,11 @@ class FileEngine(StorageEngine):
 class SqliteEngine(StorageEngine):
     """One sqlite database per shard: a single ``kv`` blob table.
 
-    Puts stage rows inside sqlite's implicit transaction;
-    :meth:`sync` commits it, so the durability point is exactly the
-    store's.  Reads after a crash see the last committed transaction
-    -- sqlite's journal gives the same "complete records only"
-    contract the framed file formats enforce by CRC.
+    :meth:`restore` replaces every row in one committed transaction;
+    puts stage rows inside sqlite's implicit transaction and
+    :meth:`sync` commits them.  Reads after a crash see the last
+    committed transaction -- sqlite's journal gives the same "complete
+    records only" contract the framed file formats enforce by CRC.
 
     Durability follows :class:`FileEngine`: a committed transaction
     survives process death, and host death only with ``fsync=True``
@@ -438,9 +444,7 @@ class SqliteEngine(StorageEngine):
 
     def restore(self, objects: dict[str, "CRDT"]) -> None:
         self._conn.execute("DELETE FROM kv")
-        blobs = [
-            (key, pickle.dumps(obj)) for key, obj in objects.items()
-        ]
+        blobs = [(key, pickle.dumps(obj)) for key, obj in objects.items()]
         self._conn.executemany(
             "INSERT INTO kv (key, obj, crc) VALUES (?, ?, ?)",
             [(key, blob, zlib.crc32(blob)) for key, blob in blobs],
@@ -490,19 +494,24 @@ class FaultyEngine(StorageEngine):
     The storage half of the chaos story: where the fault injector
     perturbs the network, ``FaultyEngine`` perturbs the durability
     layer -- fsync failures (:meth:`inject_fsync_failure`), disk-full
-    puts (:meth:`inject_enospc`), torn writes
+    puts and checkpoints (:meth:`inject_enospc`), torn writes
     (:meth:`inject_torn_write`), and seeded bit flips in already
     persisted state (:meth:`corrupt`).  Injection is by countdown
     budget so tests aim faults at exact durability points; detection
     stays honest -- :meth:`verify` delegates to the wrapped engine's
     own checksums and decode checks, never to injection bookkeeping.
+
+    A :meth:`restore` is held until :meth:`sync`, the latest point the
+    engine contract lets it become durable, so a checkpoint that fails
+    at either step leaves the wrapped engine's previous state whole.
     """
 
     def __init__(self, inner: StorageEngine) -> None:
         self.inner = inner
         self._fsync_failures = 0
-        self._enospc_puts = 0
-        self._torn_puts = 0
+        self._enospc_writes = 0
+        self._torn_writes = 0
+        self._restored: dict[str, "CRDT"] | None = None
         self.injected: dict[str, int] = {
             "fsync_failures": 0,
             "enospc": 0,
@@ -524,10 +533,10 @@ class FaultyEngine(StorageEngine):
         self._fsync_failures += count
 
     def inject_enospc(self, count: int = 1) -> None:
-        self._enospc_puts += count
+        self._enospc_writes += count
 
     def inject_torn_write(self, count: int = 1) -> None:
-        self._torn_puts += count
+        self._torn_writes += count
 
     def corrupt(self, key: str, seed: int = 0) -> None:
         """Flip one persisted bit of ``key``'s newest stored copy."""
@@ -582,27 +591,30 @@ class FaultyEngine(StorageEngine):
     def get(self, key: str) -> "CRDT | None":
         return self.inner.get(key)
 
-    def put(self, key: str, obj: "CRDT") -> None:
-        if self._enospc_puts > 0:
-            self._enospc_puts -= 1
+    def _write_fault(self, what: str) -> bool:
+        """Spend one armed write fault: ENOSPC raises, a torn write returns True."""
+        if self._enospc_writes > 0:
+            self._enospc_writes -= 1
             self.injected["enospc"] += 1
-            raise StoreError(
-                f"injected ENOSPC writing {key!r}"
-            ) from OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        if self._torn_puts > 0:
-            self._torn_puts -= 1
+            raise StoreError(f"injected ENOSPC writing {what}") from OSError(
+                errno.ENOSPC, os.strerror(errno.ENOSPC)
+            )
+        if self._torn_writes > 0:
+            self._torn_writes -= 1
             self.injected["torn_writes"] += 1
-            inner = self.inner
-            if isinstance(inner, FileEngine):
-                # Half a frame hits the disk: the crash-mid-append
-                # signature the tail repair already understands.
-                inner.sync()
-                inner.log.tear(pickle.dumps((key, obj)))
-                return
-            # No framing to tear for the other engines: the analogue
-            # is a write that never reaches the committed state.
-            return
-        self.inner.put(key, obj)
+            return True
+        return False
+
+    def put(self, key: str, obj: "CRDT") -> None:
+        if not self._write_fault(repr(key)):
+            self.inner.put(key, obj)
+        elif isinstance(self.inner, FileEngine):
+            # Half a frame hits the disk: the crash-mid-append
+            # signature the tail repair already understands.  The
+            # other engines have no framing to tear: the analogue is a
+            # write that never reaches the committed state.
+            self.inner.sync()
+            self.inner.log.tear(pickle.dumps((key, obj)))
 
     def iterate(self) -> Iterator[tuple[str, "CRDT"]]:
         return self.inner.iterate()
@@ -611,15 +623,22 @@ class FaultyEngine(StorageEngine):
         return self.inner.digest(registry)
 
     def restore(self, objects: dict[str, "CRDT"]) -> None:
-        self.inner.restore(objects)
+        if self._write_fault("a checkpoint"):
+            # A crash mid-rewrite: the replace (or the commit) never
+            # happens, so the previous shard is what stays.
+            raise StoreError("injected torn checkpoint")
+        self._restored = dict(objects)
 
     def sync(self) -> None:
         if self._fsync_failures > 0:
             self._fsync_failures -= 1
             self.injected["fsync_failures"] += 1
-            raise StoreError(
-                "injected fsync failure"
-            ) from OSError(errno.EIO, os.strerror(errno.EIO))
+            raise StoreError("injected fsync failure") from OSError(
+                errno.EIO, os.strerror(errno.EIO)
+            )
+        if self._restored is not None:
+            self.inner.restore(self._restored)
+            self._restored = None
         self.inner.sync()
 
     def close(self) -> None:
@@ -650,12 +669,11 @@ class ShardedStore:
     """One replica's object storage: N live shards + N engines.
 
     The replica reads and writes the live per-shard dicts (``get`` /
-    ``set``); engines are fed at durability points only, driven by the
-    dirty-key sets ``note_write`` accumulates.  For the default
+    ``set``); engines are fed at durability points only, each of which
+    checkpoints every shard whole (:meth:`sync`).  For the default
     configuration -- one shard, memory engine -- every operation
     degenerates to exactly the single-dict behaviour the store always
-    had (``get`` is the shard dict's own bound ``get``, ``note_write``
-    is not even called).
+    had (``get`` is the shard dict's own bound ``get``).
     """
 
     def __init__(
@@ -697,11 +715,7 @@ class ShardedStore:
             )
             for index in range(self.n_shards)
         ]
-        # Dirty keys per shard, tracked only when a durable engine
-        # consumes them, so a volatile store pays nothing.
-        self._dirty: list[set[str]] = [set() for _ in range(self.n_shards)]
         self._sorted_keys: list[str] | None = None
-        self.syncs = 0
         self.checkpoints = 0
         if self.n_shards == 1:
             # Hot path: identical to the historical single-dict store.
@@ -720,15 +734,8 @@ class ShardedStore:
         return key in self.maps[self.ring.shard_of(key)]
 
     def set(self, key: str, obj: "CRDT") -> None:
-        shard = self.ring.shard_of(key)
-        self.maps[shard][key] = obj
+        self.maps[self.ring.shard_of(key)][key] = obj
         self._sorted_keys = None
-        if self.durable:
-            self._dirty[shard].add(key)
-
-    def note_write(self, key: str) -> None:
-        """An existing object mutated in place (effect application)."""
-        self._dirty[self.ring.shard_of(key)].add(key)
 
     def keys(self) -> list[str]:
         """Sorted union of every shard's keys; cached until a write."""
@@ -787,48 +794,25 @@ class ShardedStore:
 
     # -- durability ----------------------------------------------------------
 
-    def sync(self) -> int:
-        """Flush dirty keys through the engines; returns keys written.
+    def sync(self) -> None:
+        """Checkpoint every shard: the one durability point.
 
-        Dirty sets are cleared only *after* the engine confirms the
-        flush: a put that raises (disk full) or a sync that raises
-        (fsync failure) leaves every key of that shard dirty, so the
-        next durability point retries the whole batch.  Clearing first
-        would silently drop the write from all future syncs -- the
-        durability hole the fault-injection tests pin shut.
+        Each engine is handed its shard's whole live map (``restore``)
+        and made durable (``sync``), so afterwards the engines hold
+        exactly the live maps -- keys the live maps dropped included.
+        A failure raises out of the shard it hit, leaving that shard's
+        previous checkpoint whole; the next durability point rewrites
+        every shard again, so nothing needs remembering for the retry.
         """
-        if not self.durable:
-            for dirty in self._dirty:
-                dirty.clear()
-            return 0
-        written = 0
-        for shard, dirty in enumerate(self._dirty):
-            if not dirty:
-                continue
-            engine = self.engines[shard]
-            shard_map = self.maps[shard]
-            for key in sorted(dirty):
-                obj = shard_map.get(key)
-                if obj is not None:
-                    engine.put(key, obj)
-                    written += 1
-            engine.sync()
-            dirty.clear()
-        self.syncs += 1
-        _syncs.inc()
-        if written:
-            _keys_synced.inc(written)
-        return written
-
-    def checkpoint(self) -> None:
-        """Persist every shard wholesale (snapshot-time durability)."""
         if self.durable:
             for engine, shard_map in zip(self.engines, self.maps):
                 engine.restore(shard_map)
-            for dirty in self._dirty:
-                dirty.clear()
+                engine.sync()
         self.checkpoints += 1
         _checkpoints.inc()
+
+    #: The same durability point under its snapshot-time name.
+    checkpoint = sync
 
     def load_persisted(self) -> tuple[dict[str, "CRDT"], ...]:
         """Each engine's persisted shard map (tests / inspection)."""
@@ -843,7 +827,6 @@ class ShardedStore:
             "store.shard.count": self.n_shards,
             "store.shard.keys_total": total,
             "store.shard.keys_max": max(counts) if counts else 0,
-            "store.engine.syncs": self.syncs,
             "store.shard.checkpoints": self.checkpoints,
         }
 

@@ -43,6 +43,10 @@ from repro.obs import REGISTRY
 _LOG = logging.getLogger(__name__)
 HEADER = struct.Struct(">II")
 
+#: The :func:`scan` reason of a frame whose stored CRC is one bit off
+#: its body's: rot in the header field, the body itself intact.
+CRC_FIELD_FLIP = "CRC field bit flip"
+
 _tail_skipped = REGISTRY.counter("net.commitlog.tail_skipped")
 _salvaged = REGISTRY.counter("net.commitlog.salvaged")
 
@@ -72,7 +76,10 @@ def _walk(data: bytes) -> Iterator[tuple[int, int, bytes | None, str | None]]:
     """The one walk: ``(offset, end, body, damage)`` per frame.
 
     ``damage`` is None for an intact frame.  A CRC mismatch keeps its
-    (corrupt) body and the walk continues at the next frame boundary;
+    body and the walk continues at the next frame boundary; when the
+    stored CRC is a single bit off the body's, the damage is
+    :data:`CRC_FIELD_FLIP` (a body error that lands one bit away from
+    its own CRC is a 2**-27 chance), otherwise the body is corrupt;
     a torn header or body (which a flipped length prefix is
     indistinguishable from) has no body, runs to the end of ``data``
     and ends the walk.
@@ -90,7 +97,12 @@ def _walk(data: bytes) -> Iterator[tuple[int, int, bytes | None, str | None]]:
             yield offset, size, None, "truncated body"
             return
         body = data[start:end]
-        yield offset, end, body, None if zlib.crc32(body) == crc else "CRC mismatch"
+        off_by = zlib.crc32(body) ^ crc
+        if off_by and off_by.bit_count() == 1:
+            damage = CRC_FIELD_FLIP
+        else:
+            damage = "CRC mismatch" if off_by else None
+        yield offset, end, body, damage
         offset = end
 
 
@@ -204,7 +216,12 @@ class FramedLog:
                 os.fsync(fh.fileno())
 
     def rewrite(self, bodies: Iterable[bytes]) -> None:
-        """Replace the file with exactly ``bodies``' frames, atomically."""
+        """Replace the file with exactly ``bodies``' frames, atomically.
+
+        With ``fsync=True`` the temp file is synced before the replace
+        and the parent directory after it: the rename lives in the
+        directory, and until that is synced a host crash can revert it.
+        """
         self.close()
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
@@ -214,6 +231,12 @@ class FramedLog:
             if self._fsync:
                 os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+        if self._fsync:
+            directory = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
 
     def tear(self, body: bytes) -> None:
         """Fault injection: append half of ``body``'s frame, as a crash mid-append would."""

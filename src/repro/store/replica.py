@@ -90,6 +90,7 @@ class Replica:
         engine: str | None = None,
         shards: int | None = None,
         data_dir: str | None = None,
+        fsync: bool = False,
     ) -> None:
         self.replica_id = replica_id
         self._registry = registry
@@ -100,15 +101,10 @@ class Replica:
         #: (memory / 1) -- the CI engine matrix's single knob.
         self.storage = ShardedStore(
             replica_id, registry, engine=engine, shards=shards,
-            data_dir=data_dir,
+            data_dir=data_dir, fsync=fsync,
         )
         self._store_get = self.storage.get
         self._store_set = self.storage.set
-        # Only consulted when a durable engine consumes write
-        # notifications; None keeps the volatile apply loop unchanged.
-        self._note_write = (
-            self.storage.note_write if self.storage.durable else None
-        )
         self.vv = VersionVector()
         self._vv_digest: VersionVector | None = None
         self._clock = 0
@@ -277,24 +273,13 @@ class Replica:
         # ``effect`` frame; payload types without a table entry fall
         # back to ``effect`` for its error reporting.
         get_object = self.get_object
-        note_write = self._note_write
-        if note_write is None:
-            for key, payload in record.updates:
-                obj = get_object(key)
-                handler = obj._effect_table.get(payload.__class__)
-                if handler is not None:
-                    handler(obj, payload, ctx)
-                else:
-                    obj.effect(payload, ctx)
-        else:
-            for key, payload in record.updates:
-                obj = get_object(key)
-                handler = obj._effect_table.get(payload.__class__)
-                if handler is not None:
-                    handler(obj, payload, ctx)
-                else:
-                    obj.effect(payload, ctx)
-                note_write(key)
+        for key, payload in record.updates:
+            obj = get_object(key)
+            handler = obj._effect_table.get(payload.__class__)
+            if handler is not None:
+                handler(obj, payload, ctx)
+            else:
+                obj.effect(payload, ctx)
         self.vv.entries[origin] = counter
         self._vv_digest = None
         if origin == self.replica_id:
@@ -485,10 +470,8 @@ class Replica:
         return truncatable
 
     def _take_snapshot(self) -> ReplicaSnapshot:
-        # Snapshot time is also the durability point: each shard's
-        # engine persists its full map, so a durable engine restarts
-        # from the checkpoint plus the retained log tail instead of a
-        # full replay.
+        # Snapshot time is also a durability point: every shard's
+        # engine gets its whole live map.
         self.storage.checkpoint()
         return ReplicaSnapshot(
             vv=self.vv.copy(),

@@ -3,7 +3,7 @@
 Peak-throughput experiments (Figures 4 and 7) need servers that
 *saturate*: as closed-loop clients multiply, queueing delay takes over
 and latency climbs while throughput flattens.  Each replica therefore
-owns a :class:`ProcessingQueue` with a fixed worker count, and each
+owns a :class:`ProcessingQueue` with one worker, and each
 transaction costs service time proportional to the work it does --
 which is also precisely where IPA's extra updates and the Figure 8
 microbenchmarks show up.
@@ -45,16 +45,16 @@ class ServiceModel:
 
 
 class ProcessingQueue:
-    """A FIFO queue drained by ``workers`` simulated workers.
+    """A FIFO queue drained by one simulated worker.
 
-    ``submit(run, done)``: when a worker frees up, ``run()`` executes
+    ``submit(run, done)``: when the worker frees up, ``run()`` executes
     (instantaneously mutating store state) and returns its service cost
     in ms; ``done()`` fires once that cost has elapsed.
     """
 
-    def __init__(self, sim: Simulator, workers: int = 1) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._idle = workers
+        self._idle = 1
         self._queue: deque[tuple[Callable[[], float], Callable[[], None]]] = (
             deque()
         )

@@ -30,9 +30,13 @@ def deployment():
 
 
 def boot(deployment, data_dir, shards):
-    """Construct a region's server; construction replays its log."""
-    region = deployment["trial"]["regions"][0]
-    return ReplicaServer(deployment, {}, region, str(data_dir), shards=shards)
+    """Construct a region's server with ``shards`` pinned in its trial spec.
+
+    Construction replays its log.
+    """
+    pinned = {**deployment, "trial": {**deployment["trial"], "shards": shards}}
+    region = pinned["trial"]["regions"][0]
+    return ReplicaServer(pinned, {}, region, str(data_dir))
 
 
 def drive(server, n=12):

@@ -9,10 +9,10 @@ from repro.obs import (
     NULL_SPAN,
     Tracer,
     chrome_trace,
-    read_jsonl,
+    dump_process,
+    read_spool,
     summarize,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -117,9 +117,8 @@ class TestExport:
 
     def test_jsonl_round_trip(self, tracer, tmp_path):
         spans = self._sample_spans(tracer)
-        path = str(tmp_path / "spans.jsonl")
-        write_jsonl(spans, path)
-        assert read_jsonl(path) == spans
+        path = dump_process(str(tmp_path), tracer=tracer)
+        assert read_spool(path)[1] == spans
 
     def test_chrome_trace_shape(self, tracer):
         spans = self._sample_spans(tracer)

@@ -10,8 +10,11 @@ sqlite) and whatever the shard count ({1, 3, 8}).
 The scripted add-only schedule is fixed up-front from the seed (same
 trick as the batching equivalence suite), so the committed-record set
 is identical across configurations; the digests then compare the full
-pipeline -- routing, note_write tracking, per-shard snapshots and
-recovery -- against the historical single-dict behaviour.
+pipeline -- routing, per-shard snapshots and recovery -- against the
+historical single-dict behaviour.  Whatever the live maps went through
+(a schedule, a rerouted ``restore_shards``, ``clear`` plus
+``rebuild_from_log``, ``install_snapshot``), the next durability point
+leaves the durable engines holding exactly those maps.
 
 Kill-mid-commit is pinned per durable engine at the torn-write level:
 a crash half-way through an engine append must reload to exactly the
@@ -22,7 +25,7 @@ the tear must reproduce the pre-crash digest.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crdts import AWSet
@@ -124,6 +127,17 @@ class TestEngineShardMatrix:
         assert populated > 1
 
 
+def assert_checkpoint_is_live(storage):
+    """After a durability point, a durable store's engines hold exactly its live maps."""
+    storage.sync()
+    if storage.durable:
+        persisted = [
+            {key: obj.value() for key, obj in shard.items()} for shard in storage.load_persisted()
+        ]
+        live = [{key: obj.value() for key, obj in shard.items()} for shard in storage.maps]
+        assert persisted == live
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -132,16 +146,34 @@ class TestEngineShardMatrix:
     shards=st.sampled_from(SHARD_COUNTS),
     chaos=st.booleans(),
 )
+@example(seed=7, n_ops=20, engine="file", shards=1, chaos=True)
+@example(seed=7, n_ops=20, engine="sqlite", shards=4, chaos=True)
+@example(seed=9, n_ops=20, engine="file", shards=4, chaos=False)
 def test_any_schedule_any_engine_same_digest(seed, n_ops, engine, shards, chaos):
     """Property: for any seeded schedule (faulty or perfect), any
     engine x shard configuration converges to the digests of the
-    historical memory x 1 store."""
+    historical memory x 1 store, and every durability point on the way
+    out persists exactly the live maps."""
     faults = chaos_plan(seed) if chaos else None
     reference, _ = scripted_run("memory", 1, seed=seed, n_ops=n_ops, faults=faults)
     expected = reference.state_digest()
     assert len(set(expected.values())) == 1
     run, _ = scripted_run(engine, shards, seed=seed, n_ops=n_ops, faults=faults)
     assert run.state_digest() == expected
+    replica, peer = run.replica(US_EAST), run.replica(US_WEST)
+    assert_checkpoint_is_live(replica.storage)
+    # Rerouted from the reference's single shard.
+    replica.storage.restore_shards(reference.replica(US_EAST).storage.snapshot_shards())
+    assert_checkpoint_is_live(replica.storage)
+    # A key the log never wrote, persisted, then dropped by recovery:
+    # with no snapshot yet, that is ``clear`` plus a full replay.
+    replica.storage.set("stray", AWSet())
+    assert_checkpoint_is_live(replica.storage)
+    replica.rebuild_from_log()
+    assert_checkpoint_is_live(replica.storage)
+    assert replica.install_snapshot(peer._take_snapshot())
+    assert_checkpoint_is_live(replica.storage)
+    assert replica_state_digest(replica) == expected[US_EAST]
 
 
 class TestKillMidCommit:

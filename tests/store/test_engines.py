@@ -2,7 +2,7 @@
 
 Every engine implements one durability contract (stage puts, make them
 durable on sync, reload after a process death, replace wholesale on
-checkpoint); the :class:`~repro.store.engine.ShardedStore` splits a
+restore); the :class:`~repro.store.engine.ShardedStore` splits a
 replica's keyspace over N of them with deterministic consistent
 hashing.  These tests pin the contract per engine, the ring's
 cross-process stability, and the store's routing/snapshot/durability
@@ -337,27 +337,33 @@ class TestShardedStore:
         target.close()
 
     @pytest.mark.parametrize("engine", ["file", "sqlite"])
-    def test_sync_persists_dirty_keys(self, engine, tmp_path):
+    def test_sync_persists_exactly_the_live_map(self, engine, tmp_path):
         store = self.make(2, engine=engine, data_dir=str(tmp_path))
+
+        def persisted():
+            merged = {}
+            for shard_map in store.load_persisted():
+                merged.update(shard_map)
+            return {k: o.value() for k, o in merged.items()}
+
         store.set("k1", make_set("a"))
         store.set("k2", make_set("b"))
-        assert store.sync() == 2
-        persisted = {}
-        for shard_map in store.load_persisted():
-            persisted.update(shard_map)
-        assert {k: o.value() for k, o in persisted.items()} == {
-            "k1": {"a"},
-            "k2": {"b"},
-        }
-        # Nothing dirty: the next sync writes nothing.
-        assert store.sync() == 0
-        # In-place mutation + note_write re-dirties the key.
+        store.sync()
+        assert persisted() == {"k1": {"a"}, "k2": {"b"}}
+        # An in-place mutation needs no notice: every durability point
+        # hands each engine its shard's whole live map.
         store.get("k1").effect(
             store.get("k1").prepare_add("z"),
             EventContext(dot=Dot("r", 7), vv=VersionVector({"r": 7})),
         )
-        store.note_write("k1")
-        assert store.sync() == 1
+        store.sync()
+        assert persisted() == {"k1": {"a", "z"}, "k2": {"b"}}
+        # Keys the live maps dropped leave the engines too.
+        store.clear()
+        store.set("k3", make_set("c"))
+        store.sync()
+        assert persisted() == {"k3": {"c"}}
+        assert store.stats()["store.shard.checkpoints"] == 3
         store.close()
 
     @pytest.mark.parametrize("engine", ["file", "sqlite"])
@@ -427,6 +433,7 @@ class TestShardedStore:
         assert stats["store.shard.count"] == 2
         assert stats["store.shard.keys_total"] == 1
         assert stats["store.shard.keys_max"] == 1
+        assert stats["store.shard.checkpoints"] == 0
         store.close()
 
     def test_durable_store_without_data_dir_owns_scratch(self):

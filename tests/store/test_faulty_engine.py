@@ -1,12 +1,13 @@
 """Durability under injected storage faults: the never-ack pin.
 
 The robustness satellite: a durability point that *fails* -- fsync
-raising, the disk filling mid-put, a torn append -- must never be
-treated as durable.  :meth:`ShardedStore.sync` clears a shard's dirty
-set only after the engine confirms the flush, so a failed sync leaves
-every key dirty and the next durability point retries the whole
-batch; these tests pin that for both durable engines, at the engine
-contract level and through the store.
+raising, the disk filling mid-write, a torn write -- must never be
+treated as durable.  Every durability point of a
+:class:`~repro.store.engine.ShardedStore` is a checkpoint of its whole
+live maps, so a failed one must raise, leave the shard's previous
+checkpoint whole, and the next one must persist exactly the live maps;
+these tests pin that for both durable engines, at the engine contract
+level and through the store.
 """
 
 import pytest
@@ -51,14 +52,35 @@ def reopened(engine):
     return type(inner)(inner.path)
 
 
-def make_store(name, tmp_path):
-    """A single-shard store with its engine wrapped for injection."""
+def values(objects):
+    return {key: obj.value() for key, obj in objects.items()}
+
+
+def make_store(name, tmp_path, shards=1):
+    """A store whose every shard engine is wrapped for injection."""
     store = ShardedStore(
-        "A", make_registry(), engine=name, shards=1,
+        "A",
+        make_registry(),
+        engine=name,
+        shards=shards,
         data_dir=str(tmp_path / "data"),
     )
-    store.engines[0] = FaultyEngine(store.engines[0])
-    return store, store.engines[0]
+    store.engines = [FaultyEngine(engine) for engine in store.engines]
+    return store
+
+
+def persisted(store):
+    """Each shard's state as a second engine instance on its storage reads it."""
+    shards = []
+    for engine in store.engines:
+        other = type(engine.inner)(engine.inner.path)
+        shards.append(values(other.load()))
+        other.close()
+    return shards
+
+
+def live(store):
+    return [values(shard_map) for shard_map in store.maps]
 
 
 class TestEngineContract:
@@ -83,67 +105,67 @@ class TestEngineContract:
         assert set(reopened(faulty).load()) == {"kept"}
 
 
-class TestStoreNeverAcks:
-    @pytest.mark.parametrize("name", DURABLE)
-    def test_fsync_failure_keeps_keys_dirty(self, name, tmp_path):
-        store, engine = make_store(name, tmp_path)
-        store.set("k", make_set("x"))
+def arm(engine, fault):
+    if fault == "fsync":
         engine.inject_fsync_failure()
-        with pytest.raises(StoreError):
-            store.sync()
-        # The durability point failed: nothing may be considered
-        # acknowledged, so the dirty set must survive for the retry.
-        assert "k" in store._dirty[0]
-        assert store.sync() == 1
-        assert not store._dirty[0]
-        assert set(reopened(engine).load()) == {"k"}
-
-    @pytest.mark.parametrize("name", DURABLE)
-    def test_enospc_keeps_keys_dirty(self, name, tmp_path):
-        store, engine = make_store(name, tmp_path)
-        store.set("k", make_set("x"))
+    elif fault == "enospc":
         engine.inject_enospc()
+    else:
+        engine.inject_torn_write()
+
+
+class TestStoreNeverAcks:
+    @pytest.mark.parametrize("fault", ["fsync", "enospc", "torn"])
+    @pytest.mark.parametrize("name", DURABLE)
+    def test_failed_checkpoint_keeps_the_previous_shard(self, name, fault, tmp_path):
+        store = make_store(name, tmp_path)
+        store.set("kept", make_set("x"))
+        store.sync()
+        store.set("new", make_set("y"))
+        store.maps[0].pop("kept")
+        (engine,) = store.engines
+        arm(engine, fault)
         with pytest.raises(StoreError):
             store.sync()
-        assert "k" in store._dirty[0]
-        assert store.sync() == 1
-        assert set(reopened(engine).load()) == {"k"}
+        # The durability point failed: nothing of it may be on disk.
+        assert persisted(store) == [{"kept": {"x"}}]
+        # The retry persists exactly the live map, the drop included.
+        store.sync()
+        assert persisted(store) == live(store) == [{"new": {"y"}}]
+        store.close()
 
     @pytest.mark.parametrize("name", DURABLE)
     def test_mid_batch_failure_retries_whole_batch(self, name, tmp_path):
-        store, engine = make_store(name, tmp_path)
-        for key in ("a", "b", "c"):
+        store = make_store(name, tmp_path, shards=4)
+        for key in [f"key-{i}" for i in range(40)]:
             store.set(key, make_set(key))
-        # sorted(dirty) puts a, b, c; the second put hits the wall.
-        engine.inject_enospc()
-        engine._enospc_puts = 0  # re-arm precisely: fail put #2 only
-        real_put = engine.put
-        calls = {"n": 0}
-
-        def flaky_put(key, obj):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise StoreError("injected ENOSPC mid-batch")
-            real_put(key, obj)
-
-        engine.put = flaky_put
+        store.sync()
+        before = persisted(store)
+        for key in [f"key-{i}" for i in range(40, 80)]:
+            store.set(key, make_set(key))
+        assert all(after != then for after, then in zip(live(store), before))
+        # The third shard's checkpoint hits the wall: the shards before
+        # it are written, the failed one and those after are not.
+        store.engines[2].inject_enospc()
         with pytest.raises(StoreError):
             store.sync()
-        # All three stay dirty -- even 'a', whose put succeeded but
-        # whose durability point (the shard's sync) never completed.
-        assert store._dirty[0] == {"a", "b", "c"}
-        engine.put = real_put
-        assert store.sync() == 3
-        assert set(reopened(engine).load()) == {"a", "b", "c"}
+        assert persisted(store)[:2] == live(store)[:2]
+        assert persisted(store)[2:] == before[2:]
+        store.sync()
+        assert persisted(store) == live(store)
+        store.close()
 
     def test_torn_write_repairs_to_prior_state(self, tmp_path):
-        store, engine = make_store("file", tmp_path)
+        store = make_store("file", tmp_path)
         store.set("kept", make_set("x"))
         store.sync()
-        store.set("torn", make_set("y"))
+        (engine,) = store.engines
+        # A torn put (the ledger's write path) hits the disk silently.
         engine.inject_torn_write()
-        store.sync()  # half the frame hits the disk, silently
+        engine.put("torn", make_set("y"))
+        engine.sync()
         assert engine.injected["torn_writes"] == 1
-        # Reload repairs the tail exactly like crash-mid-append:
-        # the torn frame is gone, the prior state is whole.
-        assert set(reopened(engine).load()) == {"kept"}
+        # Reload repairs the tail exactly like crash-mid-append: the
+        # torn frame is gone, the prior state is whole.
+        assert persisted(store) == [{"kept": {"x"}}]
+        store.close()

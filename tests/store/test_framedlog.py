@@ -10,7 +10,9 @@ byte-identity checks pin that every user still writes exactly the
 historical ``len | crc32 | body`` frames.
 """
 
+import os
 import pickle
+import stat
 import struct
 import zlib
 
@@ -188,3 +190,21 @@ def test_hint_file_frames_are_unchanged(tmp_path):
     queue.close()
     with open(path, "rb") as fh:
         assert fh.read() == b"".join(reference_frame(wire.encode_body(h)) for h in hints)
+
+
+# -- durability of a rewrite ------------------------------------------------
+
+
+@pytest.mark.parametrize("fsync", [False, True])
+def test_rewrite_syncs_the_directory_iff_fsync(tmp_path, monkeypatch, fsync):
+    """The replace lives in the directory: with ``fsync`` it is synced too."""
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    framedlog.FramedLog(tmp_path / "s.objlog", fsync=fsync).rewrite([b"a", b"b"])
+    assert synced == (["file", "dir"] if fsync else [])

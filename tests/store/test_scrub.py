@@ -42,8 +42,8 @@ def make_registry():
 def persist(replica):
     """Feed the engines at a durability point, whatever the engine.
 
-    The memory engine is volatile redundancy: the store never routes
-    dirty keys to it, so corruption tests hand it objects directly.
+    The memory engine is volatile redundancy: the store's checkpoints
+    skip it, so corruption tests hand it objects directly.
     """
     store = replica.storage
     if store.durable:
@@ -56,10 +56,10 @@ def persist(replica):
 def build_pair(name, tmp_path):
     """Replica A plus peer B holding identical, fully persisted state.
 
-    Two durability rounds, so ``TARGET`` and ``gamma`` have an older
-    frame *and* a newer one in the file engine's log: the newest
-    ``TARGET`` record sits mid-log (gamma's second frame follows it),
-    and the older good frame lets damage there be attributed.
+    Two durability rounds, the second after ``TARGET`` and ``gamma``
+    changed.  Each rewrites the file engine's log with one frame per
+    key in key order, so ``TARGET``'s frame sits mid-log (gamma's
+    follows it).
     """
     registry = make_registry()
     a = Replica(
@@ -117,7 +117,6 @@ def corrupt(replica, key):
 def drop_live(replica, key):
     """Lose the live copy (a recovery that rebuilt without the key)."""
     replica.storage.maps[0].pop(key)
-    replica.storage._dirty[0].discard(key)
 
 
 @pytest.fixture(params=ENGINE_NAMES)

@@ -24,7 +24,7 @@ class TestServiceModel:
 class TestProcessingQueue:
     def test_sequential_service(self):
         sim = Simulator()
-        queue = ProcessingQueue(sim, workers=1)
+        queue = ProcessingQueue(sim)
         finished = []
         for index in range(3):
             queue.submit(
@@ -34,18 +34,9 @@ class TestProcessingQueue:
         assert [time for _i, time in finished] == [10.0, 20.0, 30.0]
         assert queue.processed == 3
 
-    def test_parallel_workers(self):
-        sim = Simulator()
-        queue = ProcessingQueue(sim, workers=2)
-        finished = []
-        for index in range(2):
-            queue.submit(lambda: 10.0, lambda: finished.append(sim.now))
-        sim.run()
-        assert finished == [10.0, 10.0]
-
     def test_run_executes_at_dispatch_time(self):
         sim = Simulator()
-        queue = ProcessingQueue(sim, workers=1)
+        queue = ProcessingQueue(sim)
         state = []
         queue.submit(lambda: (state.append(sim.now), 5.0)[1], lambda: None)
         queue.submit(lambda: (state.append(sim.now), 5.0)[1], lambda: None)
@@ -54,7 +45,7 @@ class TestProcessingQueue:
 
     def test_depth_tracking(self):
         sim = Simulator()
-        queue = ProcessingQueue(sim, workers=1)
+        queue = ProcessingQueue(sim)
         for _ in range(5):
             queue.submit(lambda: 1.0, lambda: None)
         assert queue.max_depth >= 4
