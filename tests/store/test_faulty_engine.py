@@ -114,25 +114,37 @@ def arm(engine, fault):
         engine.inject_torn_write()
 
 
+def checkpoint_fails_then_retry_heals(name, fault, tmp_path):
+    store = make_store(name, tmp_path)
+    store.set("kept", make_set("x"))
+    store.sync()
+    store.set("new", make_set("y"))
+    store.maps[0].pop("kept")
+    (engine,) = store.engines
+    arm(engine, fault)
+    with pytest.raises(StoreError):
+        store.sync()
+    # The durability point failed: nothing of it may be on disk, and the
+    # writes since the last checkpoint are still unpersisted (dirty).
+    assert persisted(store) == [{"kept": {"x"}}]
+    # The retry persists exactly the live map, the drop included.
+    store.sync()
+    assert persisted(store) == live(store) == [{"new": {"y"}}]
+    store.close()
+
+
 class TestStoreNeverAcks:
-    @pytest.mark.parametrize("fault", ["fsync", "enospc", "torn"])
     @pytest.mark.parametrize("name", DURABLE)
-    def test_failed_checkpoint_keeps_the_previous_shard(self, name, fault, tmp_path):
-        store = make_store(name, tmp_path)
-        store.set("kept", make_set("x"))
-        store.sync()
-        store.set("new", make_set("y"))
-        store.maps[0].pop("kept")
-        (engine,) = store.engines
-        arm(engine, fault)
-        with pytest.raises(StoreError):
-            store.sync()
-        # The durability point failed: nothing of it may be on disk.
-        assert persisted(store) == [{"kept": {"x"}}]
-        # The retry persists exactly the live map, the drop included.
-        store.sync()
-        assert persisted(store) == live(store) == [{"new": {"y"}}]
-        store.close()
+    def test_fsync_failure_keeps_keys_dirty(self, name, tmp_path):
+        checkpoint_fails_then_retry_heals(name, "fsync", tmp_path)
+
+    @pytest.mark.parametrize("name", DURABLE)
+    def test_enospc_keeps_keys_dirty(self, name, tmp_path):
+        checkpoint_fails_then_retry_heals(name, "enospc", tmp_path)
+
+    @pytest.mark.parametrize("name", DURABLE)
+    def test_torn_checkpoint_keeps_the_previous_shard(self, name, tmp_path):
+        checkpoint_fails_then_retry_heals(name, "torn", tmp_path)
 
     @pytest.mark.parametrize("name", DURABLE)
     def test_mid_batch_failure_retries_whole_batch(self, name, tmp_path):
