@@ -354,6 +354,19 @@ class AppAdapter:
         """
         raise NotImplementedError
 
+    def row_of(
+        self, key: str, element, variant: Variant
+    ) -> tuple[tuple[str, tuple], ...]:
+        """The raw pairs one member ``element`` of the set at ``key`` adds.
+
+        For every key whose object's rows are one per member (an
+        ``AWSet`` or ``RWSet``), ``rows`` is the union of ``row_of`` over
+        its members, and distinct members give distinct pairs: the live
+        detector re-judges only the elements a record names by asking
+        whether each is still a member.
+        """
+        raise NotImplementedError
+
     def view_rules(self, variant: Variant) -> dict[str, ViewRule]:
         """The non-identity :class:`ViewRule` per raw relation; any
         relation left out shows as itself."""
@@ -491,6 +504,14 @@ class TournamentAdapter(AppAdapter):
             # view drops from enrolments and matches.
             t = key.split(":", 1)[1]
             return [("trimmed", (v, t)) for v in obj.raw_value() - obj.value()]
+        return ()
+
+    def row_of(self, key, element, variant):
+        name = self._UNARY.get(key)
+        if name is not None:
+            return ((name, (element,)),)
+        if key in ("enrolled", "inMatch"):
+            return ((key, element),)
         return ()
 
     #: The observed view applies pending capacity trims exactly as a
@@ -678,6 +699,13 @@ class TicketAdapter(AppAdapter):
             return [("sold", (ticket, event)) for ticket in obj.value()]
         return ()
 
+    def row_of(self, key, element, variant):
+        if key == "events":
+            return (("event", (element,)),)
+        if key.startswith("sold:"):
+            return (("sold", (element, key.split(":", 1)[1])),)
+        return ()
+
     def model_params(self, params):
         return {"EventCapacity": params["capacity"]}
 
@@ -798,6 +826,14 @@ class TpcwAdapter(AppAdapter):
                 if pending is not None:
                     value += pending.amount
             return [("stock", (key.split(":", 1)[1], value))]
+        return ()
+
+    def row_of(self, key, element, variant):
+        name = self._UNARY.get(key)
+        if name is not None:
+            return ((name, (element,)),)
+        if key == "orderOf":
+            return (("orderOf", element),)
         return ()
 
     #: One (product, level) row per counter shows as the numeric
@@ -977,6 +1013,20 @@ class TwitterAdapter(AppAdapter):
             # (tweet, author) pairs: every follower's timeline holds the
             # same pair, so several keys contribute one row.
             return [("inTimeline", pair) for pair in obj.value()]
+        return ()
+
+    def row_of(self, key, element, variant):
+        if key == "users":
+            return (("user", (element,)),)
+        if key == "tweets":
+            return (("tweet", (element,)),)
+        prefix, _, owner = key.partition(":")
+        if prefix == "authored":
+            return (("authored", (owner, element)),)
+        if prefix == "followers":
+            return (("follows", (element, owner)),)
+        if prefix == "timeline":
+            return (("inTimeline", element),)
         return ()
 
     #: The rem-wins strategy's reads hide references to removed

@@ -26,19 +26,29 @@ dataclass registry is built by scanning the CRDT payload modules plus
 the replication-layer types, asserting class names are unique.
 
 **Codec tables.**  Both directions dispatch through tables rather than
-an ``isinstance`` ladder.  Encoding looks up ``type(value)``: each
-container type has a lowering that copies its primitive elements
-without a recursive call, and each registered dataclass has one closed
-over its field-name tuple, so ``dataclasses.fields`` and the registry
-check run once per class (when the registry is built, on first use),
-not once per value.  A type the table has not seen -- a ``dict``
-subclass, a ``NamedTuple`` -- is resolved once in the historical
-``isinstance`` order and cached.  Decoding walks the plain
-``json.loads`` result once, dispatching each one-key object on its tag
-and each ``"c"``/``"f"`` object to the registered class's constructor;
-every decoder checks its own payload's shape as it goes.  The bytes
-are the ones the ladder produced: field order is the dataclass's, sets
-sort by canonical JSON.
+an ``isinstance`` ladder.  :func:`encode_body` writes the JSON text in
+one pass: :data:`_EMITTERS` maps each exact ``type(value)`` to a
+function returning its compact text -- strings through ``json``'s own
+``encode_basestring_ascii``, numbers and literals exactly as ``json``
+renders them, containers with their tags, and each registered
+dataclass through one ``%`` template whose ``{"c":…,"f":{`` head and
+field keys were written when the registry was built.  Sets keep the
+canonical order (each element keyed by the ``json.dumps(…,
+sort_keys=True)`` of its lowering).  A type the table does not hold
+exactly -- a ``dict`` subclass, a ``NamedTuple``, an ``IntEnum``, a
+subclass of a registered class -- falls back to :func:`encode`, the
+lowering to tagged dicts, rendered by ``json``.  That lowering has its
+own table: each container type copies its primitive elements without
+a recursive call, each registered dataclass has a lowering closed over
+its field-name tuple, and any other encodable type is resolved once in
+the historical ``isinstance`` order and cached.  Either way
+``dataclasses.fields`` and the registry check run once per class (when
+the registry is built, on first use), not once per value.  Decoding
+walks the plain ``json.loads`` result once, dispatching each one-key
+object on its tag and each ``"c"``/``"f"`` object to the registered
+class's constructor; every decoder checks its own payload's shape as
+it goes.  The bytes are the ones the ladder produced: field order is
+the dataclass's, sets sort by canonical JSON.
 
 **Strictness.**  Every malformed input raises :class:`WireError`, never
 a stray ``TypeError``/``ValueError`` from deep inside a decode: an
@@ -63,6 +73,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import struct
 from typing import Any, Callable
 
@@ -134,13 +145,15 @@ _REGISTRY: dict[str, type] | None = None
 
 def _registry() -> dict[str, type]:
     """The registry, built on first use -- and with it each class's
-    lowering entered into :data:`_ENCODERS`, its field names read once."""
+    lowering entered into :data:`_ENCODERS` and its emitter into
+    :data:`_EMITTERS`, its field names read once."""
     global _REGISTRY
     if _REGISTRY is None:
         registry = _build_registry()
         for name, cls in registry.items():
             names = tuple(field.name for field in dataclasses.fields(cls))
             _ENCODERS[cls] = _class_encoder(name, names)
+            _EMITTERS[cls] = _class_emitter(name, names)
         _REGISTRY = registry
     return _REGISTRY
 
@@ -360,9 +373,113 @@ _DECODERS: dict[str, Callable[[Any], Any]] = {
 }
 
 
-# -- framing ------------------------------------------------------------------
+# -- emit table ---------------------------------------------------------------
 
 _JSON = json.JSONEncoder(separators=(",", ":"))
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _text(value: Any) -> str:
+    """``value``'s compact JSON text, equal to ``_JSON.encode(encode(value))``."""
+    return _EMITTERS.get(type(value), _lowered_text)(value)
+
+
+def _lowered_text(value: Any) -> str:
+    # Not an exact table type: lower it (which refuses what the codec
+    # refuses) and let ``json`` render the result.
+    return _JSON.encode(encode(value))
+
+
+def _float_text(value: float) -> str:
+    # ``json``'s own rendering, non-finite values included.
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _emit_tuple(value: tuple) -> str:
+    get = _EMITTERS.get
+    return '{"t":[' + ",".join([get(type(item), _lowered_text)(item) for item in value]) + "]}"
+
+
+def _emit_list(value: list) -> str:
+    get = _EMITTERS.get
+    return '{"l":[' + ",".join([get(type(item), _lowered_text)(item) for item in value]) + "]}"
+
+
+def _emit_set(value: set | frozenset) -> str:
+    keyed = []
+    for item in value:
+        text = _text(item)
+        # The canonical sort key: a scalar's text is already its
+        # ``json.dumps``; anything else is keyed as its lowering was.
+        keyed.append((text if type(item) in _SCALARS else _canonical(encode(item)), text))
+    keyed.sort(key=_first)
+    tag = '{"fs":[' if isinstance(value, frozenset) else '{"s":['
+    return tag + ",".join([text for _key, text in keyed]) + "]}"
+
+
+_first = operator.itemgetter(0)
+
+
+def _emit_dict(value: dict) -> str:
+    get = _EMITTERS.get
+    return '{"d":[' + ",".join([
+        "[" + get(type(k), _lowered_text)(k) + "," + get(type(v), _lowered_text)(v) + "]"
+        for k, v in value.items()
+    ]) + "]}"
+
+
+def _class_emitter(name: str, names: tuple[str, ...]) -> Callable[[Any], str]:
+    """The emitter of registered class ``name`` with fields ``names``:
+    one ``%`` template holding the tag, the name and every field key."""
+    template = '{"c":%s,"f":{%s}}' % (
+        _quote(name),
+        ",".join(_quote(field) + ":%s" for field in names),
+    )
+    get = _EMITTERS.get
+    if not names:
+        return lambda _value: template
+    if len(names) == 1:
+        (field,) = names
+
+        def emit_one(value: Any) -> str:
+            item = getattr(value, field)
+            return template % get(type(item), _lowered_text)(item)
+
+        return emit_one
+    fetch = operator.attrgetter(*names)
+
+    def emit(value: Any) -> str:
+        return template % tuple([get(type(item), _lowered_text)(item) for item in fetch(value)])
+
+    return emit
+
+
+#: ``type(value)`` -> its compact JSON text, for exact types only.  The
+#: registered dataclasses join when the registry is built
+#: (:func:`_registry`); any other type is lowered (:func:`_lowered_text`).
+_EMITTERS: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _value: "null",
+    tuple: _emit_tuple,
+    list: _emit_list,
+    set: _emit_set,
+    frozenset: _emit_set,
+    dict: _emit_dict,
+    type(WILDCARD): lambda _value: '{"w":null}',
+}
+
+
+# -- framing ------------------------------------------------------------------
 
 
 def encode_body(message: dict[str, Any]) -> bytes:
@@ -373,7 +490,9 @@ def encode_body(message: dict[str, Any]) -> bytes:
     hinted-handoff queue both wrap these bytes in length+CRC frames
     (:mod:`repro.net.commitlog`) instead of the socket length prefix.
     """
-    body = _JSON.encode(encode(message)).encode("utf-8")
+    if _REGISTRY is None:
+        _registry()
+    body = _text(message).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise WireError(f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
     return body

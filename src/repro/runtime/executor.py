@@ -74,6 +74,15 @@ class SpecExecutor:
         self._cluster = cluster
         self._check_preconditions = check_preconditions
         self._compensations = list(compensations)
+        for comp in self._compensations:
+            # Only trims have a generic read-side repair here; running
+            # any other kind as a no-op would report a repair that
+            # never happened.
+            if comp.kind != "trim-collection":
+                raise SpecError(
+                    f"SpecExecutor cannot run {comp.kind} compensations "
+                    f"({comp.describe()})"
+                )
         # Preconditions are the ORIGINAL operations' weakest
         # preconditions: IPA's extra effects weaken the patched op's own
         # precondition by design (enroll + tournament(t)=true could
@@ -215,18 +224,14 @@ class SpecExecutor:
     def apply_compensations(
         self, region: str, done: Callable[[str], None] | None = None
     ) -> None:
-        """Run the read-side repairs of every trim compensation."""
-        trims = [
-            comp for comp in self._compensations
-            if comp.kind == "trim-collection"
-        ]
-        if not trims:
+        """Run the read-side repairs of every (trim) compensation."""
+        if not self._compensations:
             if done is not None:
                 done("compensate")
             return
 
         def body(txn: Transaction) -> str:
-            for comp in trims:
+            for comp in self._compensations:
                 self._trim(txn, comp)
             return "compensate"
 

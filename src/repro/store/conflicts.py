@@ -31,7 +31,8 @@ store.
 
 :class:`ConflictDetector` is the live-path driver: it re-grounds the
 application's invariants against a replica's observed state after
-every state change -- re-reading only the objects the change touched
+every state change -- re-judging only the set elements the change's
+records name, and re-reading whole only the other objects they touch
 -- diffs the violation set against the previous check, and appends
 violation records on first sighting and repair records when a
 violation clears.
@@ -43,6 +44,8 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
+from repro.crdts.awset import AWAdd, AWRemove, AWSet
+from repro.crdts.rwset import RWAdd, RWRemove, RWSet
 from repro.obs import REGISTRY, TRACER
 from repro.store.engine import FileEngine, make_engine
 
@@ -55,6 +58,14 @@ LEDGER_SCHEMA = 1
 _KEYS_RESCANNED = REGISTRY.counter("store.conflicts.keys_rescanned")
 _FULL_REBUILDS = REGISTRY.counter("store.conflicts.full_rebuilds")
 _INSTANCES = REGISTRY.counter("store.conflicts.instances_evaluated")
+_ELEMENTS_CHECKED = REGISTRY.counter("store.conflicts.elements_checked")
+
+#: The set types whose value is exactly their members, so a payload
+#: naming elements changes only those.  Matched by exact type: every
+#: other object, a ``CompensationSet`` among them, is re-read whole.
+_ELEMENTWISE = frozenset({AWSet, RWSet})
+_UNTOUCHED = object()
+_NO_ROWS: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -265,6 +276,31 @@ def open_ledgers(data_dir: str) -> dict[str, ConflictLedger]:
     return ledgers
 
 
+def _gain(bucket, name, row, added, removed) -> None:
+    """One more key contributes ``row``; the first one adds it."""
+    count = bucket.get(row, 0)
+    bucket[row] = count + 1
+    if count == 0:
+        gone = removed.get(name)
+        if gone is not None and row in gone:
+            gone.discard(row)
+        else:
+            added.setdefault(name, set()).add(row)
+
+
+def _lose(bucket, name, row, added, removed) -> None:
+    """One key fewer contributes ``row``; the last one removes it."""
+    if bucket[row] == 1:
+        del bucket[row]
+        news = added.get(name)
+        if news is not None and row in news:
+            news.discard(row)
+        else:
+            removed.setdefault(name, set()).add(row)
+    else:
+        bucket[row] -= 1
+
+
 class ConflictDetector:
     """Live invariant watching for one replica, feeding a ledger.
 
@@ -286,10 +322,17 @@ class ConflictDetector:
 
     1. *Rows.*  Each object contributes raw rows through the adapter's
        ``rows``.  The detector keeps every key's rows,
-       reference-counted because several keys can contribute one row,
-       and re-reads only the keys named in the ``record.updates`` it
-       was told about, plus keys a read materialised without a record
-       (the key count moved).
+       reference-counted because several keys can contribute one row.
+       Of the ``record.updates`` it was told about, a payload that
+       names its elements (``AWAdd``, ``RWAdd``, ``RWRemove``, and an
+       ``AWRemove``'s dotted elements) on a kept key whose object is
+       exactly an ``AWSet`` or ``RWSet`` costs one membership test per
+       element: the element's rows (the adapter's ``row_of``) are kept
+       exactly while ``element in obj``.  Every other payload
+       (``RWRemoveWhere``, counter deltas, corrections), every other
+       object type (a ``CompensationSet``'s reads trim) and every key
+       not kept yet re-reads its key whole, as do keys a read
+       materialised without a record (the key count moved).
     2. *View.*  The raw rows that appeared or went move the adapter's
        :class:`~repro.check.apps.View`, which re-judges them and the
        rows whose view condition reads them.
@@ -308,8 +351,10 @@ class ConflictDetector:
     - :meth:`invalidate`, which the server calls after a scrub healed
       something.
 
-    ``store.conflicts.keys_rescanned``, ``store.conflicts.full_rebuilds``
-    and ``store.conflicts.instances_evaluated`` count the work.
+    ``store.conflicts.elements_checked``,
+    ``store.conflicts.keys_rescanned`` (keys re-read whole),
+    ``store.conflicts.full_rebuilds`` and
+    ``store.conflicts.instances_evaluated`` count the work.
     """
 
     def __init__(self, server) -> None:
@@ -323,10 +368,12 @@ class ConflictDetector:
         self._lineage: deque = deque(maxlen=LINEAGE_CAP)
         #: key -> the (relation, row) pairs it contributes; ``None``
         #: until the first check and after :meth:`invalidate`.
-        self._rows: dict[str, frozenset] | None = None
+        self._rows: dict[str, set] | None = None
         #: relation -> row -> number of keys contributing it
         self._counts: dict[str, dict[tuple, int]] = {}
-        self._touched: set[str] = set()
+        #: key -> the elements the noted records named, or ``None``
+        #: when some record changed the key in a way no element names
+        self._touched: dict[str, set | None] = {}
         #: ``replica.commits_applied`` as the noted records predict it
         self._applied = 0
         self._view = None
@@ -334,7 +381,21 @@ class ConflictDetector:
 
     def note_commit(self, record) -> None:
         self._lineage.append((record.origin, record.dot.counter))
-        self._touched.update(key for key, _payload in record.updates)
+        touched = self._touched
+        for key, payload in record.updates:
+            kind = type(payload)
+            if kind is AWAdd or kind is RWAdd or kind is RWRemove:
+                named = (payload.element,)
+            elif kind is AWRemove:
+                named = [element for element, _dots in payload.dots]
+            else:
+                touched[key] = None
+                continue
+            elements = touched.get(key, _UNTOUCHED)
+            if elements is _UNTOUCHED:
+                touched[key] = set(named)
+            elif elements is not None:
+                elements.update(named)
         self._applied += 1
 
     note_apply = note_commit
@@ -344,7 +405,7 @@ class ConflictDetector:
         self._rows = None
 
     def _rescan(self, keys, replica, added, removed) -> None:
-        """Re-read ``keys``; raw rows that appear / go land in
+        """Re-read ``keys`` whole; raw rows that appear / go land in
         ``added`` / ``removed`` (net over the whole check)."""
         server = self._server
         extract_rows = server.adapter.rows
@@ -352,33 +413,36 @@ class ConflictDetector:
         kept = self._rows
         counts = self._counts
         for key in keys:
-            rows = frozenset(
-                extract_rows(key, replica.get_object(key), variant)
-            )
-            old = kept.get(key, frozenset())
+            rows = set(extract_rows(key, replica.get_object(key), variant))
+            old = kept.get(key, _NO_ROWS)
             kept[key] = rows
             for name, row in old - rows:
-                bucket = counts[name]
-                if bucket[row] == 1:
-                    del bucket[row]
-                    news = added.get(name)
-                    if news is not None and row in news:
-                        news.discard(row)
-                    else:
-                        removed.setdefault(name, set()).add(row)
-                else:
-                    bucket[row] -= 1
+                _lose(counts[name], name, row, added, removed)
             for name, row in rows - old:
-                bucket = counts[name]
-                count = bucket.get(row, 0)
-                bucket[row] = count + 1
-                if count == 0:
-                    gone = removed.get(name)
-                    if gone is not None and row in gone:
-                        gone.discard(row)
-                    else:
-                        added.setdefault(name, set()).add(row)
+                _gain(counts[name], name, row, added, removed)
         _KEYS_RESCANNED.inc(len(keys))
+
+    def _check_elements(self, key, obj, elements, added, removed) -> None:
+        """Re-judge only ``elements`` of the set at ``key``: each one's
+        rows are kept exactly while it is a member."""
+        server = self._server
+        row_of = server.adapter.row_of
+        variant = server.variant
+        kept = self._rows[key]
+        counts = self._counts
+        for element in elements:
+            member = element in obj
+            for pair in row_of(key, element, variant):
+                if (pair in kept) is member:
+                    continue
+                name, row = pair
+                if member:
+                    kept.add(pair)
+                    _gain(counts[name], name, row, added, removed)
+                else:
+                    kept.discard(pair)
+                    _lose(counts[name], name, row, added, removed)
+        _ELEMENTS_CHECKED.inc(len(elements))
 
     def _update(self) -> None:
         """Bring the kept model and instances up to the replica."""
@@ -407,13 +471,25 @@ class ConflictDetector:
             )
             _INSTANCES.inc(self._watch.load())
             return
-        self._rescan(self._touched, replica, added, removed)
+        kept = self._rows
+        whole = []
+        for key, elements in self._touched.items():
+            if elements is None or key not in kept:
+                whole.append(key)
+                continue
+            obj = replica.get_object(key)
+            if type(obj) in _ELEMENTWISE:
+                self._check_elements(key, obj, elements, added, removed)
+            else:
+                whole.append(key)
         self._touched.clear()
-        if replica.key_count() != len(self._rows):
+        if whole:
+            self._rescan(whole, replica, added, removed)
+        if replica.key_count() != len(kept):
             # A read materialised objects no record named (keys are
             # never deleted, so the counts differ iff so).
             self._rescan(
-                [key for key in replica.keys() if key not in self._rows],
+                [key for key in replica.keys() if key not in kept],
                 replica,
                 added,
                 removed,

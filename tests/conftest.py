@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
 from repro.crdts.base import Dot, EventContext
@@ -9,6 +11,30 @@ from repro.crdts.clock import VersionVector
 from repro.logic.ast import PredicateDecl, Sort
 from repro.logic.parser import SymbolTable
 from repro.spec import SpecBuilder
+
+
+#: top-level ``tests/<dir>`` -> wall seconds of its tests' setup, call
+#: and teardown phases.
+_DIRECTORY_WALL: defaultdict[str, float] = defaultdict(float)
+
+
+def pytest_runtest_logreport(report) -> None:
+    path = report.nodeid.split("::", 1)[0].split("/")
+    directory = "/".join(path[:2]) if len(path) > 2 else path[0]
+    _DIRECTORY_WALL[directory] += report.duration
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    """The tier-1 budget: wall seconds per top-level test directory."""
+    if not _DIRECTORY_WALL:
+        return
+    terminalreporter.write_sep("-", "test wall seconds by directory")
+    for directory, seconds in sorted(
+        _DIRECTORY_WALL.items(), key=lambda item: -item[1]
+    ):
+        terminalreporter.write_line(f"{seconds:8.1f}  {directory}")
+    total = sum(_DIRECTORY_WALL.values())
+    terminalreporter.write_line(f"{total:8.1f}  total")
 
 
 @pytest.fixture

@@ -8,7 +8,12 @@ decoder checks its own payload's shape.  The contract has three parts:
   replay, on the commit records of simulated trials of all four apps
   under Causal and IPA, on a catalogue of every registered class, and
   on generated values, the bytes and the decoded values (types
-  included) equal those of the reference ladders kept below;
+  included) equal those of the reference ladders kept below; and on
+  the edges of ``json``'s rendering (non-finite and extreme floats,
+  non-ASCII and lone-surrogate text, ``bool`` and an ``IntEnum`` as
+  values and keys, empty containers, registered classes inside sets)
+  and of the codec (a frame over :data:`~repro.net.wire.MAX_FRAME`,
+  unregistered classes and subclasses), the bytes or the refusal;
 - **negative differential** -- on mutations of real bodies, wherever
   the reference raises anything the tables raise :class:`WireError`,
   and wherever it returns, the tables return an equal value or raise
@@ -20,6 +25,9 @@ decoder checks its own payload's shape.  The contract has three parts:
 Hand-made mutants this file must kill:
 
 - a class's fields lowered in sorted order instead of declared order;
+- the emitter writing non-ASCII text raw instead of ``\\u`` escapes;
+- the emitter dropping the ``,`` between a class's fields;
+- the emitter writing set elements in iteration order, unsorted;
 - a subclass of a registered class accepted by the encoder;
 - a bare JSON array accepted where a value belongs (``decode`` passing
   a list through as itself);
@@ -372,6 +380,78 @@ def test_values_that_are_no_wire_type_are_refused():
     for value in (object(), Dot, b"bytes"):
         with pytest.raises(wire.WireError, match="cannot encode"):
             wire.encode(value)
+
+
+#: Values at the edges of what ``json`` renders, each encoded as a value
+#: and, where hashable, as a dict key.
+EDGES = [
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="inf"),
+    pytest.param(float("-inf"), id="-inf"),
+    pytest.param(-0.0, id="-0.0"),
+    pytest.param(1e16, id="1e16"),
+    pytest.param(5e-324, id="5e-324"),
+    pytest.param("na\u00efve \u2603 \U0001d11e", id="non-ascii"),
+    pytest.param("\ud800", id="lone-high-surrogate"),
+    pytest.param("a\udfffb", id="lone-low-surrogate"),
+    pytest.param(True, id="true"),
+    pytest.param(False, id="false"),
+    pytest.param(Colour.RED, id="intenum"),
+    pytest.param((), id="empty-tuple"),
+    pytest.param([], id="empty-list"),
+    pytest.param({}, id="empty-dict"),
+    pytest.param(set(), id="empty-set"),
+    pytest.param(frozenset(), id="empty-frozenset"),
+    pytest.param({Dot("b", 2), Dot("a", 10), Dot("a", 9)}, id="set-of-classes"),
+    pytest.param(
+        frozenset({Dot("x", 1), Pattern.of("*", "t"), ("t", 1), 2, "s"}),
+        id="frozenset-of-mixed",
+    ),
+    pytest.param(
+        {(Dot("a", 1), "k"), ("\u00e9", -0.0), (True, Colour.RED)},
+        id="set-of-tuples",
+    ),
+]
+
+
+@pytest.mark.parametrize("value", EDGES)
+def test_edge_values_encode_like_the_reference(value):
+    messages = [{"v": value}, {"v": [value, (value,)]}]
+    try:
+        messages.append({value: value, "k": {value: 1}})
+    except TypeError:
+        pass  # unhashable: a value only
+    for message in messages:
+        assert wire.encode_body(message) == reference_encode_body(message)
+
+
+def test_a_frame_over_max_frame_is_refused(monkeypatch):
+    message = {"v": "\u00e9" * 40}
+    size = len(reference_encode_body(message))
+    monkeypatch.setattr(wire, "MAX_FRAME", size)
+    assert wire.encode_body(message) == reference_encode_body(message)
+    monkeypatch.setattr(wire, "MAX_FRAME", size - 1)
+    with pytest.raises(wire.WireError, match=f"frame of {size} bytes exceeds"):
+        wire.encode_body(message)
+
+
+def test_a_frame_holding_an_unregistered_class_is_refused():
+    @dataclasses.dataclass(frozen=True)
+    class Rogue:
+        x: int
+
+    subdot = type("SubDot", (Dot,), {"__slots__": ()})
+    for value, name in ((Rogue(1), "Rogue"), (subdot("a", 1), "SubDot")):
+        for message in (
+            {"v": value},
+            {"v": (1, [value])},
+            {"v": {value, 2}},
+            {value: 1},
+        ):
+            with pytest.raises(wire.WireError, match=f"unregistered wire class {name}"):
+                wire.encode_body(message)
+            with pytest.raises(wire.WireError, match="unregistered"):
+                reference_encode_body(message)
 
 
 # -- negative differential ----------------------------------------------------

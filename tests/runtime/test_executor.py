@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import run_ipa
+from repro.analysis.compensation import Compensation
 from repro.crdts import AWSet, PNCounter, RWSet
 from repro.errors import SpecError
 from repro.runtime import SpecExecutor, materialize, registry_for_spec
@@ -192,6 +193,24 @@ class TestCompensations:
         # t2's single enrolment is untouched.
         assert ("px", "t2") in enrolled
         assert sum(1 for _p, t in enrolled if t == "t1") <= 2
+
+    def test_a_compensation_the_executor_cannot_run_is_refused(self):
+        # A repair that silently did nothing would still report
+        # "compensate"; the executor refuses it up front instead.
+        b = SpecBuilder("stock")
+        b.predicate("stock", "Item", numeric=True)
+        b.invariant("forall(Item: i) :- stock(i) >= 0")
+        b.operation("sell", "Item: i", decr=["stock(i)"])
+        spec = b.build()
+        replenish = Compensation(
+            invariant=spec.invariants[0],
+            kind="replenish-counter",
+            predicate="stock",
+            trigger_ops=("sell",),
+            bound_value=0,
+        )
+        with pytest.raises(SpecError, match="replenish-counter"):
+            build(spec, compensations=(replenish,))
 
 
 class TestMaterialize:

@@ -9,7 +9,10 @@ and every replica's state is audited against the very invariant
 formulas the analysis reasoned about.
 
 For specs IPA repaired eagerly: zero violations, always.  For specs it
-flagged for compensation: zero violations after the compensating read.
+flagged for a trim compensation: zero violations after the trimming
+read.  Trims are the only compensations covered here: the generic
+executor refuses every other kind (TPC-W's ``replenish-counter``
+among them, ROADMAP item 18(e)) rather than run it as a no-op.
 And as a sanity check on the tests themselves, the *unmodified* specs
 do produce violations under the same schedules.
 """

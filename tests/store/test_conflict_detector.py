@@ -2,21 +2,40 @@
 
 :class:`~repro.store.conflicts.ConflictDetector` keeps the rows every
 object contributes, the observed model and every invariant's falsified
-instances, and re-reads only the keys named in the records it is told
-about.  That is admissible only if, at every check, the model it keeps
-equals the adapter's full ``extract`` over the same replica and its
-violations equal the product loop's full evaluation of that extract
+instances, and re-judges only what the records it is told about name:
+the elements an ``AWSet``/``RWSet`` payload names, or the whole key
+for any other payload or object type.  That is admissible only if, at
+every check, the model it keeps equals the adapter's full ``extract``
+over the same replica and its violations equal the product loop's full
+evaluation of that extract
 (:func:`~repro.check.oracles.reference_check`) -- witnesses and order
 included, for every application and variant the checker runs, under
-any interleaving of local commits and remote applies -- if a check
-evaluates no instance its changed facts cannot reach, and if every
-state change that does *not* arrive as a record forces a full
+any interleaving of local commits and remote applies -- if each
+adapter's per-element ``row_of`` agrees with its whole-object
+``rows``, if a check costs the elements a record names and no more, if
+a check evaluates no instance its changed facts cannot reach, and if
+every state change that does *not* arrive as a record forces a full
 re-read.
 
 Schedules come from real simulated runs (lossy links plus
 anti-entropy, seeds drawn by hypothesis): each region's log is its
 commit/apply order, replayed here record by record into an observer
 replica with a detector attached.
+
+Hand-run mutants of ``store/conflicts.py`` this file kills:
+
+- an ``AWRemove`` naming only its first element: the element-count
+  guards (``test_a_check_costs_what_each_record_names[twitter-Causal]``
+  and ``TestElementCost``'s observed remove, whose model goes stale).
+  The simulated schedules alone miss it: their multi-element observed
+  removes all land on Twitter's row-less ``copies:`` keys or on
+  compensation sets;
+- ``RWRemoveWhere`` treated as naming nothing: the fresh-extract and
+  full-evaluation tests on IPA tournament and TPC-W, and the whole-key
+  guards;
+- a ``CompensationSet`` key treated as elementwise: the fresh-extract
+  and full-evaluation tests on IPA tournament and ticket, whose reads
+  trim, and the whole-key guards.
 """
 
 from __future__ import annotations
@@ -31,6 +50,10 @@ from hypothesis import strategies as st
 
 from repro.check.apps import ADAPTERS, resolve_config
 from repro.check.harness import session_region
+from repro.crdts import AWSet, CompensationSet, PNCounter, RWSet
+from repro.crdts.awset import AWAdd, AWRemove
+from repro.crdts.pattern import Pattern
+from repro.crdts.rwset import RWAdd, RWRemove
 from repro.check.oracles import (
     InvariantOracle,
     instance_index,
@@ -68,6 +91,7 @@ CONFIGS = ("Causal", "IPA")  # IPA is rem-wins for Twitter
 
 REBUILDS = REGISTRY.counter("store.conflicts.full_rebuilds")
 RESCANNED = REGISTRY.counter("store.conflicts.keys_rescanned")
+ELEMENTS = REGISTRY.counter("store.conflicts.elements_checked")
 EVALUATED = REGISTRY.counter("store.conflicts.instances_evaluated")
 
 #: A key per app that a *read* can materialise with no record naming
@@ -255,19 +279,150 @@ class TestIncrementalModel:
         # One full read at the first check, deltas ever after.
         assert REBUILDS.value == rebuilds + 1
 
-    def test_a_check_rereads_only_the_touched_keys(self, app, config):
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=8, deadline=None)
+    def test_row_of_spells_out_rows_for_every_elementwise_key(
+        self, app, config, seed
+    ) -> None:
+        records = region_log(app, config, seed)
+        observer = Observer(app, config)
+        adapter, variant = observer.adapter, observer.variant
+        for index, record in enumerate(records):
+            observer.apply(record)
+            if index % 7 and index != len(records) - 1:
+                continue
+            for key in observer.replica.keys():
+                obj = observer.replica.get_object(key)
+                if type(obj) not in (AWSet, RWSet):
+                    continue
+                rows = list(adapter.rows(key, obj, variant))
+                spelled = [
+                    pair
+                    for element in obj.value()
+                    for pair in adapter.row_of(key, element, variant)
+                ]
+                assert set(rows) == set(spelled), key
+                # Distinct members, distinct pairs.
+                assert len(set(spelled)) == len(spelled), key
+
+    def test_a_check_costs_what_each_record_names(self, app, config):
+        """Per record: one membership check per distinct element named
+        on a kept ``AWSet``/``RWSet`` key, one whole re-read per other
+        key, and nothing else."""
         records = region_log(app, config, seed=5)
         observer = Observer(app, config)
-        for record in records[:-1]:
+        replica = observer.replica
+        observer.detector.model()  # the one full rebuild, with no rows
+        for record in records:
+            known = set(replica.keys())
             observer.apply(record)
+            named: dict[str, set | None] = {}
+            for key, payload in record.updates:
+                if isinstance(payload, (AWAdd, RWAdd, RWRemove)):
+                    elements = {payload.element}
+                elif isinstance(payload, AWRemove):
+                    elements = {element for element, _dots in payload.dots}
+                else:
+                    elements = None
+                if elements is None or named.get(key, set()) is None:
+                    named[key] = None
+                else:
+                    named.setdefault(key, set()).update(elements)
+            whole = checked = 0
+            for key, elements in named.items():
+                obj = replica.get_object(key)
+                if (
+                    elements is None
+                    or key not in known
+                    or type(obj) not in (AWSet, RWSet)
+                ):
+                    whole += 1
+                else:
+                    checked += len(elements)
+            rescanned, counted = RESCANNED.value, ELEMENTS.value
+            observer.assert_model_is_fresh_extract()
+            assert RESCANNED.value - rescanned == whole
+            assert ELEMENTS.value - counted == checked
+
+
+class TestElementCost:
+    """The operation-count guard on hand-built records: k elements of
+    an n-element set cost k membership checks and no whole re-read;
+    every other payload or object type re-reads exactly its own key."""
+
+    def observer(self, app, config):
+        observer = Observer(app, config)
         observer.detector.model()
-        last = records[-1]
-        observer.apply(last)
-        before = RESCANNED.value
+        return observer
+
+    def commit(self, observer, updates):
+        txn = observer.replica.begin()
+        for key, prepare in updates:
+            txn.update(key, prepare)
+        record = txn.commit()
+        observer.detector.note_commit(record)
+        return record
+
+    def cost(self, observer, updates):
+        """(keys re-read whole, elements checked) by the next check."""
+        self.commit(observer, updates)
+        rescanned, counted = RESCANNED.value, ELEMENTS.value
         observer.assert_model_is_fresh_extract()
-        touched = {key for key, _payload in last.updates}
-        assert RESCANNED.value - before == len(touched)
-        assert len(touched) < len(observer.replica.keys())
+        return RESCANNED.value - rescanned, ELEMENTS.value - counted
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_k_elements_of_a_large_set_cost_k_checks(self, config):
+        observer = self.observer("twitter", config)
+        assert self.cost(observer, [
+            ("tweets", lambda s, w=w: s.prepare_add(f"w{w}"))
+            for w in range(300)
+        ]) == (1, 0)  # a key the detector has not read yet
+        assert len(observer.replica.get_object("tweets")) == 300
+        assert self.cost(observer, [
+            ("tweets", lambda s: s.prepare_add("new")),
+            ("tweets", lambda s: s.prepare_remove("w7")),
+            ("tweets", lambda s: s.prepare_remove("w8")),
+            ("tweets", lambda s: s.prepare_add("w7")),
+        ]) == (0, 3)
+
+    def test_an_observed_remove_checks_every_element_it_names(self):
+        observer = self.observer("tournament", "Causal")
+        self.cost(observer, [
+            ("enrolled", lambda s, p=p: s.prepare_add((f"p{p}", "t1")))
+            for p in range(50)
+        ])
+        pattern = Pattern.of("*", "t1")
+        assert self.cost(observer, [
+            ("enrolled", lambda s: s.prepare_remove_where(pattern)),
+        ]) == (0, 50)
+        assert not observer.replica.get_object("enrolled").value()
+
+    def test_a_wildcard_remove_rereads_its_key_whole(self):
+        observer = self.observer("tournament", "IPA")
+        self.cost(observer, [
+            ("enrolled", lambda s, p=p: s.prepare_add((f"p{p}", "t1")))
+            for p in range(20)
+        ])
+        pattern = Pattern.of("*", "t1")
+        assert self.cost(observer, [
+            ("enrolled", lambda s: s.prepare_remove_where(pattern)),
+            ("enrolled", lambda s: s.prepare_add(("q", "t2"))),
+        ]) == (1, 0)
+
+    def test_compensation_set_and_counter_keys_reread_their_own_keys(self):
+        observer = self.observer("ticket", "IPA")
+        self.cost(observer, [("sold:e1", lambda s: s.prepare_add("k0"))])
+        assert type(observer.replica.get_object("sold:e1")) is CompensationSet
+        assert self.cost(observer, [
+            ("sold:e1", lambda s, k=k: s.prepare_add(f"k{k}"))
+            for k in range(1, 20)
+        ]) == (1, 0)
+        observer = self.observer("tpcw", "Causal")
+        self.cost(observer, [("stock:i1", lambda c: c.prepare_add(-1))])
+        assert isinstance(observer.replica.get_object("stock:i1"), PNCounter)
+        assert self.cost(observer, [
+            ("stock:i1", lambda c: c.prepare_add(-2)),
+        ]) == (1, 0)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
