@@ -24,11 +24,49 @@ from typing import Iterable, Union
 
 from repro.errors import ArityError, SortError
 
+
+def hash_once(cls):
+    """Memoise a frozen dataclass's field hash on each instance.
+
+    The generated ``__hash__`` re-hashes every field on every call, and
+    a ground atom's fields nest its predicate declaration and sorts, so
+    the solver's atom table and the analysis's operation-keyed caches
+    paid for the whole tree at each look-up.  Instances are immutable,
+    so the first hash is kept as ``_hash`` in the instance ``__dict__``
+    (beside ``_str``; neither is a field, so equality, ordering and
+    ``repr`` are unchanged).
+
+    ``str`` hashes are salted per process, so the memo must not travel:
+    ``__getstate__`` leaves ``_hash`` out of pickles and copies, and the
+    receiving process hashes afresh.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self):
+        state = self.__dict__
+        if "_hash" in state:
+            state = dict(state)
+            del state["_hash"]
+        return state
+
+    cls._hash = None  # until an instance's first hash shadows it
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
 # ---------------------------------------------------------------------------
 # Sorts and terms
 # ---------------------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True, order=True)
 class Sort:
     """An entity sort (type), e.g. ``Player`` or ``Tournament``."""
@@ -39,6 +77,7 @@ class Sort:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True, order=True)
 class Var:
     """A sorted first-order variable, e.g. ``p : Player``."""
@@ -50,6 +89,7 @@ class Var:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True, order=True)
 class Const:
     """A sorted domain constant, e.g. a concrete player ``p0``."""
@@ -61,6 +101,7 @@ class Const:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True, order=True)
 class Wildcard:
     """The ``*`` argument used in effects and cardinality terms.
@@ -85,6 +126,7 @@ Term = Union[Var, Const, Wildcard]
 # ---------------------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True, order=True)
 class PredicateDecl:
     """Declaration of a predicate: name, argument sorts and kind.
@@ -138,6 +180,7 @@ class PredicateDecl:
 # ---------------------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class IntConst:
     """An integer literal appearing in a comparison."""
@@ -148,6 +191,7 @@ class IntConst:
         return str(self.value)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Param:
     """A symbolic integer parameter, e.g. ``Capacity``.
@@ -162,6 +206,7 @@ class Param:
         return self.name
 
 
+@hash_once
 @dataclass(frozen=True)
 class NumPred:
     """Application of a numeric predicate, e.g. ``stock(i)``."""
@@ -180,6 +225,7 @@ class NumPred:
         return f"{self.pred.name}({', '.join(map(str, self.args))})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Card:
     """Cardinality of a boolean predicate, e.g. ``#enrolled(*, t)``.
@@ -203,6 +249,7 @@ class Card:
         return f"#{self.pred.name}({', '.join(map(str, self.args))})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Add:
     """Sum of numeric terms (used rarely; kept linear and flat)."""
@@ -257,6 +304,7 @@ def _memo_str(node: "Formula", text: str) -> str:
     return text
 
 
+@hash_once
 @dataclass(frozen=True)
 class TrueF(Formula):
     """The constant ``true``."""
@@ -265,6 +313,7 @@ class TrueF(Formula):
         return "true"
 
 
+@hash_once
 @dataclass(frozen=True)
 class FalseF(Formula):
     """The constant ``false``."""
@@ -273,6 +322,7 @@ class FalseF(Formula):
         return "false"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Atom(Formula):
     """A boolean predicate applied to terms, e.g. ``enrolled(p, t)``."""
@@ -296,6 +346,7 @@ class Atom(Formula):
 CMP_OPS = ("<=", "<", ">=", ">", "==", "!=")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Cmp(Formula):
     """Comparison between two numeric terms, e.g. ``#enrolled(*, t) <= C``."""
@@ -312,6 +363,7 @@ class Cmp(Formula):
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Not(Formula):
     arg: Formula
@@ -322,6 +374,7 @@ class Not(Formula):
         )
 
 
+@hash_once
 @dataclass(frozen=True)
 class And(Formula):
     args: tuple[Formula, ...]
@@ -332,6 +385,7 @@ class And(Formula):
         )
 
 
+@hash_once
 @dataclass(frozen=True)
 class Or(Formula):
     args: tuple[Formula, ...]
@@ -342,6 +396,7 @@ class Or(Formula):
         )
 
 
+@hash_once
 @dataclass(frozen=True)
 class Implies(Formula):
     lhs: Formula
@@ -353,6 +408,7 @@ class Implies(Formula):
         )
 
 
+@hash_once
 @dataclass(frozen=True)
 class Iff(Formula):
     lhs: Formula
@@ -368,6 +424,7 @@ def _binders(variables: tuple[Var, ...]) -> str:
     return ", ".join(f"{v.sort.name}: {v.name}" for v in variables)
 
 
+@hash_once
 @dataclass(frozen=True)
 class ForAll(Formula):
     vars: tuple[Var, ...]
@@ -379,6 +436,7 @@ class ForAll(Formula):
         )
 
 
+@hash_once
 @dataclass(frozen=True)
 class Exists(Formula):
     vars: tuple[Var, ...]

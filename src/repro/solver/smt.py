@@ -19,8 +19,11 @@ with ``assumptions`` so the CNF and learned clauses are built once.
 
 Every query's verdict comes from a session.  The finder is the witness
 path: it re-solves a query only once a session has found it SAT and
-its model is about to be reported.  (Whole-query memoisation lives one
-layer up, in :mod:`repro.analysis.cache`.)
+its model is about to be reported.  Sessions therefore encode each
+formula at its own polarity (fewer clauses, same verdict), while the
+finder encodes full equivalences, so its clause stream -- and every
+witness it decodes -- is that of a plain Tseitin pass.  (Whole-query
+memoisation lives one layer up, in :mod:`repro.analysis.cache`.)
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from repro.logic.ast import Formula
 from repro.logic.grounding import Domain, ground
 from repro.obs import TRACER
-from repro.solver.cnf import CnfBuilder
+from repro.solver.cnf import POS, CnfBuilder
 from repro.solver.dpll import SatSolver, SolverCounters
 from repro.solver.models import Model
 from repro.solver.theory import DEFAULT_INT_BOUND, TheoryEncoder
@@ -147,8 +150,12 @@ class IncrementalSession:
     candidate's extra constraints under a fresh *activation literal*
     (:meth:`check_under`): the top-level assertion of each extra formula
     becomes ``act -> formula``, and the query solves with
-    ``assumptions=[act]``.  Tseitin definitional clauses and the theory
-    encoding's integer chains are equivalences over fresh variables, so
+    ``assumptions=[act]``.  Every formula is encoded at its own
+    polarity (:data:`~repro.solver.cnf.POS`), so each gate carries only
+    the implications its occurrences need, and gains the other
+    direction, once, when a later formula meets it negated.  Those
+    definitional clauses, and the theory encoding's integer chains and
+    counters (full equivalences), constrain only fresh variables, so
     they are sound to add unguarded; learned clauses carry over between
     candidates, which is where the speed-up comes from.
 
@@ -157,8 +164,9 @@ class IncrementalSession:
 
     Satisfiability verdicts are exactly those of a fresh solver; the
     *models* of SAT answers are path-dependent (they depend on learned
-    clauses from earlier queries), so callers that need deterministic
-    witnesses must use :class:`BoundedModelFinder` instead.
+    clauses from earlier queries, and one-way gates leave gate variables
+    free), so callers that need deterministic witnesses must use
+    :class:`BoundedModelFinder` instead.
     """
 
     def __init__(
@@ -192,7 +200,8 @@ class IncrementalSession:
     def assert_base(self, *formulas: Formula) -> None:
         """Permanently assert the constraints shared by every query."""
         for formula in formulas:
-            self._builder.assert_formula(self._encoder.encode(formula))
+            root = self._builder.encode(self._encoder.encode(formula), POS)
+            self._solver.add_clause([root])
 
     def check_under(self, *formulas: Formula) -> bool:
         """Satisfiability of base + ``formulas`` (verdict only)."""
@@ -202,7 +211,7 @@ class IncrementalSession:
         )
         act = self._solver.new_var()
         for formula in formulas:
-            root = self._builder.tseitin(self._encoder.encode(formula))
+            root = self._builder.encode(self._encoder.encode(formula), POS)
             self._solver.add_clause([-act, root])
         before = SolverCounters()
         before.add_solver(self._solver)

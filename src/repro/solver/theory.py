@@ -24,8 +24,6 @@ turns into clauses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SolverError
 from repro.logic.ast import (
     Add,
@@ -136,12 +134,8 @@ class SumOfBools(IntExpr):
             updated: list[int] = [TRUE_LIT]
             for j in range(1, len(prefix) + 1):
                 carried = prefix[j] if j < len(prefix) else FALSE_LIT
-                took = builder.tseitin(
-                    And((RawLit(lit), RawLit(prefix[j - 1])))
-                )
-                updated.append(
-                    builder.tseitin(Or((RawLit(carried), RawLit(took))))
-                )
+                took = builder.and_gate([lit, prefix[j - 1]])
+                updated.append(builder.or_gate([carried, took]))
             prefix = updated
         self._bits = prefix
 
@@ -177,10 +171,13 @@ class AddExpr(IntExpr):
         cached = self._cache.get(k)
         if cached is not None:
             return cached
-        cases = []
-        for i in range(self._x.lo, self._x.hi + 1):
-            cases.append(And((self._x.ge(i), self._y.ge(k - i))))
-        lit = self._builder.tseitin(Or(tuple(cases)))
+        x, y, builder = self._x, self._y, self._builder
+        lit = builder.or_gate(
+            [
+                builder.and_gate([x.ge_lit(i), y.ge_lit(k - i)])
+                for i in range(x.lo, x.hi + 1)
+            ]
+        )
         self._cache[k] = lit
         return lit
 
@@ -234,13 +231,14 @@ class TheoryEncoder:
 
     def expr_for(self, term: NumTerm) -> IntExpr:
         """Order-encoded integer expression for a ground numeric term."""
-        if isinstance(term, IntConst):
+        kind = type(term)
+        if kind is IntConst:
             return ConstInt(term.value)
-        if isinstance(term, Param):
+        if kind is Param:
             return ConstInt(self.param_value(term.name))
-        if isinstance(term, NumPred):
+        if kind is NumPred:
             return self.int_for(term)
-        if isinstance(term, Card):
+        if kind is Card:
             cached = self._card_cache.get(term)
             if cached is None:
                 atoms = expand_card(term, self._domain)
@@ -248,7 +246,7 @@ class TheoryEncoder:
                 cached = SumOfBools(self._builder, lits)
                 self._card_cache[term] = cached
             return cached
-        if isinstance(term, Add):
+        if kind is Add:
             exprs = [self.expr_for(t) for t in term.terms]
             result = exprs[0]
             for nxt in exprs[1:]:
@@ -257,21 +255,38 @@ class TheoryEncoder:
         raise SolverError(f"unknown numeric term {term!r}")
 
     def encode(self, formula: Formula) -> Formula:
-        """Replace every comparison with boolean structure."""
-        if isinstance(formula, (TrueF, FalseF, Atom, RawLit)):
+        """Replace every comparison with boolean structure.
+
+        A subtree that holds no comparison comes back as the very
+        object it was given, so comparison-free formulas cost a walk
+        and no allocation.
+        """
+        kind = type(formula)
+        if kind is Atom or kind is RawLit or kind is TrueF or kind is FalseF:
             return formula
-        if isinstance(formula, Cmp):
+        if kind is Cmp:
             return self._encode_cmp(formula)
-        if isinstance(formula, Not):
-            return Not(self.encode(formula.arg))
-        if isinstance(formula, And):
-            return And(tuple(self.encode(a) for a in formula.args))
-        if isinstance(formula, Or):
-            return Or(tuple(self.encode(a) for a in formula.args))
-        if isinstance(formula, Implies):
-            return Implies(self.encode(formula.lhs), self.encode(formula.rhs))
-        if isinstance(formula, Iff):
-            return Iff(self.encode(formula.lhs), self.encode(formula.rhs))
+        if kind is And or kind is Or:
+            args = formula.args
+            encode = self.encode
+            for index, arg in enumerate(args):
+                encoded = encode(arg)
+                if encoded is not arg:
+                    return kind(
+                        args[:index]
+                        + (encoded,)
+                        + tuple(encode(a) for a in args[index + 1 :])
+                    )
+            return formula
+        if kind is Not:
+            arg = self.encode(formula.arg)
+            return formula if arg is formula.arg else Not(arg)
+        if kind is Implies or kind is Iff:
+            lhs = self.encode(formula.lhs)
+            rhs = self.encode(formula.rhs)
+            if lhs is formula.lhs and rhs is formula.rhs:
+                return formula
+            return kind(lhs, rhs)
         raise SolverError(f"formula is not ground: {formula!r}")
 
     def _encode_cmp(self, cmp: Cmp) -> Formula:

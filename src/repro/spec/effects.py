@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from repro.errors import SpecError
-from repro.logic.ast import Const, PredicateDecl, Term, Var, Wildcard
+from repro.logic.ast import Const, PredicateDecl, Term, Var, Wildcard, hash_once
 
 
 class ConvergencePolicy(enum.Enum):
@@ -45,6 +45,7 @@ class ConvergencePolicy(enum.Enum):
         return None
 
 
+@hash_once
 @dataclass(frozen=True)
 class BoolEffect:
     """Assignment of a truth value to a boolean predicate.
@@ -106,6 +107,7 @@ class BoolEffect:
         return f"{self.pred.name}({args}) = {head}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class NumEffect:
     """Increment (positive delta) or decrement of a numeric predicate."""

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from repro.errors import SpecError
-from repro.logic.ast import Const, Formula, Term, TrueF, Var
+from repro.logic.ast import Const, Formula, Term, TrueF, Var, hash_once
 from repro.spec.effects import Effect, NumEffect
 
 
+@hash_once
 @dataclass(frozen=True)
 class Operation:
     """A database operation, specified by its effects.

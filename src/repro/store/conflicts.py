@@ -351,7 +351,8 @@ class ConflictDetector:
     - :meth:`invalidate`, which the server calls after a scrub healed
       something.
 
-    ``store.conflicts.elements_checked``,
+    ``store.conflicts.elements_checked`` (membership tests: named
+    elements that map to rows),
     ``store.conflicts.keys_rescanned`` (keys re-read whole),
     ``store.conflicts.full_rebuilds`` and
     ``store.conflicts.instances_evaluated`` count the work.
@@ -424,15 +425,22 @@ class ConflictDetector:
 
     def _check_elements(self, key, obj, elements, added, removed) -> None:
         """Re-judge only ``elements`` of the set at ``key``: each one's
-        rows are kept exactly while it is a member."""
+        rows are kept exactly while it is a member.  An element that
+        maps to no rows (Twitter's ``copies:`` keys) costs no
+        membership test."""
         server = self._server
         row_of = server.adapter.row_of
         variant = server.variant
         kept = self._rows[key]
         counts = self._counts
+        checked = 0
         for element in elements:
+            pairs = row_of(key, element, variant)
+            if not pairs:
+                continue
+            checked += 1
             member = element in obj
-            for pair in row_of(key, element, variant):
+            for pair in pairs:
                 if (pair in kept) is member:
                     continue
                 name, row = pair
@@ -442,7 +450,7 @@ class ConflictDetector:
                 else:
                     kept.discard(pair)
                     _lose(counts[name], name, row, added, removed)
-        _ELEMENTS_CHECKED.inc(len(elements))
+        _ELEMENTS_CHECKED.inc(checked)
 
     def _update(self) -> None:
         """Bring the kept model and instances up to the replica."""

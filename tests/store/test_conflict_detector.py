@@ -24,12 +24,11 @@ replica with a detector attached.
 
 Hand-run mutants of ``store/conflicts.py`` this file kills:
 
-- an ``AWRemove`` naming only its first element: the element-count
-  guards (``test_a_check_costs_what_each_record_names[twitter-Causal]``
-  and ``TestElementCost``'s observed remove, whose model goes stale).
-  The simulated schedules alone miss it: their multi-element observed
-  removes all land on Twitter's row-less ``copies:`` keys or on
-  compensation sets;
+- an ``AWRemove`` naming only its first element: ``TestElementCost``'s
+  observed remove, whose count and model go stale.  The simulated
+  schedules alone miss it: their multi-element observed removes all
+  land on Twitter's row-less ``copies:`` keys, which now cost no
+  membership test, or on compensation sets;
 - ``RWRemoveWhere`` treated as naming nothing: the fresh-extract and
   full-evaluation tests on IPA tournament and TPC-W, and the whole-key
   guards;
@@ -307,8 +306,8 @@ class TestIncrementalModel:
 
     def test_a_check_costs_what_each_record_names(self, app, config):
         """Per record: one membership check per distinct element named
-        on a kept ``AWSet``/``RWSet`` key, one whole re-read per other
-        key, and nothing else."""
+        on a kept ``AWSet``/``RWSet`` key that maps to rows, one whole
+        re-read per other key, and nothing else."""
         records = region_log(app, config, seed=5)
         observer = Observer(app, config)
         replica = observer.replica
@@ -338,7 +337,13 @@ class TestIncrementalModel:
                 ):
                     whole += 1
                 else:
-                    checked += len(elements)
+                    checked += sum(
+                        1
+                        for element in elements
+                        if observer.adapter.row_of(
+                            key, element, observer.variant
+                        )
+                    )
             rescanned, counted = RESCANNED.value, ELEMENTS.value
             observer.assert_model_is_fresh_extract()
             assert RESCANNED.value - rescanned == whole
@@ -347,8 +352,9 @@ class TestIncrementalModel:
 
 class TestElementCost:
     """The operation-count guard on hand-built records: k elements of
-    an n-element set cost k membership checks and no whole re-read;
-    every other payload or object type re-reads exactly its own key."""
+    an n-element set cost k membership checks and no whole re-read, and
+    elements that map to no rows cost none; every other payload or
+    object type re-reads exactly its own key."""
 
     def observer(self, app, config):
         observer = Observer(app, config)
@@ -384,6 +390,33 @@ class TestElementCost:
             ("tweets", lambda s: s.prepare_remove("w8")),
             ("tweets", lambda s: s.prepare_add("w7")),
         ]) == (0, 3)
+
+    def test_elements_of_a_rowless_set_cost_no_checks(self):
+        """Twitter's ``copies:`` sets map to no rows: adding to and
+        removing from one changes no model row and tests nothing."""
+        observer = self.observer("twitter", "Causal")
+        adapter, variant = observer.adapter, observer.variant
+        assert adapter.row_of("copies:w1", "u1", variant) == ()
+        assert self.cost(observer, [
+            ("copies:w1", lambda s, u=u: s.prepare_add(f"u{u}"))
+            for u in range(5)
+        ]) == (1, 0)  # a key the detector has not read yet
+        assert self.cost(observer, [
+            ("copies:w1", lambda s: s.prepare_add("u9")),
+            ("copies:w1", lambda s: s.prepare_remove("u1")),
+            ("copies:w1", lambda s: s.prepare_remove("u2")),
+        ]) == (0, 0)
+        assert self.cost(observer, [
+            ("copies:w1", lambda s: s.prepare_remove("u3")),
+            ("tweets", lambda s: s.prepare_add("w1")),
+        ]) == (1, 0)  # ``tweets`` is new to the detector
+        assert self.cost(observer, [
+            ("copies:w1", lambda s: s.prepare_add("u3")),
+            ("tweets", lambda s: s.prepare_add("w2")),
+        ]) == (0, 1)
+        assert observer.replica.get_object("copies:w1").value() == {
+            "u0", "u3", "u4", "u9"
+        }
 
     def test_an_observed_remove_checks_every_element_it_names(self):
         observer = self.observer("tournament", "Causal")
