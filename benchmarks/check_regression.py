@@ -25,10 +25,8 @@ snapshot + tail-replay recovery has to beat a full log replay by a
 clear factor, or checkpointing has silently stopped paying for itself.
 
 Entries carrying ``observability.selfheal.mttr_s`` (the self-healing
-benchmark) must stay under ``--max-mttr-s`` *and* report zero
-quarantined objects: a supervised kill must be detected, restarted and
-reconverged promptly, and the scrubber must repair 100% of the
-injected corruption.
+benchmark) must stay under ``--max-mttr-s``: a supervised kill must be
+detected, restarted and reconverged promptly.
 
 Usage::
 
@@ -221,37 +219,26 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     # Self-healing contract: a killed replica must be detected,
-    # restarted and reconverged fast, with every injected corruption
-    # repaired -- a creeping MTTR or a quarantine means the recovery
-    # path quietly degraded.
+    # restarted and reconverged fast -- a creeping MTTR means the
+    # recovery path quietly degraded.
     for name, entry in sorted(current.items()):
         selfheal = entry.get("observability", {}).get("selfheal", {})
         mttr = selfheal.get("mttr_s")
         if mttr is None:
             continue
-        quarantined = selfheal.get("scrub_quarantined", 0)
-        bad = mttr > args.max_mttr_s or quarantined > 0
+        bad = mttr > args.max_mttr_s
         verdict = "FAIL" if bad else "ok"
         print(
             f"{verdict:4} {name}: MTTR {mttr:.2f} s "
             f"(detect {selfheal.get('detect_s', 0.0):.3f} s, "
             f"restart {selfheal.get('restart_s', 0.0):.3f} s, "
-            f"scrub {selfheal.get('scrub_repaired', 0)}/"
-            f"{selfheal.get('scrub_corrupt', 0)} repaired, "
-            f"{quarantined} quarantined, "
             f"limit {args.max_mttr_s:.1f} s)"
         )
-        if mttr > args.max_mttr_s:
+        if bad:
             failures.append(
                 f"{name}: MTTR {mttr:.2f} s exceeds "
                 f"{args.max_mttr_s:.1f} s (supervised recovery is no "
                 f"longer converging promptly)"
-            )
-        if quarantined > 0:
-            failures.append(
-                f"{name}: {quarantined} object(s) quarantined -- the "
-                f"scrubber no longer repairs 100% of injected "
-                f"corruption"
             )
 
     if failures:

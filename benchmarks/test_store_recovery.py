@@ -1,8 +1,7 @@
 """Crash recovery cost: snapshot + tail replay vs full log replay.
 
-PR-3 made recovery two-phase -- restore the last checkpoint, then
-replay only the log tail beyond its vector -- and the storage engines
-turn the checkpoint into a durable artifact.  The property that keeps
+PR-3 made recovery two-phase -- restore the last in-memory snapshot,
+then replay only the log tail beyond its vector.  The property that keeps
 long-lived replicas restartable is that recovery cost tracks the
 *tail*, not the whole history: with a checkpoint covering all but a
 few percent of the log, ``rebuild_from_log`` must beat the full replay
@@ -10,8 +9,8 @@ by a clear factor.  This benchmark measures both paths on the same
 workload and records ``store.recovery_speedup``, which
 ``check_regression.py --min-recovery-speedup`` gates in CI.
 
-Shape asserted here (engine-independent -- the matrix lane reruns it
-under REPRO_ENGINE/REPRO_SHARDS):
+Shape asserted here (shard-independent -- the matrix lane reruns it
+under REPRO_SHARDS):
 
 - both recovery paths land on the byte-identical state digest;
 - snapshot + tail is sublinear: the measured speedup clears the gate's
@@ -109,7 +108,6 @@ def test_recovery_snapshot_vs_full_replay(record_bench):
             "seed": SEED,
             "commits": full_log,
             "tail_commits": tail_log,
-            "engine": replica.storage.engine_name,
             "shards": replica.n_shards,
         },
         observability={
@@ -123,14 +121,8 @@ def test_recovery_snapshot_vs_full_replay(record_bench):
 
     print()
     print(
-        "Crash recovery -- %d commits, %d-record tail "
-        "(engine=%s, shards=%d)"
-        % (
-            full_log,
-            tail_log,
-            replica.storage.engine_name,
-            replica.n_shards,
-        )
+        "Crash recovery -- %d commits, %d-record tail (shards=%d)"
+        % (full_log, tail_log, replica.n_shards)
     )
     print(
         "  full replay %.1f ms | snapshot+tail %.1f ms | speedup x%.1f"

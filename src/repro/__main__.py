@@ -97,12 +97,7 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=("memory", "file", "sqlite"), default=None,
-        help="per-replica storage engine (default: REPRO_ENGINE env "
-        "var, else memory)",
-    )
+def _add_shards_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="keyspace shards per replica (default: REPRO_SHARDS env "
@@ -272,7 +267,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_regions=args.regions,
         batch_ms=args.batch_ms,
-        engine=args.engine,
         shards=args.shards,
     )
     cluster = app.cluster
@@ -617,8 +611,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
         n_ops=args.n_ops,
     )
     if args.engine is not None or args.shards is not None:
-        # Pin the backend into the spec so the recorded deployment
-        # carries it to every live server (and to later replays).
+        # Pin the ledger engine and shard count into the spec so the
+        # recorded deployment carries them to every live server (and
+        # to later replays).
         import dataclasses
 
         spec = dataclasses.replace(
@@ -646,7 +641,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             trace_dir=args.trace_dir,
             corrupt_regions=tuple(args.corrupt or ()),
             overload_limit=args.overload_limit,
-            scrub_ms=args.scrub_ms,
         )
     )
     if report.trace:
@@ -752,7 +746,7 @@ def _render_top(snapshot: dict) -> str:
     header = (
         f"{'region':<12} {'schedule':>9} {'ops':>5} {'applied':>7} "
         f"{'dups':>5} {'sync t/o':>8} {'lag ms':>8} {'keys':>6} "
-        f"{'ckpts':>6} {'conflicts':>18} {'rescan/rebuild':>15} "
+        f"{'conflicts':>18} {'rescan/rebuild':>15} "
         f"{'instances':>9}"
     )
     lines = [header, "-" * len(header)]
@@ -790,7 +784,6 @@ def _render_top(snapshot: dict) -> str:
             f"{stats.get('net.sync.timeouts', 0):>8.0f} "
             f"{lag if lag is not None else float('nan'):>8.1f} "
             f"{store.get('store.shard.keys_total', 0):>6} "
-            f"{store.get('store.shard.checkpoints', 0):>6} "
             f"{conflict_txt:>18} "
             f"{detector_txt:>15} "
             f"{instances:>9}"
@@ -798,7 +791,7 @@ def _render_top(snapshot: dict) -> str:
     lines.append("")
     health_header = (
         f"{'region':<12} {'hbeats':>7} {'susp':>5} {'recov':>5} "
-        f"{'hints q/r/d':>12} {'brk':>4} {'shed':>5} {'scrub c/r/q':>12} "
+        f"{'hints q/r/d':>12} {'brk':>4} {'shed':>5} "
         f"{'retries':>7} {'t/o':>5}"
     )
     lines.append(health_header)
@@ -814,11 +807,6 @@ def _render_top(snapshot: dict) -> str:
             f"{stats.get('net.handoff.replayed', 0):.0f}/"
             f"{stats.get('net.handoff.dropped', 0):.0f}"
         )
-        scrub = (
-            f"{stats.get('store.scrub.corrupt', 0):.0f}/"
-            f"{stats.get('store.scrub.repaired', 0):.0f}/"
-            f"{stats.get('store.scrub.quarantined', 0):.0f}"
-        )
         shed = stats.get("net.overload.shed_ops", 0)
         lines.append(
             f"{region:<12} "
@@ -828,7 +816,6 @@ def _render_top(snapshot: dict) -> str:
             f"{hints:>12} "
             f"{stats.get('net.breaker.opened', 0):>4.0f} "
             f"{shed:>5.0f} "
-            f"{scrub:>12} "
             # Client counters live in the process-global registry: they
             # are populated when the fleet shares the server process
             # (in-process mode) and stay 0 under --subprocess.
@@ -990,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants, session monotonicity) and exit nonzero if any "
         "fires",
     )
-    _add_engine_flags(simulate)
+    _add_shards_flag(simulate)
     _add_trace_flags(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -1147,8 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--fsync", action="store_true",
-        help="fsync every file a replica writes: commit-log appends, "
-        "conflict-ledger appends and store checkpoints",
+        help="fsync every commit-log and conflict-ledger append",
     )
     load.add_argument(
         "--workdir", metavar="DIR", default=None,
@@ -1171,9 +1157,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--corrupt", action="append", metavar="REGION", default=None,
-        help="seed mid-file bit rot into REGION's commit log and "
-        "object log while it is down in a crash window; the salvage "
-        "path and scrubber must heal it (repeatable)",
+        help="seed mid-file bit rot into REGION's commit log while it "
+        "is down in a crash window; the salvage path must heal it. "
+        "REGION must have a crash window (repeatable)",
     )
     load.add_argument(
         "--overload-limit", type=int, default=0, metavar="N",
@@ -1181,11 +1167,11 @@ def build_parser() -> argparse.ArgumentParser:
         "with a retryable 'overloaded' ack (default 0: unlimited)",
     )
     load.add_argument(
-        "--scrub-ms", type=float, default=0.0, metavar="MS",
-        help="periodic storage-scrub interval per replica; 0 scrubs "
-        "only at startup (default 0)",
+        "--engine", choices=("memory", "file", "sqlite"), default=None,
+        help="conflict-ledger engine; memory selects file (default: "
+        "REPRO_ENGINE env var, else memory)",
     )
-    _add_engine_flags(load)
+    _add_shards_flag(load)
     load.set_defaults(func=_cmd_load)
 
     top = sub.add_parser(

@@ -82,9 +82,10 @@ def build_tournament(
     garbage-collects CRDT tombstones and compacts commit logs --
     essential for long runs (each arriving rem-wins add scans the live
     tombstones, which only this collects); None disables.
-    ``engine``/``shards`` select the per-replica storage backend and
-    keyspace shard count (None defers to the REPRO_ENGINE /
-    REPRO_SHARDS environment defaults).
+    ``shards`` is the per-replica keyspace shard count (None defers to
+    the REPRO_SHARDS environment default).  ``engine`` is ignored: the
+    store has no engine, and the parameter stays only because
+    ``benchmarks/ledger/workloads.py`` passes it (ROADMAP item 16(b)).
     """
     sim = Simulator()
     registry = tournament_registry(config.variant, capacity=capacity)
@@ -107,7 +108,6 @@ def build_tournament(
         latency=latency,
         batch_ms=batch_ms,
         full_vv=full_vv,
-        engine=engine,
         shards=shards,
     )
     app = TournamentApp(cluster, config.variant, capacity=capacity)

@@ -88,11 +88,12 @@ class TrialSpec:
     params: dict = field(default_factory=dict)
     antientropy_ms: float = 200.0
     converge_timeout_ms: float = 60_000.0
-    #: Storage engine and shard count per replica.  None defers to the
-    #: REPRO_ENGINE / REPRO_SHARDS environment defaults (memory / 1),
-    #: which is how the CI engine matrix reruns recorded trials across
-    #: backends; an explicit value pins the run (and rides into live
-    #: deployments through the recorded spec).
+    #: Conflict-ledger engine (live servers only; the simulated store
+    #: has no engine) and shard count per replica.  None defers to the
+    #: REPRO_ENGINE / REPRO_SHARDS environment defaults (memory, which
+    #: selects file / 1), which is how the CI matrix reruns recorded
+    #: trials across both; an explicit value pins the run (and rides
+    #: into live deployments through the recorded spec).
     engine: str | None = None
     shards: int | None = None
 
@@ -252,7 +253,6 @@ def run_trial(spec: TrialSpec, recorder=None, ledger=None) -> TrialResult:
         regions=spec.regions,
         mode=mode,
         faults=_shifted_plan(spec.plan, SETUP_MS),
-        engine=spec.engine,
         shards=spec.shards,
     )
     cluster.start_antientropy(

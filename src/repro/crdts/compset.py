@@ -47,7 +47,7 @@ class CompensatedRead:
 
 
 # The default rules are module-level functions bound with ``partial``,
-# not closures: a capacity object must pickle for the durable engines.
+# not closures, so a capacity object stays picklable.
 
 
 def _within_limit(limit: int, elements: set) -> bool:

@@ -55,6 +55,8 @@ MAX_RESTART_ATTEMPTS = 5
 #: How often the supervisor looks for dead nodes.
 SUPERVISOR_POLL_MS = 40.0
 
+_restart_errors = obs.REGISTRY.counter("supervisor.restart_errors")
+
 
 class HarnessError(ReproError):
     """A live run that could not be orchestrated to a verdict."""
@@ -87,7 +89,6 @@ def build_topology(
     regions: tuple[str, ...],
     host: str = "127.0.0.1",
     overload_limit: int = 0,
-    scrub_ms: float = 0.0,
     fsync: bool = False,
 ) -> dict:
     """The cluster-wide settings file every server and client reads.
@@ -96,7 +97,7 @@ def build_topology(
     :func:`free_ports` call: each region's client and peer port, one
     port per directed chaos link (``links``) and the proxy's admin
     port (``proxy_admin``).  ``fsync`` makes every server fsync its
-    commit log, conflict ledger and store checkpoints.
+    commit log and conflict ledger.
     """
     links = [
         f"{source}->{target}"
@@ -108,7 +109,6 @@ def build_topology(
     topology: dict = {
         "epoch_unix_ms": time.time() * 1000.0,
         "overload_limit": overload_limit,
-        "scrub_ms": scrub_ms,
         "fsync": fsync,
         "regions": {},
         "links": {},
@@ -283,56 +283,16 @@ class _SubprocessNode:
 def corrupt_region_files(
     data_dir: str, region: str, seed: int = 11
 ) -> list[str]:
-    """Seed mid-file bit rot into a (dead) region's durable state.
+    """Seed mid-file bit rot into a (dead) region's commit log.
 
-    Flips one bit in a *non-final* record of the region's commit log
-    and of the first engine object log found -- damage past the
-    torn-tail repair, exercising salvage (commit log) and the startup
-    scrub (object log) on the next boot.  Only meaningful while the
-    region's process is down; returns the files touched.
+    Flips one bit in a *non-final* record -- damage past the torn-tail
+    repair, exercising salvage on the next boot.  Only meaningful while
+    the region's process is down; returns the files touched.
     """
-    corrupted: list[str] = []
     log_path = os.path.join(data_dir, f"{region}.commitlog")
-    if framedlog.flip_bit(log_path, seed=seed) is not None:
-        corrupted.append(log_path)
-    store_dir = os.path.join(data_dir, f"{region}-store")
-    if os.path.isdir(store_dir):
-        for name in sorted(os.listdir(store_dir)):
-            if name.endswith(".objlog"):
-                path = os.path.join(store_dir, name)
-                if framedlog.flip_bit(path, seed=seed) is not None:
-                    corrupted.append(path)
-                    break
-    return corrupted
-
-
-async def _rot_live_region(
-    data_dir: str, region: str, deadline_unix_s: float, seed: int = 13
-) -> str | None:
-    """Bit-flip ``region``'s object log while its server keeps running.
-
-    The live-replica counterpart of :func:`corrupt_region_files`: waits
-    until the region's periodic scrub loop has checkpointed at least
-    two object frames (the scrub cadence doubles as the live checkpoint
-    cadence), then rots a non-final frame.  The *next* scrub pass must
-    detect the damage and repair it from the live map -- no restart
-    involved.  Returns the path touched, or None if nothing durable
-    appeared before the deadline.
-    """
-    store_dir = os.path.join(data_dir, f"{region}-store")
-    while time.time() < deadline_unix_s:
-        if os.path.isdir(store_dir):
-            for name in sorted(os.listdir(store_dir)):
-                if not name.endswith(".objlog"):
-                    continue
-                path = os.path.join(store_dir, name)
-                if framedlog.flip_bit(path, seed=seed) is not None:
-                    obs.TRACER.instant(
-                        "supervisor.corrupted", region=region, live=True
-                    )
-                    return path
-        await asyncio.sleep(0.05)
-    return None
+    if framedlog.flip_bit(log_path, seed=seed) is None:
+        return []
+    return [log_path]
 
 
 class Supervisor:
@@ -392,7 +352,7 @@ class Supervisor:
         obs.TRACER.instant("supervisor.detected", region=region)
         if region in self._corrupt_pending:
             # The chaos scenario's disk rot: seeded while the process
-            # is provably down, healed by salvage + scrub on restart.
+            # is provably down, healed by salvage on restart.
             self._corrupt_pending.discard(region)
             touched = corrupt_region_files(self._data_dir, region)
             self.corrupted_files.extend(touched)
@@ -406,12 +366,15 @@ class Supervisor:
             seed=zlib.crc32(f"supervisor:{region}".encode()),
         )
         attempts = 0
+        last_error = None
         while not policy.exhausted():
             attempts += 1
             try:
                 await node.restart()
                 await self._await_node_ready(region, node)
-            except Exception:
+            except Exception as exc:
+                last_error = f"{type(exc).__name__}: {exc}"
+                _restart_errors.inc()
                 await node.crash()  # a half-started node must not linger
                 await asyncio.sleep(policy.next_delay_ms() / 1000.0)
                 continue
@@ -437,7 +400,8 @@ class Supervisor:
         position = await self._last_position(region)
         self.failure = (
             f"replica {region} died permanently: {attempts} restart "
-            f"attempts exhausted; last position {position}"
+            f"attempts exhausted (last error: {last_error}); "
+            f"last position {position}"
         )
         self.incidents.append(
             {
@@ -447,6 +411,7 @@ class Supervisor:
                 "restarted_unix_s": None,
                 "attempts": attempts,
                 "gave_up": True,
+                "last_error": last_error,
             }
         )
         obs.TRACER.instant(
@@ -492,7 +457,6 @@ async def run_live(
     trace_dir: str | None = None,
     corrupt_regions: tuple[str, ...] = (),
     overload_limit: int = 0,
-    scrub_ms: float = 0.0,
 ) -> LiveReport:
     """Execute one recorded deployment live and judge the digests.
 
@@ -505,10 +469,10 @@ async def run_live(
     Crash windows only *kill*; detection and restart belong to the
     :class:`Supervisor`, whose incident log (MTTR timestamps, restart
     attempts) lands in ``report.supervisor``.  ``corrupt_regions``
-    seeds mid-file bit rot
-    into those regions' durable state while they are down -- combined
-    with a crash window this is the full self-healing scenario: kill,
-    corrupt, detect, restart, salvage, scrub, converge.
+    seeds mid-file bit rot into those regions' commit logs while they
+    are down, so each must have a crash window -- with it this is the
+    full self-healing scenario: kill, corrupt, detect, restart,
+    salvage, converge.
     """
     if not time_scale > 0:
         # Every live clock (proxy trace time, client pacing, fault
@@ -520,6 +484,16 @@ async def run_live(
     trial = deployment["trial"]
     regions = tuple(trial["regions"])
     plan = FaultPlan.from_dict(trial.get("plan", {}))
+    crashing = {window.region for window in plan.crashes}
+    never_down = sorted(set(corrupt_regions) - crashing)
+    if never_down:
+        # Rot is seeded into a region's commit log while it is down;
+        # a region that never goes down has nothing to rot.
+        raise HarnessError(
+            f"cannot corrupt {', '.join(never_down)}: only regions with "
+            f"a crash window are corrupted "
+            f"(crash windows: {', '.join(sorted(crashing)) or 'none'})"
+        )
     os.makedirs(workdir, exist_ok=True)
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
@@ -529,7 +503,6 @@ async def run_live(
     topology = build_topology(
         regions,
         overload_limit=overload_limit,
-        scrub_ms=scrub_ms,
         fsync=fsync,
     )
 
@@ -560,7 +533,6 @@ async def run_live(
     mode = "subprocess" if subprocess_servers else "inprocess"
 
     crash_tasks: list[asyncio.Task] = []
-    rot_tasks: list[asyncio.Task] = []
     supervisor_task: asyncio.Task | None = None
     started = time.time()
     try:
@@ -584,21 +556,6 @@ async def run_live(
                     _crash_window(
                         nodes[window.region], window, epoch_unix_ms,
                         time_scale, supervisor,
-                    )
-                )
-            )
-        # Regions asked to rot that never crash get live bit rot: the
-        # supervisor injects into *down* regions (salvage + startup
-        # scrub heal it); running regions are the periodic scrub
-        # loop's to heal, with no restart in the story.
-        crashing = {window.region for window in plan.crashes}
-        for region in corrupt_regions:
-            if region in crashing:
-                continue
-            rot_tasks.append(
-                asyncio.ensure_future(
-                    _rot_live_region(
-                        data_dir, region, started + deadline_s
                     )
                 )
             )
@@ -663,28 +620,6 @@ async def run_live(
         # may still be pending) and every schedule drain.
         if crash_tasks:
             await asyncio.gather(*crash_tasks, return_exceptions=True)
-        rotted: list[str] = []
-        if rot_tasks:
-            # Give live rot a bounded grace period (the flip waits for
-            # the scrub loop's first durability point), then one full
-            # scrub cycle past the flip so the repair is visible in
-            # the statuses collected below.
-            grace = min(
-                max(scrub_ms * 4.0 / 1000.0, 1.0),
-                max(started + deadline_s - time.time(), 0.1),
-            )
-            await asyncio.wait(rot_tasks, timeout=grace)
-            for task in rot_tasks:
-                if not task.done():
-                    task.cancel()
-                try:
-                    path = await task
-                except (asyncio.CancelledError, Exception):
-                    path = None
-                if path is not None:
-                    rotted.append(path)
-            if rotted and scrub_ms > 0:
-                await asyncio.sleep(scrub_ms * 2.0 / 1000.0 + 0.1)
         statuses = await _await_schedules(
             topology,
             regions,
@@ -717,10 +652,6 @@ async def run_live(
                 mttrs.append(incident["mttr_s"])
         if mttrs:
             supervisor_summary["mttr_s"] = max(mttrs)
-        if rotted:
-            supervisor_summary.setdefault("corrupted_files", []).extend(
-                rotted
-            )
         return LiveReport(
             ok=ok,
             reason="" if ok else "digest mismatch",
@@ -755,8 +686,6 @@ async def run_live(
             except (asyncio.CancelledError, Exception):
                 pass
         for task in crash_tasks:
-            task.cancel()
-        for task in rot_tasks:
             task.cancel()
         for node in nodes.values():
             try:

@@ -53,7 +53,6 @@ from repro.store.cluster import replica_state_digest
 from repro.store.conflicts import ConflictDetector, ConflictLedger
 from repro.store.engine import default_engine
 from repro.store.replica import Replica
-from repro.store.scrub import scrub_replica
 from repro.store.transaction import CommitRecord
 
 
@@ -150,21 +149,10 @@ class LiveNode:
         registry,
         now_ms,
         on_commit,
-        engine: str | None = None,
         shards: int | None = None,
-        data_dir: str | None = None,
-        fsync: bool = False,
     ) -> None:
         self.region_id = region
-        self.store = Replica(
-            region,
-            registry,
-            now=now_ms,
-            engine=engine,
-            shards=shards,
-            data_dir=data_dir,
-            fsync=fsync,
-        )
+        self.store = Replica(region, registry, now=now_ms, shards=shards)
         self._on_commit = on_commit
         self.setup_skip = 0
 
@@ -496,25 +484,16 @@ class ReplicaServer:
             "net.handoff.dropped": 0,
             "net.breaker.opened": 0,
             "net.overload.shed_ops": 0,
-            "store.scrub.corrupt": 0,
-            "store.scrub.repaired": 0,
-            "store.scrub.quarantined": 0,
         }
         self.lag_gauge = REGISTRY.gauge("store.convergence.lag_ms")
 
         # Cluster-wide settings, all via the topology file so every
         # process agrees: the parked-op bound (0 = unbounded, the
-        # historical behaviour), the periodic scrub interval
-        # (0 = startup-only) and whether every file this replica writes
-        # -- commit log, conflict ledger, store checkpoints -- is
-        # fsync'd.  Hints are not: anti-entropy regenerates them.
+        # historical behaviour) and whether the files this replica
+        # needs back -- commit log and conflict ledger -- are fsync'd.
+        # Hints are not: anti-entropy regenerates them.
         self.overload_limit = int(topology.get("overload_limit", 0))
-        self.scrub_ms = float(topology.get("scrub_ms", 0.0))
         fsync = bool(topology.get("fsync", False))
-
-        # The store's engine and shard count come from the recorded
-        # trial spec, else the REPRO_ENGINE/REPRO_SHARDS defaults.
-        self.engine_name = self.spec.engine or default_engine()
 
         os.makedirs(data_dir, exist_ok=True)
         self.data_dir = data_dir
@@ -544,20 +523,12 @@ class ReplicaServer:
             registry,
             self.now_ms,
             lambda record: me._commit_local(record),
-            engine=self.engine_name,
             shards=self.spec.shards,
-            data_dir=os.path.join(data_dir, f"{region}-store"),
-            fsync=fsync,
         )
         if recovered:
             self.node.store.adopt_log(recovered)
             self.stats["net.recovered_records"] = len(recovered)
         self.log.open()
-        if self.node.store.storage.durable:
-            # Startup scrub: the engines' persisted copies may have
-            # rotted while the process was down.  The live maps (just
-            # rebuilt from the salvaged log) are the repair source.
-            self._note_scrub(scrub_replica(self.node.store))
         self.app = adapter.make_app(self.node, self.variant, self.params)
         self.engine = ScheduleEngine(
             me,
@@ -566,12 +537,13 @@ class ReplicaServer:
             salvaged=salvaged,
         )
 
-        # The conflict ledger is durable regardless of the store engine
-        # (memory maps to file inside ConflictLedger); reopening after a
-        # crash reloads identities so re-detections append nothing.
+        # The ledger's engine comes from the recorded trial spec, else
+        # REPRO_ENGINE (memory maps to file inside ConflictLedger);
+        # reopening after a crash reloads identities so re-detections
+        # append nothing.
         self.ledger = ConflictLedger(
             os.path.join(data_dir, f"{region}-conflicts"),
-            engine=self.engine_name,
+            engine=self.spec.engine or default_engine(),
             fsync=fsync,
         )
         self.detector: ConflictDetector | None = ConflictDetector(me)
@@ -605,14 +577,6 @@ class ReplicaServer:
             self._count_dropped_hints(self._hints[peer].dropped)
 
     # -- self-healing bookkeeping ---------------------------------------------
-
-    def _note_scrub(self, report) -> None:
-        """Fold one :class:`~repro.store.scrub.ScrubReport` into stats."""
-        self.stats["store.scrub.corrupt"] += len(report.corrupt)
-        self.stats["store.scrub.repaired"] += len(report.repaired_live) + len(
-            report.repaired_peer
-        )
-        self.stats["store.scrub.quarantined"] += len(report.quarantined)
 
     def _note_peer_alive(self, source: str) -> None:
         """Any inbound peer frame is proof of life for its sender.
@@ -668,8 +632,6 @@ class ReplicaServer:
         self._servers = [peer_server, client_server]
         self._tasks.append(asyncio.ensure_future(self._engine_main()))
         self._tasks.append(asyncio.ensure_future(self._health_main()))
-        if self.scrub_ms > 0 and self.node.store.storage.durable:
-            self._tasks.append(asyncio.ensure_future(self._scrub_main()))
         for peer in self.peers:
             self._tasks.append(
                 asyncio.ensure_future(self._outbound_main(peer))
@@ -697,12 +659,6 @@ class ReplicaServer:
         self._release()
         for writer in list(self._conns):
             writer.close()
-        # Graceful shutdown is a durability point: checkpoint the live
-        # maps into the storage engines before releasing them.  kill()
-        # deliberately skips this -- a SIGKILL'd process flushes
-        # nothing, and recovery must come from the commit log alone.
-        self.node.store.storage.sync()
-        self.node.store.storage.close()
         self.log.close()
         self.ledger.close()
         for hints in self._hints.values():
@@ -799,32 +755,6 @@ class ReplicaServer:
             self.stats["net.health.suspects"] = self.health.suspects
             self.stats["net.health.recoveries"] = self.health.recoveries
             await asyncio.sleep(HEARTBEAT_MS / 1000.0)
-
-    async def _scrub_main(self) -> None:
-        """Periodic engine scrub: catch bit rot while still running.
-
-        Verifies first, then checkpoints: the scrub reads the copy the
-        previous pass persisted, and the checkpoint after it makes the
-        scrub cadence the live fleet's checkpoint cadence.  The other
-        order would rewrite any rot before the scrub could see it.
-        """
-        while self._running:
-            await asyncio.sleep(self.scrub_ms / 1000.0)
-            try:
-                report = scrub_replica(self.node.store)
-                self._note_scrub(report)
-                if not report.clean and self.detector is not None:
-                    # A heal is a state change no commit record names.
-                    self.detector.invalidate()
-                self.node.store.storage.sync()
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                REGISTRY.counter("store.scrub.errors").inc()
-                self.stats["store.scrub.error"] = 1
-                self.engine_error = self.engine_error or (
-                    f"scrub failed: {type(exc).__name__}: {exc}"
-                )
 
     # -- peer plumbing --------------------------------------------------------
 
@@ -1124,10 +1054,7 @@ class ReplicaServer:
             "digest": self.engine.digest,
             "error": self.engine_error,
             "stats": dict(self.stats),
-            "store": {
-                "engine": self.engine_name,
-                **self.node.store.storage.stats(),
-            },
+            "store": self.node.store.storage.stats(),
             "health": self.health.snapshot(now),
             "handoff": {
                 peer: len(hints) for peer, hints in self._hints.items()
@@ -1139,7 +1066,7 @@ class ReplicaServer:
         """The live-introspection superset of the status frame.
 
         Everything ``repro top`` renders for one replica: schedule
-        progress, transport counters, per-shard engine stats, the
+        progress, transport counters, per-shard store stats, the
         process-global registry snapshot (convergence lag, retries),
         and the conflict ledger's per-kind counts.  Served on the
         client listener so pollers need no extra port.

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import os
 from functools import partial
 from typing import Any, Callable
 
@@ -85,9 +84,7 @@ class Cluster:
         faults: FaultPlan | None = None,
         batch_ms: float = 0.0,
         full_vv: bool = False,
-        engine: str | None = None,
         shards: int | None = None,
-        data_dir: str | None = None,
     ) -> None:
         self.sim = sim
         self.mode = mode
@@ -125,13 +122,7 @@ class Cluster:
                 registry,
                 now=lambda: sim.now,
                 full_vv=full_vv,
-                engine=engine,
                 shards=shards,
-                data_dir=(
-                    os.path.join(data_dir, region)
-                    if data_dir is not None
-                    else None
-                ),
             )
             self._replicas[region] = replica
             self._receivers[region] = CausalReceiver(
@@ -579,9 +570,6 @@ class Cluster:
             max((len(m) for m in r.storage.maps), default=0)
             for r in replicas
         )
-        stats["store.shard.checkpoints"] = sum(
-            r.storage.checkpoints for r in replicas
-        )
         if self.injector is not None:
             stats["net.partition_drops"] = self.injector.partition_drops
         if self.antientropy is not None:
@@ -614,12 +602,12 @@ def replica_state_digest(
         default_cache = {}
     parts = []
     for key in replica.keys():
-        value = _canonical(replica.get_object(key).value())
+        value = canonical_value(replica.get_object(key).value())
         if value == "":
             continue
         default = default_cache.get(key)
         if default is None:
-            default = default_cache[key] = _canonical(
+            default = default_cache[key] = canonical_value(
                 replica.default_value(key)
             )
         if value == default:
@@ -630,9 +618,3 @@ def replica_state_digest(
     # same bytes.
     payload = repr(parts)
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-# The canonicalisation lives with the storage engines (per-shard
-# digests hash through the same function); the historical name stays
-# importable here.
-_canonical = canonical_value

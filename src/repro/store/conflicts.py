@@ -16,7 +16,7 @@ append-only :class:`ConflictRecord` carrying full attribution:
   it, ``compensated`` when the compensation machinery paid the debt,
   or empty while still open).
 
-Records are written through the PR-7 storage engines
+Records are written through a ledger engine
 (:func:`repro.store.engine.make_engine`) with a sync per append, so a
 ledger survives SIGKILL exactly like the commit log: recovery reopens
 the same file and replays every record.  Appends deduplicate on the
@@ -24,10 +24,9 @@ record's :meth:`ConflictRecord.identity` -- a restarted replica
 re-detecting the same still-open violation adds nothing, which is
 what makes the ledger byte-identical across a crash+recovery cycle.
 
-The ``memory`` store engine is mapped to ``file`` here: a conflict
-ledger that evaporated with the process would defeat its purpose, so
-the ledger is durable regardless of which engine backs the object
-store.
+``REPRO_ENGINE=memory`` (the default) selects ``file`` here: a
+conflict ledger that evaporated with the process would defeat its
+purpose.
 
 :class:`ConflictDetector` is the live-path driver: it re-grounds the
 application's invariants against a replica's observed state after
@@ -154,14 +153,15 @@ class ConflictRecord:
         )
 
 
-def ledger_engine_name(store_engine: str | None) -> str:
-    """The engine backing a ledger for a given store engine.
+def ledger_engine_name(engine: str | None) -> str:
+    """The engine backing a ledger for an engine name (``REPRO_ENGINE``).
 
-    Durable engines back the ledger directly; the volatile ``memory``
-    engine maps to ``file`` -- conflict records must survive the
-    process no matter how the object store is configured.
+    ``sqlite`` backs the ledger with :class:`~repro.store.engine.SqliteEngine`;
+    anything else (``file``, ``memory``, None) with
+    :class:`~repro.store.engine.FileEngine` -- conflict records must
+    survive the process.
     """
-    if store_engine == "sqlite":
+    if engine == "sqlite":
         return "sqlite"
     return "file"
 
@@ -347,9 +347,7 @@ class ConflictDetector:
 
     - a new detector (process start, crash recovery) has nothing yet;
     - ``replica.commits_applied`` moving by anything other than the
-      records noted (``install_snapshot``, ``rebuild_from_log``);
-    - :meth:`invalidate`, which the server calls after a scrub healed
-      something.
+      records noted (``install_snapshot``, ``rebuild_from_log``).
 
     ``store.conflicts.elements_checked`` (membership tests: named
     elements that map to rows),
@@ -368,7 +366,7 @@ class ConflictDetector:
         self._active: dict[tuple, ConflictRecord] = {}
         self._lineage: deque = deque(maxlen=LINEAGE_CAP)
         #: key -> the (relation, row) pairs it contributes; ``None``
-        #: until the first check and after :meth:`invalidate`.
+        #: until the first check.
         self._rows: dict[str, set] | None = None
         #: relation -> row -> number of keys contributing it
         self._counts: dict[str, dict[tuple, int]] = {}
@@ -400,10 +398,6 @@ class ConflictDetector:
         self._applied += 1
 
     note_apply = note_commit
-
-    def invalidate(self) -> None:
-        """State changed without a record: re-read every key next check."""
-        self._rows = None
 
     def _rescan(self, keys, replica, added, removed) -> None:
         """Re-read ``keys`` whole; raw rows that appear / go land in

@@ -1,8 +1,8 @@
 """The framed append-only log under every durable file in the repo.
 
 The commit log (:mod:`repro.net.commitlog`), the file engine's object
-log (:class:`repro.store.engine.FileEngine`, which also backs the
-conflict ledger) and the hint queue (:class:`repro.net.health.HintQueue`)
+log (:class:`repro.store.engine.FileEngine`, which backs the conflict
+ledger) and the hint queue (:class:`repro.net.health.HintQueue`)
 all store one record after another as::
 
     4-byte big-endian body length | 4-byte big-endian CRC32(body) | body
@@ -24,9 +24,8 @@ keeping the intact prefix, and counts it in ``net.commitlog.salvaged``
 with a loud warning.  Only callers that regenerate what they lose may
 pass it: live server recovery (the schedule gate re-executes own
 commits, anti-entropy re-fetches remote records) and the hint queue
-(anti-entropy covers lost hints).  The object log never salvages; its
-mid-log damage is the scrubber's, found through the non-destructive
-:func:`scan`.
+(anti-entropy covers lost hints).  The object log never salvages: a
+conflict ledger with mid-log damage refuses to open.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ from repro.obs import REGISTRY
 
 _LOG = logging.getLogger(__name__)
 HEADER = struct.Struct(">II")
-
-#: The :func:`scan` reason of a frame whose stored CRC is one bit off
-#: its body's: rot in the header field, the body itself intact.
-CRC_FIELD_FLIP = "CRC field bit flip"
 
 _tail_skipped = REGISTRY.counter("net.commitlog.tail_skipped")
 _salvaged = REGISTRY.counter("net.commitlog.salvaged")
@@ -76,13 +71,9 @@ def _walk(data: bytes) -> Iterator[tuple[int, int, bytes | None, str | None]]:
     """The one walk: ``(offset, end, body, damage)`` per frame.
 
     ``damage`` is None for an intact frame.  A CRC mismatch keeps its
-    body and the walk continues at the next frame boundary; when the
-    stored CRC is a single bit off the body's, the damage is
-    :data:`CRC_FIELD_FLIP` (a body error that lands one bit away from
-    its own CRC is a 2**-27 chance), otherwise the body is corrupt;
-    a torn header or body (which a flipped length prefix is
-    indistinguishable from) has no body, runs to the end of ``data``
-    and ends the walk.
+    body and the walk continues at the next frame boundary; a torn
+    header or body (which a flipped length prefix is indistinguishable
+    from) has no body, runs to the end of ``data`` and ends the walk.
     """
     offset = 0
     size = len(data)
@@ -97,12 +88,7 @@ def _walk(data: bytes) -> Iterator[tuple[int, int, bytes | None, str | None]]:
             yield offset, size, None, "truncated body"
             return
         body = data[start:end]
-        off_by = zlib.crc32(body) ^ crc
-        if off_by and off_by.bit_count() == 1:
-            damage = CRC_FIELD_FLIP
-        else:
-            damage = "CRC mismatch" if off_by else None
-        yield offset, end, body, damage
+        yield offset, end, body, None if zlib.crc32(body) == crc else "CRC mismatch"
         offset = end
 
 
@@ -161,27 +147,6 @@ def _cut(path: str | os.PathLike[str], offset: int, why: str, mid_log: bool) -> 
         fh.truncate(offset)
 
 
-def scan(
-    path: str | os.PathLike[str],
-) -> tuple[list[tuple[int, int, bytes]], list[tuple[int, bytes | None, str]]]:
-    """Non-destructive damage survey: ``(good_frames, damage)``.
-
-    Unlike :func:`read` this never raises and never rewrites the file
-    -- it is the scrubber's evidence-gathering pass.  Good frames are
-    ``(offset, end, body)``; damage entries are ``(offset,
-    body_or_None, reason)``, a CRC-mismatched body kept for attribution
-    (see :func:`_walk` for where the survey stops).
-    """
-    frames: list[tuple[int, int, bytes]] = []
-    damage: list[tuple[int, bytes | None, str]] = []
-    for offset, end, body, reason in _walk(_contents(path)):
-        if reason is None:
-            frames.append((offset, end, body))  # type: ignore[arg-type]
-        else:
-            damage.append((offset, body, reason))
-    return frames, damage
-
-
 class FramedLog:
     """The append handle on one framed file.
 
@@ -238,12 +203,6 @@ class FramedLog:
             finally:
                 os.close(directory)
 
-    def tear(self, body: bytes) -> None:
-        """Fault injection: append half of ``body``'s frame, as a crash mid-append would."""
-        framed = frame(body)
-        self.open().write(framed[: max(1, len(framed) // 2)])
-        self.sync()
-
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
@@ -259,14 +218,16 @@ def flip_bit(path: str | os.PathLike[str], index: int | None = None, seed: int =
     Returns the absolute byte offset flipped, or None when the file has
     no such frame.
     """
-    frames, _damage = scan(path)
+    frames = [
+        (end, body) for _offset, end, body, damage in _walk(_contents(path)) if damage is None
+    ]
     if index is None:
         if len(frames) < 2:
             return None
         index = len(frames) // 2
     elif not -len(frames) <= index < len(frames):
         return None
-    _offset, end, body = frames[index]
+    end, body = frames[index]
     target = end - len(body) + seed % len(body)
     with open(path, "r+b") as fh:
         fh.seek(target)

@@ -15,7 +15,7 @@ from repro.store.transaction import CommitRecord, Transaction
 
 @dataclass
 class ReplicaSnapshot:
-    """Durable checkpoint taken before commit-log truncation.
+    """In-memory checkpoint taken before commit-log truncation.
 
     Holds everything ``rebuild_from_log`` needs to restore the state as
     of ``vv`` without the truncated log prefix: the per-shard object
@@ -87,22 +87,15 @@ class Replica:
         registry: TypeRegistry,
         now: Callable[[], float] | None = None,
         full_vv: bool = False,
-        engine: str | None = None,
         shards: int | None = None,
-        data_dir: str | None = None,
-        fsync: bool = False,
     ) -> None:
         self.replica_id = replica_id
         self._registry = registry
         self._now = now
         self.full_vv = full_vv
-        #: Object storage: per-shard live maps + durability engines.
-        #: ``engine``/``shards`` default from REPRO_ENGINE/REPRO_SHARDS
-        #: (memory / 1) -- the CI engine matrix's single knob.
-        self.storage = ShardedStore(
-            replica_id, registry, engine=engine, shards=shards,
-            data_dir=data_dir, fsync=fsync,
-        )
+        #: Object storage: per-shard live maps.  ``shards`` defaults
+        #: from REPRO_SHARDS (1) -- the CI matrix's knob.
+        self.storage = ShardedStore(shards)
         self._store_get = self.storage.get
         self._store_set = self.storage.set
         self.vv = VersionVector()
@@ -441,7 +434,7 @@ class Replica:
         A record every replica has applied (dot counter at or below the
         stable vector's entry for its origin) will never be
         retransmitted to a live peer, so it can leave the log once the
-        state it contributed to is checkpointed.  Runs only when at
+        state it contributed to is in the snapshot.  Runs only when at
         least ``min_records`` are truncatable, to amortise the
         snapshot's deep copy.  Returns the number of records truncated.
         """
@@ -470,9 +463,6 @@ class Replica:
         return truncatable
 
     def _take_snapshot(self) -> ReplicaSnapshot:
-        # Snapshot time is also a durability point: every shard's
-        # engine gets its whole live map.
-        self.storage.checkpoint()
         return ReplicaSnapshot(
             vv=self.vv.copy(),
             shards=self.storage.snapshot_shards(),

@@ -38,7 +38,7 @@ class TestConstruction:
 
 class TestPickle:
     def test_round_trip_keeps_bound_and_victim_rule(self):
-        """The durable engines pickle every object they persist."""
+        """A capacity object pickles with its bound and victim rule."""
         import pickle
 
         over = filled()

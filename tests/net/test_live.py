@@ -116,6 +116,15 @@ class TestLiveDigestEquality:
                 run(tmp_path / "never", index=0, time_scale=bad)
         assert not (tmp_path / "never").exists()  # before any side effect
 
+    def test_corrupting_a_region_without_a_crash_window_is_rejected(self, tmp_path):
+        """Rot is seeded into a commit log while its region is down, so
+        a region that never goes down cannot be corrupted: loud, and
+        before any side effect."""
+        assert PLAN_KINDS[0] == "clean"  # no crash windows at all
+        with pytest.raises(HarnessError, match="cannot corrupt us-east"):
+            run(tmp_path / "never", index=0, corrupt_regions=("us-east",))
+        assert not (tmp_path / "never").exists()
+
 
 def _assert_full_evaluation(monkeypatch) -> list:
     """Patch every live check to assert its violations equal the

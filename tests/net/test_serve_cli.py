@@ -96,6 +96,29 @@ class TestLoadCommand:
         assert payload["digest_match"] is True
 
 
+    def test_load_rejects_corrupting_a_region_that_never_crashes(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        code = main(
+            [
+                "load",
+                "tournament",
+                "--index",
+                "0",
+                "--n-ops",
+                "10",
+                "--workdir",
+                str(tmp_path / "cluster"),
+                "--corrupt",
+                "eu-west",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot corrupt eu-west")
+        assert not (tmp_path / "cluster").exists()
+
+
 class TestServeCommandValidation:
     def test_serve_rejects_unknown_region(self, tmp_path, capsys):
         from repro.__main__ import main

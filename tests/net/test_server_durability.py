@@ -2,15 +2,11 @@
 
 The topology file is the one place a fleet's durability is set: a
 server built from ``build_topology(fsync=True)`` fsyncs every file it
-writes -- commit-log appends, conflict-ledger appends and store
-checkpoints -- whichever way it was started.  The periodic scrub
-verifies the engines before it checkpoints them, so rot that landed
-since the last checkpoint is seen rather than overwritten.
+needs back -- commit-log appends and conflict-ledger appends --
+whichever way it was started.  The store itself writes nothing.
 """
 
-import asyncio
 import os
-import time
 
 import pytest
 
@@ -18,7 +14,6 @@ from repro.check.explorer import build_trial
 from repro.net.harness import build_topology
 from repro.net.oracle import record_trial
 from repro.net.server import ReplicaServer
-from repro.store import framedlog
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +23,7 @@ def deployment():
 
 
 def boot(deployment, topology, data_dir, engine):
-    """A region's server over a store pinned to ``engine`` x 1 shard."""
+    """A region's server with its ledger pinned to ``engine``, 1 shard."""
     trial = {**deployment["trial"], "engine": engine, "shards": 1}
     pinned = {**deployment, "trial": trial}
     return ReplicaServer(pinned, topology, trial["regions"][0], str(data_dir))
@@ -45,7 +40,6 @@ def drive(server, n=4):
 
 def shut(server):
     server.kill()
-    server.node.store.storage.close()
 
 
 @pytest.mark.parametrize("fsync", [False, True])
@@ -63,14 +57,14 @@ def test_topology_fsync_reaches_log_ledger_and_store(tmp_path, monkeypatch, depl
     region = server.region
     drive(server)
     server.ledger.append(kind="violation", oracle="invariant", invariant="cap", region=region)
-    server.node.store.storage.sync()
     files = {
         "commit log": tmp_path / f"{region}.commitlog",
         "ledger": tmp_path / f"{region}-conflicts.objlog",
-        "store": tmp_path / f"{region}-store" / "shard-00.objlog",
     }
     fsynced = {name for name, path in files.items() if path.stat().st_ino in synced}
     assert fsynced == (set(files) if fsync else set())
+    # The store has no file to sync: the commit log is its durable state.
+    assert not (tmp_path / f"{region}-store").exists()
     shut(server)
 
 
@@ -78,36 +72,7 @@ def test_topology_fsync_reaches_log_ledger_and_store(tmp_path, monkeypatch, depl
 def test_topology_fsync_sets_the_sqlite_store_level(tmp_path, deployment, fsync, level):
     topology = build_topology(tuple(deployment["trial"]["regions"]), fsync=fsync)
     server = boot(deployment, topology, tmp_path, "sqlite")
-    (engine,) = server.node.store.storage.engines
-    assert engine._conn.execute("PRAGMA synchronous").fetchone()[0] == level
-    shut(server)
-
-
-@pytest.mark.timeout(30)
-def test_scrub_loop_sees_rot_landed_since_the_last_checkpoint(tmp_path, deployment):
-    server = boot(deployment, {"scrub_ms": 5.0}, tmp_path, "file")
-    drive(server)
-    path = str(tmp_path / f"{server.region}-store" / "shard-00.objlog")
-
-    async def scenario():
-        server._running = True
-        loop = asyncio.ensure_future(server._scrub_main())
-        deadline = time.monotonic() + 20.0
-        # The first pass verifies an empty engine, then checkpoints.
-        while framedlog.flip_bit(path, seed=5) is None:
-            assert time.monotonic() < deadline, "the scrub loop never checkpointed"
-            await asyncio.sleep(0.005)
-        while not server.stats["store.scrub.corrupt"]:
-            assert time.monotonic() < deadline, "the scrub loop never saw the rot"
-            await asyncio.sleep(0.005)
-        server._running = False
-        loop.cancel()
-
-    asyncio.run(scenario())
-    assert server.stats["store.scrub.repaired"] == server.stats["store.scrub.corrupt"]
-    assert server.stats["store.scrub.quarantined"] == 0
-    # The next checkpoint left the engine holding exactly the live map.
-    (engine,) = server.node.store.storage.engines
-    assert engine.verify().clean
-    assert sorted(engine.load()) == server.node.store.keys()
+    # The store's only sqlite database is the conflict ledger's.
+    conn = server.ledger._engine._conn
+    assert conn.execute("PRAGMA synchronous").fetchone()[0] == level
     shut(server)

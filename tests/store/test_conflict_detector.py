@@ -654,13 +654,3 @@ class TestInvalidation:
         restarted = ConflictDetector(ahead)
         assert restarted.model() == ahead.fresh()
         assert REBUILDS.value == rebuilds + 2
-
-    def test_scrub_heal_invalidation_forces_a_rebuild(self):
-        # The server calls ``invalidate`` after a scrub repaired
-        # something; the next check re-reads every key.
-        _records, _behind, ahead = self.observers()
-        rebuilds, rescanned = REBUILDS.value, RESCANNED.value
-        ahead.detector.invalidate()
-        ahead.assert_model_is_fresh_extract()
-        assert REBUILDS.value == rebuilds + 1
-        assert RESCANNED.value - rescanned == len(ahead.replica.keys())

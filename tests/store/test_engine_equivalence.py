@@ -1,25 +1,17 @@
-"""Behavioural identity across storage engines and shard counts.
+"""Behavioural identity across shard counts.
 
-The acceptance bar for pluggable storage: engines and sharding are
-*durability* choices, never *semantics* choices.  For any workload --
-including seeded fault plans with drops, duplication, reordering, a
-partition and a crash/recovery window -- every replica must converge
-to byte-identical state digests whatever the engine (memory, file,
-sqlite) and whatever the shard count ({1, 3, 8}).
+Sharding is a placement choice, never a semantics choice.  For any
+workload -- including seeded fault plans with drops, duplication,
+reordering, a partition and a crash/recovery window -- every replica
+must converge to byte-identical state digests whatever the shard count
+({1, 3, 8}).
 
 The scripted add-only schedule is fixed up-front from the seed (same
 trick as the batching equivalence suite), so the committed-record set
 is identical across configurations; the digests then compare the full
-pipeline -- routing, per-shard snapshots and recovery -- against the
-historical single-dict behaviour.  Whatever the live maps went through
-(a schedule, a rerouted ``restore_shards``, ``clear`` plus
-``rebuild_from_log``, ``install_snapshot``), the next durability point
-leaves the durable engines holding exactly those maps.
-
-Kill-mid-commit is pinned per durable engine at the torn-write level:
-a crash half-way through an engine append must reload to exactly the
-last durability point, and a replica rebuilt from its commit log after
-the tear must reproduce the pre-crash digest.
+pipeline -- routing, per-shard snapshots and recovery from the commit
+log -- against the historical single-dict behaviour.  The store holds
+nothing durable: a replica recovers from its commit log alone.
 """
 
 import random
@@ -36,7 +28,6 @@ from repro.sim.latency import EU_WEST, REGIONS, US_EAST, US_WEST, GeoLatencyMode
 from repro.store.cluster import Cluster, replica_state_digest
 from repro.store.registry import TypeRegistry
 
-ENGINES = ("memory", "file", "sqlite")
 SHARD_COUNTS = (1, 3, 8)
 
 
@@ -68,15 +59,14 @@ def chaos_plan(seed):
     )
 
 
-def scripted_run(engine, shards, seed=7, n_ops=60, faults=None):
-    """A fixed seeded schedule on one engine/shard configuration."""
+def scripted_run(shards, seed=7, n_ops=60, faults=None):
+    """A fixed seeded schedule on one shard count."""
     sim = Simulator()
     cluster = Cluster(
         sim,
         make_registry(),
         latency=GeoLatencyModel(jitter=0.0),
         faults=faults,
-        engine=engine,
         shards=shards,
     )
     if faults is not None:
@@ -103,125 +93,64 @@ def scripted_run(engine, shards, seed=7, n_ops=60, faults=None):
 
 
 class TestEngineShardMatrix:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_chaos_digests_identical_to_reference(self, engine, shards):
-        """Drops, a partition and a crash/recovery window: every
-        engine x shard configuration lands on the reference digest."""
-        reference, blocked_ref = scripted_run("memory", 1, faults=chaos_plan(7))
+    @pytest.mark.parametrize("shards", SHARD_COUNTS[1:])
+    def test_chaos_digests_identical_to_reference(self, shards):
+        """Drops, a partition and a crash/recovery window: every shard
+        count lands on the single-shard reference digest."""
+        reference, blocked_ref = scripted_run(1, faults=chaos_plan(7))
         expected = reference.state_digest()
         assert len(set(expected.values())) == 1
-        if engine == "memory" and shards == 1:
-            return  # the reference itself
-        run, blocked = scripted_run(engine, shards, faults=chaos_plan(7))
+        run, blocked = scripted_run(shards, faults=chaos_plan(7))
         assert blocked == blocked_ref
         assert run.state_digest() == expected
         for region in REGIONS:
             assert run.replica(region).vv.entries == reference.replica(region).vv.entries
 
     def test_sharded_replicas_actually_shard(self):
-        run, _ = scripted_run("memory", 8)
+        run, _ = scripted_run(8)
         replica = run.replica(US_EAST)
         assert replica.n_shards == 8
         populated = sum(1 for m in replica.storage.maps if m)
         assert populated > 1
 
 
-def assert_checkpoint_is_live(storage):
-    """After a durability point, a durable store's engines hold exactly its live maps."""
-    storage.sync()
-    if storage.durable:
-        persisted = [
-            {key: obj.value() for key, obj in shard.items()} for shard in storage.load_persisted()
-        ]
-        live = [{key: obj.value() for key, obj in shard.items()} for shard in storage.maps]
-        assert persisted == live
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     n_ops=st.integers(min_value=1, max_value=30),
-    engine=st.sampled_from(ENGINES),
     shards=st.sampled_from(SHARD_COUNTS),
     chaos=st.booleans(),
 )
-@example(seed=7, n_ops=20, engine="file", shards=1, chaos=True)
-@example(seed=7, n_ops=20, engine="sqlite", shards=4, chaos=True)
-@example(seed=9, n_ops=20, engine="file", shards=4, chaos=False)
-def test_any_schedule_any_engine_same_digest(seed, n_ops, engine, shards, chaos):
-    """Property: for any seeded schedule (faulty or perfect), any
-    engine x shard configuration converges to the digests of the
-    historical memory x 1 store, and every durability point on the way
-    out persists exactly the live maps."""
+@example(seed=7, n_ops=20, shards=1, chaos=True)
+@example(seed=7, n_ops=20, shards=4, chaos=True)
+@example(seed=9, n_ops=20, shards=4, chaos=False)
+def test_any_schedule_any_shard_count_same_digest(seed, n_ops, shards, chaos):
+    """Property: for any seeded schedule (faulty or perfect), any shard
+    count converges to the digests of the historical single-shard
+    store, and survives a reroute, a recovery and a snapshot install."""
     faults = chaos_plan(seed) if chaos else None
-    reference, _ = scripted_run("memory", 1, seed=seed, n_ops=n_ops, faults=faults)
+    reference, _ = scripted_run(1, seed=seed, n_ops=n_ops, faults=faults)
     expected = reference.state_digest()
     assert len(set(expected.values())) == 1
-    run, _ = scripted_run(engine, shards, seed=seed, n_ops=n_ops, faults=faults)
+    run, _ = scripted_run(shards, seed=seed, n_ops=n_ops, faults=faults)
     assert run.state_digest() == expected
     replica, peer = run.replica(US_EAST), run.replica(US_WEST)
-    assert_checkpoint_is_live(replica.storage)
     # Rerouted from the reference's single shard.
     replica.storage.restore_shards(reference.replica(US_EAST).storage.snapshot_shards())
-    assert_checkpoint_is_live(replica.storage)
-    # A key the log never wrote, persisted, then dropped by recovery:
-    # with no snapshot yet, that is ``clear`` plus a full replay.
+    # A key the log never wrote is dropped by recovery: with no
+    # snapshot yet, that is ``clear`` plus a full replay.
     replica.storage.set("stray", AWSet())
-    assert_checkpoint_is_live(replica.storage)
     replica.rebuild_from_log()
-    assert_checkpoint_is_live(replica.storage)
+    assert "stray" not in replica.storage.keys()
     assert replica.install_snapshot(peer._take_snapshot())
-    assert_checkpoint_is_live(replica.storage)
     assert replica_state_digest(replica) == expected[US_EAST]
 
 
 class TestKillMidCommit:
-    """Torn durable writes: recovery lands on the last durability point."""
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_file_engine_torn_append(self, shards):
-        run, _ = scripted_run("file", shards, seed=13)
-        replica = run.replica(US_EAST)
-        digest = replica_state_digest(replica)
-        # Durability point, then a crash half-way through a later append.
-        replica.storage.checkpoint()
-        persisted_digests = [e.digest(replica._registry) for e in replica.storage.engines]
-        for engine in replica.storage.engines:
-            engine.put("torn-key", AWSet())
-            engine.close()
-            with open(engine.path, "r+b") as fh:
-                fh.seek(0, 2)
-                fh.truncate(fh.tell() - 3)  # tear the final frame
-        # Reload: the torn frame is repaired away, the checkpoint's
-        # state is intact, and the replica's own recovery (commit log
-        # replay) reproduces the pre-crash digest.
-        assert [e.digest(replica._registry) for e in replica.storage.engines] == persisted_digests
-        replica.rebuild_from_log()
-        assert replica_state_digest(replica) == digest
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_sqlite_engine_uncommitted_staged_puts(self, shards):
-        run, _ = scripted_run("sqlite", shards, seed=13)
-        replica = run.replica(US_EAST)
-        digest = replica_state_digest(replica)
-        replica.storage.checkpoint()
-        persisted_digests = [e.digest(replica._registry) for e in replica.storage.engines]
-        # Stage puts but "crash" before sync: a fresh connection on the
-        # same database must not see them.
-        import sqlite3
-
-        for engine in replica.storage.engines:
-            engine.put("staged-key", AWSet())
-            path = engine.path
-            engine._conn.close()  # crash: no commit
-            engine._conn = sqlite3.connect(path)
-        assert [e.digest(replica._registry) for e in replica.storage.engines] == persisted_digests
-        replica.rebuild_from_log()
-        assert replica_state_digest(replica) == digest
+    """A killed replica recovers from its commit log alone."""
 
     def test_memory_engine_recovers_from_log_alone(self):
-        run, _ = scripted_run("memory", 3, seed=13)
+        run, _ = scripted_run(3, seed=13)
         replica = run.replica(US_EAST)
         digest = replica_state_digest(replica)
         replica.rebuild_from_log()

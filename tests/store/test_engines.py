@@ -1,13 +1,15 @@
-"""Storage engine contract and sharded-store unit tests.
+"""Ledger engine contract and sharded-store unit tests.
 
-Every engine implements one durability contract (stage puts, make them
-durable on sync, reload after a process death, replace wholesale on
-restore); the :class:`~repro.store.engine.ShardedStore` splits a
-replica's keyspace over N of them with deterministic consistent
-hashing.  These tests pin the contract per engine, the ring's
-cross-process stability, and the store's routing/snapshot/durability
-behaviour -- the equivalence suites then show the digests cannot tell
-any configuration apart.
+The conflict ledger's engines implement one durability contract (stage
+puts, make them durable on sync, reload after a process death); each
+``REPRO_ENGINE`` name is tested through the engine a ledger picks for
+it (``memory`` selects ``file``).  The
+:class:`~repro.store.engine.ShardedStore` splits a replica's live
+keyspace over N maps with deterministic consistent hashing and holds
+nothing durable.  These tests pin the engine contract, the ring's
+cross-process stability, and the store's routing/snapshot behaviour --
+the equivalence suites then show the digests cannot tell any shard
+count apart.
 """
 
 import pickle
@@ -20,25 +22,17 @@ from repro.crdts import AWSet, Dot, EventContext
 from repro.crdts.clock import VersionVector
 from repro.errors import StoreError
 from repro.store import framedlog
+from repro.store.conflicts import ConflictLedger, ledger_engine_name
 from repro.store.engine import (
     ENGINE_NAMES,
     FileEngine,
     HashRing,
-    MemoryEngine,
     ShardedStore,
     SqliteEngine,
     default_engine,
     default_shards,
     make_engine,
-    shard_map_digest,
 )
-from repro.store.registry import TypeRegistry
-
-
-def make_registry() -> TypeRegistry:
-    registry = TypeRegistry()
-    registry.register_prefix("", AWSet)
-    return registry
 
 
 def make_set(*elements, origin="r"):
@@ -54,19 +48,15 @@ def make_set(*elements, origin="r"):
 
 @pytest.fixture
 def engine(request, tmp_path):
-    name = request.param
-    built = make_engine(name, path=str(tmp_path / "shard-00"))
+    built = make_engine(ledger_engine_name(request.param), path=str(tmp_path / "ledger"))
     yield built
     built.close()
 
 
 def reopen(engine):
     """A fresh engine instance on the same storage (process restart)."""
-    if isinstance(engine, MemoryEngine):
-        return engine
     engine.close()
-    cls = type(engine)
-    return cls(engine.path)
+    return type(engine)(engine.path)
 
 
 class TestHashRing:
@@ -130,9 +120,6 @@ class TestEngineContract:
         assert set(loaded) == {"ka", "kb"}
         assert loaded["ka"].value() == {"x", "y"}
         assert loaded["kb"].value() == {"z"}
-        assert engine.get("ka").value() == {"x", "y"}
-        assert engine.get("missing") is None
-        assert dict(engine.iterate()).keys() == {"ka", "kb"}
 
     def test_last_put_wins(self, engine):
         engine.put("k", make_set("old"))
@@ -140,32 +127,15 @@ class TestEngineContract:
         engine.sync()
         assert engine.load()["k"].value() == {"new", "er"}
 
-    def test_restore_replaces_wholesale(self, engine):
-        engine.put("stale", make_set("gone"))
-        engine.sync()
-        engine.restore({"fresh": make_set("kept")})
-        loaded = engine.load()
-        assert set(loaded) == {"fresh"}
-        assert loaded["fresh"].value() == {"kept"}
-
-    def test_digest_matches_shard_map_digest(self, engine):
-        objects = {"ka": make_set("x"), "kb": make_set("y", "z")}
-        engine.restore(objects)
-        registry = make_registry()
-        assert engine.digest(registry) == shard_map_digest(objects, registry)
-
     def test_survives_reopen_iff_durable(self, engine):
+        # Every ledger engine is durable: a synced put outlives the handle.
         engine.put("k", make_set("v"))
         engine.sync()
         again = reopen(engine)
         try:
-            if engine.durable:
-                assert again.load()["k"].value() == {"v"}
-            else:
-                assert again.load()["k"].value() == {"v"}  # same process
+            assert again.load()["k"].value() == {"v"}
         finally:
-            if again is not engine:
-                again.close()
+            again.close()
 
 
 class TestFileEngine:
@@ -203,20 +173,6 @@ class TestFileEngine:
             engine.load()
         engine.close()
 
-    def test_restore_compacts_superseded_frames(self, tmp_path):
-        import os
-
-        engine = FileEngine(str(tmp_path / "s.objlog"))
-        obj = make_set("v")
-        for _ in range(50):
-            engine.put("k", obj)
-        engine.sync()
-        grown = os.path.getsize(engine.path)
-        engine.restore({"k": obj})
-        assert os.path.getsize(engine.path) < grown
-        assert set(engine.load()) == {"k"}
-        engine.close()
-
 
 class TestSqliteEngine:
     def test_puts_invisible_until_sync(self, tmp_path):
@@ -237,9 +193,29 @@ class TestSqliteEngine:
     def test_fsync_picks_the_synchronous_level(self, tmp_path, fsync, level):
         """OFF survives process death and FULL host death too: the
         file engine's contract, passed through the factory."""
-        engine = make_engine("sqlite", path=str(tmp_path / "shard-00"), fsync=fsync)
+        engine = make_engine("sqlite", path=str(tmp_path / "ledger"), fsync=fsync)
         assert engine._conn.execute("PRAGMA synchronous").fetchone()[0] == level
         engine.close()
+
+    def test_a_rotted_ledger_row_refuses_to_load(self, tmp_path):
+        """Each row's CRC is checked on load: a flipped byte in a
+        committed blob raises naming the key, like mid-log damage in
+        the file engine, instead of loading the wrong record."""
+        import sqlite3
+
+        path = str(tmp_path / "us-east-conflicts")
+        ledger = ConflictLedger(path, engine="sqlite")
+        ledger.append(kind="violation", oracle="invariant", invariant="cap", region="us-east")
+        ledger.close()
+        conn = sqlite3.connect(path + ".db")
+        key, blob = conn.execute("SELECT key, obj FROM kv").fetchone()
+        rotted = bytearray(blob)
+        rotted[len(rotted) // 2] ^= 0x01
+        conn.execute("UPDATE kv SET obj = ? WHERE key = ?", (bytes(rotted), key))
+        conn.commit()
+        conn.close()
+        with pytest.raises(StoreError, match=key):
+            ConflictLedger(path, engine="sqlite")
 
 
 class TestEngineFactory:
@@ -259,12 +235,7 @@ class TestEnvDefaults:
         monkeypatch.setenv("REPRO_SHARDS", "5")
         assert default_engine() == "sqlite"
         assert default_shards() == 5
-        store = ShardedStore("r", make_registry())
-        try:
-            assert store.engine_name == "sqlite"
-            assert store.n_shards == 5
-        finally:
-            store.close()
+        assert ShardedStore().n_shards == 5
 
     def test_defaults_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
@@ -285,8 +256,8 @@ class TestEnvDefaults:
 
 
 class TestShardedStore:
-    def make(self, shards, engine="memory", **kwargs):
-        return ShardedStore("r", make_registry(), engine=engine, shards=shards, **kwargs)
+    def make(self, shards):
+        return ShardedStore(shards)
 
     def test_single_shard_hot_path_is_the_dict(self):
         store = self.make(1)
@@ -294,7 +265,6 @@ class TestShardedStore:
         store.set("k", make_set("v"))
         assert store.contains("k")
         assert store.get("k").value() == {"v"}
-        store.close()
 
     def test_routing_spreads_and_reads_back(self):
         store = self.make(4)
@@ -306,7 +276,6 @@ class TestShardedStore:
         assert all(store.contains(key) for key in keys)
         assert all(store.get(key).value() == {key} for key in keys)
         assert sum(1 for m in store.maps if m) == 4  # all shards used
-        store.close()
 
     def test_snapshot_shards_are_clones(self):
         store = self.make(3)
@@ -320,7 +289,6 @@ class TestShardedStore:
         for shard_map in snap:
             merged.update(shard_map)
         assert merged["k"].value() == {"old"}
-        store.close()
 
     def test_restore_reroutes_across_shard_counts(self):
         source = self.make(3)
@@ -333,98 +301,6 @@ class TestShardedStore:
         assert all(target.get(key).value() == {key} for key in keys)
         # Same content, different placement: the flat key -> value
         # mapping is identical.
-        source.close()
-        target.close()
-
-    @pytest.mark.parametrize("engine", ["file", "sqlite"])
-    def test_sync_persists_exactly_the_live_map(self, engine, tmp_path):
-        store = self.make(2, engine=engine, data_dir=str(tmp_path))
-
-        def persisted():
-            merged = {}
-            for shard_map in store.load_persisted():
-                merged.update(shard_map)
-            return {k: o.value() for k, o in merged.items()}
-
-        store.set("k1", make_set("a"))
-        store.set("k2", make_set("b"))
-        store.sync()
-        assert persisted() == {"k1": {"a"}, "k2": {"b"}}
-        # An in-place mutation needs no notice: every durability point
-        # hands each engine its shard's whole live map.
-        store.get("k1").effect(
-            store.get("k1").prepare_add("z"),
-            EventContext(dot=Dot("r", 7), vv=VersionVector({"r": 7})),
-        )
-        store.sync()
-        assert persisted() == {"k1": {"a", "z"}, "k2": {"b"}}
-        # Keys the live maps dropped leave the engines too.
-        store.clear()
-        store.set("k3", make_set("c"))
-        store.sync()
-        assert persisted() == {"k3": {"c"}}
-        assert store.stats()["store.shard.checkpoints"] == 3
-        store.close()
-
-    @pytest.mark.parametrize("engine", ["file", "sqlite"])
-    def test_checkpoint_survives_restart(self, engine, tmp_path):
-        store = self.make(3, engine=engine, data_dir=str(tmp_path))
-        keys = [f"key-{i}" for i in range(30)]
-        for key in keys:
-            store.set(key, make_set(key))
-        store.checkpoint()
-        store.close()
-        revived = self.make(3, engine=engine, data_dir=str(tmp_path))
-        merged = {}
-        for shard_map in revived.load_persisted():
-            merged.update(shard_map)
-        assert {k: o.value() for k, o in merged.items()} == {key: {key} for key in keys}
-        revived.close()
-
-    @pytest.mark.parametrize("engine", ["file", "sqlite"])
-    def test_ipa_tournament_checkpoint_survives_restart(
-        self, engine, tmp_path
-    ):
-        """The IPA tournament's capacity objects are Compensation Sets
-        with a bound and a victim rule attached: they must persist."""
-        from repro.apps.common import Variant
-        from repro.apps.tournament import TournamentApp, tournament_registry
-        from repro.crdts import CompensationSet
-        from repro.sim import Simulator
-        from repro.store import Cluster
-
-        sim = Simulator()
-        registry = tournament_registry(Variant.IPA, capacity=2)
-        cluster = Cluster(
-            sim, registry, engine=engine, data_dir=str(tmp_path)
-        )
-        app = TournamentApp(cluster, Variant.IPA, capacity=2)
-        app.setup(["p0", "p1", "p2"], ["t1"], region="us-east")
-        for player in ("p0", "p1"):
-            app.enroll("us-east", player, "t1", lambda _op: None)
-        assert cluster.run_until_converged() is not None
-        storage = cluster.replica("us-east").storage
-        live = storage.get("capacity:t1")
-        assert isinstance(live, CompensationSet)
-        storage.checkpoint()
-        storage.close()
-        revived = ShardedStore(
-            "us-east", registry, engine=engine,
-            data_dir=str(tmp_path / "us-east"),
-        )
-        merged = {}
-        for shard_map in revived.load_persisted():
-            merged.update(shard_map)
-        assert sorted(merged) == storage.keys()
-        stored = merged["capacity:t1"]
-        assert stored.value() == live.value() == {"p0", "p1"}
-        # The reloaded object still enforces its bound.
-        stored.effect(
-            stored.prepare_add("p2"),
-            EventContext(dot=Dot("r", 99), vv=VersionVector({"r": 99})),
-        )
-        assert stored.read().victims == ("p2",)
-        revived.close()
 
     def test_stats_shape(self):
         store = self.make(2)
@@ -433,16 +309,3 @@ class TestShardedStore:
         assert stats["store.shard.count"] == 2
         assert stats["store.shard.keys_total"] == 1
         assert stats["store.shard.keys_max"] == 1
-        assert stats["store.shard.checkpoints"] == 0
-        store.close()
-
-    def test_durable_store_without_data_dir_owns_scratch(self):
-        store = self.make(2, engine="sqlite")
-        tmpdir = store._tmpdir
-        assert tmpdir is not None
-        store.set("k", make_set("v"))
-        store.sync()
-        store.close()
-        import os
-
-        assert not os.path.exists(tmpdir.name)

@@ -173,11 +173,6 @@ def test_object_log_frames_are_unchanged(tmp_path):
     engine.sync()
     with open(engine.path, "rb") as fh:
         assert fh.read() == b"".join(reference_frame(pickle.dumps(e)) for e in entries)
-    engine.restore({"b": 3, "a": 2})
-    with open(engine.path, "rb") as fh:
-        assert fh.read() == b"".join(
-            reference_frame(pickle.dumps(e)) for e in [("a", 2), ("b", 3)]
-        )
     engine.close()
 
 
