@@ -21,7 +21,6 @@ converging within seconds of a kill is a regression, not noise.
 """
 
 import asyncio
-import dataclasses
 
 from repro.check.explorer import PLAN_KINDS, build_trial
 from repro.net.harness import run_live
@@ -38,7 +37,6 @@ MAX_MTTR_S = 15.0  # the local twin of check_regression --max-mttr-s
 def test_self_healing_mttr(tmp_path, record_bench):
     assert PLAN_KINDS[INDEX % len(PLAN_KINDS)] == "partition-crash"
     spec = build_trial("tournament", "Causal", SEED, INDEX, n_ops=N_OPS)
-    spec = dataclasses.replace(spec, engine="file", shards=1)
     _, deployment = record_trial(spec)
     crashes = deployment["trial"]["plan"]["crashes"]
     assert len(crashes) == 1

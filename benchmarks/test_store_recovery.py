@@ -9,8 +9,7 @@ by a clear factor.  This benchmark measures both paths on the same
 workload and records ``store.recovery_speedup``, which
 ``check_regression.py --min-recovery-speedup`` gates in CI.
 
-Shape asserted here (shard-independent -- the matrix lane reruns it
-under REPRO_SHARDS):
+Shape asserted here:
 
 - both recovery paths land on the byte-identical state digest;
 - snapshot + tail is sublinear: the measured speedup clears the gate's
@@ -108,7 +107,6 @@ def test_recovery_snapshot_vs_full_replay(record_bench):
             "seed": SEED,
             "commits": full_log,
             "tail_commits": tail_log,
-            "shards": replica.n_shards,
         },
         observability={
             "store": {
@@ -120,10 +118,7 @@ def test_recovery_snapshot_vs_full_replay(record_bench):
     )
 
     print()
-    print(
-        "Crash recovery -- %d commits, %d-record tail (shards=%d)"
-        % (full_log, tail_log, replica.n_shards)
-    )
+    print("Crash recovery -- %d commits, %d-record tail" % (full_log, tail_log))
     print(
         "  full replay %.1f ms | snapshot+tail %.1f ms | speedup x%.1f"
         % (full_ms, tail_ms, speedup)

@@ -97,14 +97,6 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shards_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="keyspace shards per replica (default: REPRO_SHARDS env "
-        "var, else 1)",
-    )
-
-
 def _ms(value: float | None) -> str:
     """None-safe fixed-width millisecond figure."""
     return f"{value:6.2f}" if value is not None else "   n/a"
@@ -267,7 +259,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_regions=args.regions,
         batch_ms=args.batch_ms,
-        shards=args.shards,
     )
     cluster = app.cluster
     observer = None
@@ -610,17 +601,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
         args.index,
         n_ops=args.n_ops,
     )
-    if args.engine is not None or args.shards is not None:
-        # Pin the ledger engine and shard count into the spec so the
-        # recorded deployment carries them to every live server (and
-        # to later replays).
-        import dataclasses
-
-        spec = dataclasses.replace(
-            spec,
-            engine=args.engine if args.engine is not None else spec.engine,
-            shards=args.shards if args.shards is not None else spec.shards,
-        )
     _, deployment = record_trial(spec)
     plan = deployment["trial"].get("plan", {})
     print(
@@ -783,7 +763,7 @@ def _render_top(snapshot: dict) -> str:
             f"{stats.get('net.records.duplicates', 0):>5.0f} "
             f"{stats.get('net.sync.timeouts', 0):>8.0f} "
             f"{lag if lag is not None else float('nan'):>8.1f} "
-            f"{store.get('store.shard.keys_total', 0):>6} "
+            f"{store.get('store.keys_total', 0):>6} "
             f"{conflict_txt:>18} "
             f"{detector_txt:>15} "
             f"{instances:>9}"
@@ -977,7 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants, session monotonicity) and exit nonzero if any "
         "fires",
     )
-    _add_shards_flag(simulate)
     _add_trace_flags(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -1166,12 +1145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max parked ops per replica before new ops are shed "
         "with a retryable 'overloaded' ack (default 0: unlimited)",
     )
-    load.add_argument(
-        "--engine", choices=("memory", "file", "sqlite"), default=None,
-        help="conflict-ledger engine; memory selects file (default: "
-        "REPRO_ENGINE env var, else memory)",
-    )
-    _add_shards_flag(load)
     load.set_defaults(func=_cmd_load)
 
     top = sub.add_parser(

@@ -82,10 +82,9 @@ def build_tournament(
     garbage-collects CRDT tombstones and compacts commit logs --
     essential for long runs (each arriving rem-wins add scans the live
     tombstones, which only this collects); None disables.
-    ``shards`` is the per-replica keyspace shard count (None defers to
-    the REPRO_SHARDS environment default).  ``engine`` is ignored: the
-    store has no engine, and the parameter stays only because
-    ``benchmarks/ledger/workloads.py`` passes it (ROADMAP item 16(b)).
+    ``engine`` and ``shards`` are ignored: a replica's store is one
+    map with no engine, and the parameters stay only because
+    ``benchmarks/ledger/workloads.py`` passes them (ROADMAP item 16(b)).
     """
     sim = Simulator()
     registry = tournament_registry(config.variant, capacity=capacity)
@@ -108,7 +107,6 @@ def build_tournament(
         latency=latency,
         batch_ms=batch_ms,
         full_vv=full_vv,
-        shards=shards,
     )
     app = TournamentApp(cluster, config.variant, capacity=capacity)
     players = [f"p{i}" for i in range(n_players)]

@@ -88,17 +88,14 @@ class TrialSpec:
     params: dict = field(default_factory=dict)
     antientropy_ms: float = 200.0
     converge_timeout_ms: float = 60_000.0
-    #: Conflict-ledger engine (live servers only; the simulated store
-    #: has no engine) and shard count per replica.  None defers to the
-    #: REPRO_ENGINE / REPRO_SHARDS environment defaults (memory, which
-    #: selects file / 1), which is how the CI matrix reruns recorded
-    #: trials across both; an explicit value pins the run (and rides
-    #: into live deployments through the recorded spec).
+    #: Ignored, neither written nor read: they stay only because
+    #: ``benchmarks/ledger/workloads.py`` passes them to
+    #: ``dataclasses.replace`` (ROADMAP item 16(b)).
     engine: str | None = None
     shards: int | None = None
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "schema": SPEC_SCHEMA,
             "app": self.app,
             "config": self.config,
@@ -110,11 +107,6 @@ class TrialSpec:
             "antientropy_ms": self.antientropy_ms,
             "converge_timeout_ms": self.converge_timeout_ms,
         }
-        if self.engine is not None:
-            data["engine"] = self.engine
-        if self.shards is not None:
-            data["shards"] = self.shards
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrialSpec":
@@ -134,8 +126,6 @@ class TrialSpec:
             params=dict(data.get("params", {})),
             antientropy_ms=data.get("antientropy_ms", 200.0),
             converge_timeout_ms=data.get("converge_timeout_ms", 60_000.0),
-            engine=data.get("engine"),
-            shards=data.get("shards"),
         )
 
     def horizon_ms(self) -> float:
@@ -253,7 +243,6 @@ def run_trial(spec: TrialSpec, recorder=None, ledger=None) -> TrialResult:
         regions=spec.regions,
         mode=mode,
         faults=_shifted_plan(spec.plan, SETUP_MS),
-        shards=spec.shards,
     )
     cluster.start_antientropy(
         interval_ms=spec.antientropy_ms, seed=spec.seed + 1

@@ -8,16 +8,15 @@ crash the server replays the log through
 both object state and the version vector, so a SIGKILL'd process comes
 back exactly where durability left it.
 
-One replica keeps one log file (``{region}.commitlog``), whatever its
-store's shard count: shards split the object maps and nothing else.
-Each record is one frame of :mod:`repro.store.framedlog` around the
-wire codec's compact JSON for ``{"record": ...}``, and replay follows
-that module's one damage rule: a damaged final record is cut and
-counted, damage with bytes after it raises :data:`CommitLogError`
-unless ``salvage`` cuts it too.  Either way what survives is a prefix
-of the application order, which is what recovery needs.  A body the
-codec refuses is damage like any other; a decodable body that is not a
-``CommitRecord`` raises wherever it sits.
+One replica keeps one log file (``{region}.commitlog``).  Each record
+is one frame of :mod:`repro.store.framedlog` around the wire codec's
+compact JSON for ``{"record": ...}``, and replay follows that module's
+one damage rule: a damaged final record is cut and counted, damage
+with bytes after it raises :data:`CommitLogError` unless ``salvage``
+cuts it too.  Either way what survives is a prefix of the application
+order, which is what recovery needs.  A body the codec refuses is
+damage like any other; a decodable body that is not a ``CommitRecord``
+raises wherever it sits.
 """
 
 from __future__ import annotations

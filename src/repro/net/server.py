@@ -51,7 +51,6 @@ from repro.net.retry import RetryPolicy
 from repro.obs import REGISTRY, TRACER
 from repro.store.cluster import replica_state_digest
 from repro.store.conflicts import ConflictDetector, ConflictLedger
-from repro.store.engine import default_engine
 from repro.store.replica import Replica
 from repro.store.transaction import CommitRecord
 
@@ -149,10 +148,9 @@ class LiveNode:
         registry,
         now_ms,
         on_commit,
-        shards: int | None = None,
     ) -> None:
         self.region_id = region
-        self.store = Replica(region, registry, now=now_ms, shards=shards)
+        self.store = Replica(region, registry, now=now_ms)
         self._on_commit = on_commit
         self.setup_skip = 0
 
@@ -523,7 +521,6 @@ class ReplicaServer:
             registry,
             self.now_ms,
             lambda record: me._commit_local(record),
-            shards=self.spec.shards,
         )
         if recovered:
             self.node.store.adopt_log(recovered)
@@ -537,14 +534,10 @@ class ReplicaServer:
             salvaged=salvaged,
         )
 
-        # The ledger's engine comes from the recorded trial spec, else
-        # REPRO_ENGINE (memory maps to file inside ConflictLedger);
-        # reopening after a crash reloads identities so re-detections
+        # Reopening after a crash reloads identities so re-detections
         # append nothing.
         self.ledger = ConflictLedger(
-            os.path.join(data_dir, f"{region}-conflicts"),
-            engine=self.spec.engine or default_engine(),
-            fsync=fsync,
+            os.path.join(data_dir, f"{region}-conflicts"), fsync=fsync
         )
         self.detector: ConflictDetector | None = ConflictDetector(me)
 
@@ -1066,7 +1059,7 @@ class ReplicaServer:
         """The live-introspection superset of the status frame.
 
         Everything ``repro top`` renders for one replica: schedule
-        progress, transport counters, per-shard store stats, the
+        progress, transport counters, store stats, the
         process-global registry snapshot (convergence lag, retries),
         and the conflict ledger's per-kind counts.  Served on the
         client listener so pollers need no extra port.

@@ -84,7 +84,6 @@ class Cluster:
         faults: FaultPlan | None = None,
         batch_ms: float = 0.0,
         full_vv: bool = False,
-        shards: int | None = None,
     ) -> None:
         self.sim = sim
         self.mode = mode
@@ -122,7 +121,6 @@ class Cluster:
                 registry,
                 now=lambda: sim.now,
                 full_vv=full_vv,
-                shards=shards,
             )
             self._replicas[region] = replica
             self._receivers[region] = CausalReceiver(
@@ -561,15 +559,9 @@ class Cluster:
             "store.stale_mean_ms": self.stale_window.mean_ms,
             "store.stale_max_ms": self.stale_window.max_ms,
         }
-        replicas = list(self._replicas.values())
-        stats["store.shard.count"] = replicas[0].storage.n_shards
-        stats["store.shard.keys_total"] = sum(
-            r.storage.key_count() for r in replicas
-        )
-        stats["store.shard.keys_max"] = max(
-            max((len(m) for m in r.storage.maps), default=0)
-            for r in replicas
-        )
+        key_counts = [r.key_count() for r in self._replicas.values()]
+        stats["store.keys_total"] = sum(key_counts)
+        stats["store.keys_max"] = max(key_counts)
         if self.injector is not None:
             stats["net.partition_drops"] = self.injector.partition_drops
         if self.antientropy is not None:

@@ -16,17 +16,13 @@ append-only :class:`ConflictRecord` carrying full attribution:
   it, ``compensated`` when the compensation machinery paid the debt,
   or empty while still open).
 
-Records are written through a ledger engine
-(:func:`repro.store.engine.make_engine`) with a sync per append, so a
-ledger survives SIGKILL exactly like the commit log: recovery reopens
-the same file and replays every record.  Appends deduplicate on the
-record's :meth:`ConflictRecord.identity` -- a restarted replica
-re-detecting the same still-open violation adds nothing, which is
-what makes the ledger byte-identical across a crash+recovery cycle.
-
-``REPRO_ENGINE=memory`` (the default) selects ``file`` here: a
-conflict ledger that evaporated with the process would defeat its
-purpose.
+Records are written through a :class:`~repro.store.engine.FileEngine`
+with a sync per append, so a ledger survives SIGKILL exactly like the
+commit log: recovery reopens the same file and replays every record.
+Appends deduplicate on the record's :meth:`ConflictRecord.identity` --
+a restarted replica re-detecting the same still-open violation adds
+nothing, which is what makes the ledger byte-identical across a
+crash+recovery cycle.
 
 :class:`ConflictDetector` is the live-path driver: it re-grounds the
 application's invariants against a replica's observed state after
@@ -46,7 +42,7 @@ from dataclasses import dataclass
 from repro.crdts.awset import AWAdd, AWRemove, AWSet
 from repro.crdts.rwset import RWAdd, RWRemove, RWSet
 from repro.obs import REGISTRY, TRACER
-from repro.store.engine import FileEngine, make_engine
+from repro.store.engine import FileEngine
 
 #: Lineage window: dots applied since the last clean check, capped so
 #: a long non-convergent stretch cannot grow records without bound.
@@ -153,32 +149,13 @@ class ConflictRecord:
         )
 
 
-def ledger_engine_name(engine: str | None) -> str:
-    """The engine backing a ledger for an engine name (``REPRO_ENGINE``).
-
-    ``sqlite`` backs the ledger with :class:`~repro.store.engine.SqliteEngine`;
-    anything else (``file``, ``memory``, None) with
-    :class:`~repro.store.engine.FileEngine` -- conflict records must
-    survive the process.
-    """
-    if engine == "sqlite":
-        return "sqlite"
-    return "file"
-
-
 class ConflictLedger:
-    """Append-only, engine-backed, deduplicating conflict store."""
+    """Append-only, file-backed, deduplicating conflict store."""
 
-    def __init__(
-        self,
-        path: str,
-        engine: str | None = None,
-        fsync: bool = False,
-    ) -> None:
+    def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
-        self.engine_name = ledger_engine_name(engine)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        self._engine = make_engine(self.engine_name, path, fsync=fsync)
+        self._engine = FileEngine(path + ".objlog", fsync=fsync)
         self._records: list[ConflictRecord] = []
         self._identities: set[tuple] = set()
         for key, record in sorted(self._engine.load().items()):
@@ -187,12 +164,10 @@ class ConflictLedger:
         self._next_seq = (
             self._records[-1].seq + 1 if self._records else 0
         )
-        if isinstance(self._engine, FileEngine):
-            # Exist from the start (the log opens lazily; sqlite creates
-            # its file on connect), so a clean run's ledger is an empty
-            # file, not a missing one.  The append handle never
-            # truncates, so a reader opening a live ledger is harmless.
-            self._engine.log.open()
+        # Exist from the start (the log opens lazily), so a clean run's
+        # ledger is an empty file, not a missing one.  The append handle
+        # never truncates, so a reader opening a live ledger is harmless.
+        self._engine.log.open()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -259,20 +234,19 @@ class ConflictLedger:
 def open_ledgers(data_dir: str) -> dict[str, ConflictLedger]:
     """Every region ledger under a live run's data directory.
 
-    Servers write ``<data_dir>/<region>-conflicts.(objlog|db)``; this
+    Servers write ``<data_dir>/<region>-conflicts.objlog``; this
     reopens them read-mostly for the ``repro conflicts`` query CLI and
     the harness's end-of-run report.
     """
     ledgers: dict[str, ConflictLedger] = {}
     if not os.path.isdir(data_dir):
         return ledgers
+    suffix = "-conflicts.objlog"
     for entry in sorted(os.listdir(data_dir)):
-        for suffix, engine in ((".objlog", "file"), (".db", "sqlite")):
-            if not entry.endswith("-conflicts" + suffix):
-                continue
-            region = entry[: -len("-conflicts" + suffix)]
-            path = os.path.join(data_dir, entry[: -len(suffix)])
-            ledgers[region] = ConflictLedger(path, engine=engine)
+        if entry.endswith(suffix):
+            region = entry[: -len(suffix)]
+            path = os.path.join(data_dir, region + "-conflicts")
+            ledgers[region] = ConflictLedger(path)
     return ledgers
 
 

@@ -18,13 +18,13 @@ class ReplicaSnapshot:
     """In-memory checkpoint taken before commit-log truncation.
 
     Holds everything ``rebuild_from_log`` needs to restore the state as
-    of ``vv`` without the truncated log prefix: the per-shard object
-    maps, the per-origin context vectors for delta-dependency decoding,
+    of ``vv`` without the truncated log prefix: the object map, the
+    per-origin context vectors for delta-dependency decoding,
     and the dirty-entry map feeding the *next* local commit's delta.
     """
 
     vv: VersionVector
-    shards: tuple[dict[str, CRDT], ...]
+    objects: dict[str, CRDT]
     origin_ctx: dict[str, VersionVector]
     dirty: dict[str, int]
     commits_applied: int
@@ -87,15 +87,14 @@ class Replica:
         registry: TypeRegistry,
         now: Callable[[], float] | None = None,
         full_vv: bool = False,
-        shards: int | None = None,
     ) -> None:
         self.replica_id = replica_id
         self._registry = registry
         self._now = now
         self.full_vv = full_vv
-        #: Object storage: per-shard live maps.  ``shards`` defaults
-        #: from REPRO_SHARDS (1) -- the CI matrix's knob.
-        self.storage = ShardedStore(shards)
+        #: Object storage: one live map, refilled in place on recovery,
+        #: so the hoisted accessors below stay bound to it.
+        self.storage = ShardedStore()
         self._store_get = self.storage.get
         self._store_set = self.storage.set
         self.vv = VersionVector()
@@ -147,10 +146,6 @@ class Replica:
 
     def key_count(self) -> int:
         return self.storage.key_count()
-
-    @property
-    def n_shards(self) -> int:
-        return self.storage.n_shards
 
     def vv_digest(self) -> VersionVector:
         """``vv`` as of now, shared and read-only (see the class docstring)."""
@@ -319,7 +314,7 @@ class Replica:
 
         If the peer's vector predates this replica's truncation base
         for some origin, the retained log alone cannot close the gap:
-        answer with the snapshot (every shard, whole) plus the records
+        answer with the snapshot (the whole object map) plus the records
         beyond it.  Causal stability makes this unreachable for live
         peers (truncation stays below every replica's vector), so it is
         a defensive path for operator-restored or far-behind replicas.
@@ -365,7 +360,7 @@ class Replica:
             self._dirty_since_commit = {}
             self.commits_applied = 0
         else:
-            self.storage.restore_shards(snap.shards)
+            self.storage.restore(snap.objects)
             self.vv = snap.vv.copy()
             self._origin_ctx = {
                 origin: vv.copy() for origin, vv in snap.origin_ctx.items()
@@ -373,8 +368,6 @@ class Replica:
             self._dirty_since_commit = dict(snap.dirty)
             self.commits_applied = snap.commits_applied
         self._vv_digest = None
-        self._store_get = self.storage.get
-        self._store_set = self.storage.set
         seen = self.vv.get
         for record in self.log:
             if record.dot.counter > seen(record.origin):
@@ -396,9 +389,7 @@ class Replica:
         if not snapshot.vv.dominates(self.vv):
             return False
         old_vv = self.vv
-        self.storage.restore_shards(snapshot.shards)
-        self._store_get = self.storage.get
-        self._store_set = self.storage.set
+        self.storage.restore(snapshot.objects)
         self.vv = snapshot.vv.copy()
         self._vv_digest = None
         self._origin_ctx = {
@@ -465,7 +456,7 @@ class Replica:
     def _take_snapshot(self) -> ReplicaSnapshot:
         return ReplicaSnapshot(
             vv=self.vv.copy(),
-            shards=self.storage.snapshot_shards(),
+            objects=self.storage.snapshot(),
             origin_ctx={
                 origin: vv.copy() for origin, vv in self._origin_ctx.items()
             },

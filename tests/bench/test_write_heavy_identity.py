@@ -53,7 +53,6 @@ def run_write_heavy(config_name: str) -> tuple[int, int, int, str]:
         jitter=0.0,
         batch_ms=25.0,
         mix=dict(WRITE_MIX),
-        shards=1,
         stability_interval_ms=None,
     )
     cluster = app.cluster

@@ -8,6 +8,8 @@ Strong consistency.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.check import (
@@ -61,6 +63,24 @@ def test_trials_converge_and_complete_ops() -> None:
 def test_spec_round_trips_through_dict() -> None:
     spec = build_trial("ticket", "Causal", SMOKE_SEED, 3)
     assert TrialSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_a_replay_file_pinning_engine_and_shards_still_loads(tmp_path) -> None:
+    """Replay files written while the spec carried a ledger engine and a
+    shard count load as if those keys were absent, and replay to the
+    same fingerprint."""
+    spec = build_trial("ticket", "Causal", SMOKE_SEED, 3)
+    result = run_trial(spec)
+    plain, pinned = tmp_path / "plain.json", tmp_path / "pinned.json"
+    write_repro(str(plain), spec, result)
+    payload = json.loads(plain.read_text(encoding="utf-8"))
+    payload["spec"].update(engine="sqlite", shards=4)
+    pinned.write_text(json.dumps(payload), encoding="utf-8")
+    (plain_spec, plain_expected) = load_repro(str(plain))
+    (pinned_spec, pinned_expected) = load_repro(str(pinned))
+    assert pinned_spec == plain_spec == spec
+    assert pinned_expected == plain_expected
+    assert run_trial(pinned_spec).fingerprint == result.fingerprint
 
 
 def test_spec_schema_is_checked() -> None:

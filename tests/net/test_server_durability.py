@@ -22,11 +22,10 @@ def deployment():
     return deployment
 
 
-def boot(deployment, topology, data_dir, engine):
-    """A region's server with its ledger pinned to ``engine``, 1 shard."""
-    trial = {**deployment["trial"], "engine": engine, "shards": 1}
-    pinned = {**deployment, "trial": trial}
-    return ReplicaServer(pinned, topology, trial["regions"][0], str(data_dir))
+def boot(deployment, topology, data_dir):
+    """A region's server built over ``data_dir``."""
+    region = deployment["trial"]["regions"][0]
+    return ReplicaServer(deployment, topology, region, str(data_dir))
 
 
 def drive(server, n=4):
@@ -53,7 +52,7 @@ def test_topology_fsync_reaches_log_ledger_and_store(tmp_path, monkeypatch, depl
 
     monkeypatch.setattr(os, "fsync", spy)
     topology = build_topology(tuple(deployment["trial"]["regions"]), fsync=fsync)
-    server = boot(deployment, topology, tmp_path, "file")
+    server = boot(deployment, topology, tmp_path)
     region = server.region
     drive(server)
     server.ledger.append(kind="violation", oracle="invariant", invariant="cap", region=region)
@@ -65,14 +64,4 @@ def test_topology_fsync_reaches_log_ledger_and_store(tmp_path, monkeypatch, depl
     assert fsynced == (set(files) if fsync else set())
     # The store has no file to sync: the commit log is its durable state.
     assert not (tmp_path / f"{region}-store").exists()
-    shut(server)
-
-
-@pytest.mark.parametrize("fsync, level", [(False, 0), (True, 2)])
-def test_topology_fsync_sets_the_sqlite_store_level(tmp_path, deployment, fsync, level):
-    topology = build_topology(tuple(deployment["trial"]["regions"]), fsync=fsync)
-    server = boot(deployment, topology, tmp_path, "sqlite")
-    # The store's only sqlite database is the conflict ledger's.
-    conn = server.ledger._engine._conn
-    assert conn.execute("PRAGMA synchronous").fetchone()[0] == level
     shut(server)

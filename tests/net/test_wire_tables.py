@@ -20,7 +20,7 @@ decoder checks its own payload's shape.  The contract has three parts:
   :class:`WireError`;
 - **operation counts** -- after the first frame the codec never calls
   ``dataclasses.fields``; a broadcast commit is encoded once however
-  many peers it goes to; a ring hashes each distinct key once.
+  many peers it goes to.
 
 Hand-made mutants this file must kill:
 
@@ -31,12 +31,10 @@ Hand-made mutants this file must kill:
 - a subclass of a registered class accepted by the encoder;
 - a bare JSON array accepted where a value belongs (``decode`` passing
   a list through as itself);
-- broadcast bytes reused for a different message;
-- one routing memo shared by rings with different shard counts.
+- broadcast bytes reused for a different message.
 """
 
 import asyncio
-import bisect
 import collections
 import copy
 import dataclasses
@@ -51,7 +49,6 @@ from hypothesis import strategies as st
 
 from repro.check.explorer import build_trial
 from repro.check.harness import run_trial
-from repro.crdts import AWSet
 from repro.crdts.awset import AWAdd, AWRemove
 from repro.crdts.base import Dot
 from repro.crdts.bcounter import BCDecrement, BCIncrement, BCTransfer
@@ -60,14 +57,12 @@ from repro.crdts.counter import Correction, CounterDelta
 from repro.crdts.lww import LWWWrite
 from repro.crdts.pattern import WILDCARD, Pattern
 from repro.crdts.rwset import RWAdd, RWRemove, RWRemoveWhere
-from repro.net import commitlog, wire
+from repro.net import wire
 from repro.net import server as net_server
 from repro.net.harness import run_live
 from repro.net.oracle import record_trial
-from repro.store import engine, framedlog
+from repro.store import framedlog
 from repro.store.antientropy import SyncRequest, SyncResponse
-from repro.store.engine import HashRing, ShardedStore
-from repro.store.registry import TypeRegistry
 from repro.store.replica import Replica
 from repro.store.replication import ReplicationBatch
 
@@ -691,40 +686,3 @@ def test_a_hinted_broadcast_stores_its_message():
     )
     net_server.ReplicaServer._hint(server, "peer", net_server.Broadcast(message))
     assert hints.messages == [message]
-
-
-def reference_shard(ring, key):
-    index = bisect.bisect_right(ring._hashes, engine._ring_hash(key.encode()))
-    return ring._owners[index % len(ring._owners)]
-
-
-def test_each_ring_hashes_a_key_once(monkeypatch):
-    rings = [HashRing(2), HashRing(4), HashRing(4)]
-    keys = [f"key-{index}" for index in range(60)]
-    expected = [[reference_shard(ring, key) for key in keys] for ring in rings]
-    calls = counting(monkeypatch, engine, "_ring_hash")
-    for _ in range(3):
-        for ring, want in zip(rings, expected):
-            assert [ring.shard_of(key) for key in keys] == want
-    assert calls[0] == len(rings) * len(keys)
-    assert HashRing(1).shard_of("anything") == 0
-
-
-def test_a_store_and_a_log_hash_each_of_their_keys_once(tmp_path, monkeypatch):
-    registry = TypeRegistry()
-    registry.register_prefix("", AWSet)
-    replica = Replica("A", registry, shards=4)
-    log = commitlog.CommitLog(tmp_path / "A.commitlog")
-    calls = counting(monkeypatch, engine, "_ring_hash")
-    keys = [f"k{index % 7}" for index in range(40)]
-    for index, key in enumerate(keys):
-        txn = replica.begin()
-        txn.update(key, lambda s, index=index: s.prepare_add(index))
-        log.append(txn.commit())
-        replica.get_object(key)
-    log.close()
-    store = replica.storage
-    assert isinstance(store, ShardedStore)
-    distinct = len(set(keys))
-    assert calls[0] == distinct  # the store's ring; the one log routes nothing
-    assert len(store.ring._memo) == store.key_count() == distinct

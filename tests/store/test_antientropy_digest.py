@@ -9,9 +9,14 @@ existed (a74d154) -- the fixture is rewritten by running this file as a
 script against that commit's ``src``::
 
     PYTHONPATH=<a74d154>/src python tests/store/test_antientropy_digest.py
+
+and then renaming the store's key counters the way the one-map store
+reports them: ``store.shard.keys_total`` and ``store.shard.keys_max``
+become ``store.keys_total`` and ``store.keys_max``, and
+``store.shard.count`` (always 1) is dropped; every value stays as
+recorded.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -266,9 +271,7 @@ def observed_schedule(app: str, config: str, index: int) -> dict:
             super().__init__()
             sims.append(self)
 
-    spec = dataclasses.replace(
-        build_trial(app, config, 11, index), engine="memory", shards=1
-    )
+    spec = build_trial(app, config, 11, index)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(harness, "Simulator", Capturing)
         result = harness.run_trial(spec)

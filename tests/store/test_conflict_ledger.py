@@ -14,21 +14,16 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 from repro.__main__ import _render_top, main
 from repro.check import build_trial, run_trial
 from repro.check.oracles import BoundProbe, Violation
 from repro.store.conflicts import (
     ConflictLedger,
     ConflictRecord,
-    ledger_engine_name,
     open_ledgers,
     record_compensations,
     record_trial_violations,
 )
-
-ENGINES = ["memory", "file", "sqlite"]
 
 
 def sample_append(ledger, n, kind="violation"):
@@ -97,33 +92,27 @@ class TestRecord:
 
 
 class TestLedgerDurability:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_reopen_replays_every_acknowledged_append(
-        self, tmp_path, engine
-    ):
+    def test_reopen_replays_every_acknowledged_append(self, tmp_path):
         path = str(tmp_path / "us-east-conflicts")
-        ledger = ConflictLedger(path, engine=engine)
+        ledger = ConflictLedger(path)
         written = sample_append(ledger, 5)
         assert all(r is not None for r in written)
         # Simulate SIGKILL: abandon the handle without close() -- every
         # append synced before returning.
         del ledger
-        recovered = ConflictLedger(path, engine=engine)
+        recovered = ConflictLedger(path)
         assert [r.to_dict() for r in recovered.records()] == [
             r.to_dict() for r in written
         ]
         assert recovered.counts() == {"violation": 5}
         recovered.close()
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_redetection_after_recovery_appends_nothing(
-        self, tmp_path, engine
-    ):
+    def test_redetection_after_recovery_appends_nothing(self, tmp_path):
         path = str(tmp_path / "us-east-conflicts")
-        ledger = ConflictLedger(path, engine=engine)
+        ledger = ConflictLedger(path)
         sample_append(ledger, 4)
         ledger.close()
-        recovered = ConflictLedger(path, engine=engine)
+        recovered = ConflictLedger(path)
         duplicates = sample_append(recovered, 4)  # same identities
         assert duplicates == [None] * 4
         assert len(recovered) == 4
@@ -137,19 +126,7 @@ class TestLedgerDurability:
         assert fresh.seq == 4
         recovered.close()
 
-    def test_memory_engine_is_promoted_to_durable_file(self, tmp_path):
-        assert ledger_engine_name("memory") == "file"
-        assert ledger_engine_name(None) == "file"
-        assert ledger_engine_name("sqlite") == "sqlite"
-        path = str(tmp_path / "us-east-conflicts")
-        ledger = ConflictLedger(path, engine="memory")
-        sample_append(ledger, 2)
-        ledger.close()
-        assert os.path.exists(path + ".objlog")
-        assert len(ConflictLedger(path, engine="memory")) == 2
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sigkill_mid_burst_loses_nothing(self, tmp_path, engine):
+    def test_sigkill_mid_burst_loses_nothing(self, tmp_path):
         """A real SIGKILL (not a clean exit) mid-append-burst: every
         append acknowledged on stdout must be present after recovery,
         unacknowledged ones may be absent, nothing is duplicated."""
@@ -158,7 +135,7 @@ class TestLedgerDurability:
             f"""
             import os, sys
             from repro.store.conflicts import ConflictLedger
-            ledger = ConflictLedger({path!r}, engine={engine!r})
+            ledger = ConflictLedger({path!r})
             for i in range(50):
                 rec = ledger.append(
                     kind="violation", oracle="invariant",
@@ -184,7 +161,7 @@ class TestLedgerDurability:
         acked = [int(line) for line in proc.stdout.split()]
         assert len(acked) == 24, proc.stderr
 
-        recovered = ConflictLedger(path, engine=engine)
+        recovered = ConflictLedger(path)
         seqs = [r.seq for r in recovered.records()]
         assert seqs == acked  # no loss, no duplication, no reorder
         assert len(set(r.identity() for r in recovered.records())) == len(
@@ -192,32 +169,23 @@ class TestLedgerDurability:
         )
         recovered.close()
 
-    @pytest.mark.parametrize("engine", ["file", "sqlite"])
-    def test_recovery_plus_redetection_is_byte_identical(
-        self, tmp_path, engine
-    ):
+    def test_recovery_plus_redetection_is_byte_identical(self, tmp_path):
         path = str(tmp_path / "us-east-conflicts")
-        suffix = ".objlog" if engine == "file" else ".db"
-        ledger = ConflictLedger(path, engine=engine)
+        ledger = ConflictLedger(path)
         sample_append(ledger, 6)
         ledger.close()
-        before = open(path + suffix, "rb").read()
-        recovered = ConflictLedger(path, engine=engine)
+        before = open(path + ".objlog", "rb").read()
+        recovered = ConflictLedger(path)
         sample_append(recovered, 6)  # full re-detection, all dups
         recovered.close()
-        after = open(path + suffix, "rb").read()
+        after = open(path + ".objlog", "rb").read()
         assert before == after
 
 
 class TestOpenLedgers:
     def test_discovers_every_region_ledger(self, tmp_path):
-        for region, engine in (
-            ("us-east", "file"),
-            ("eu-west", "sqlite"),
-        ):
-            ledger = ConflictLedger(
-                str(tmp_path / f"{region}-conflicts"), engine=engine
-            )
+        for region in ("us-east", "eu-west"):
+            ledger = ConflictLedger(str(tmp_path / f"{region}-conflicts"))
             sample_append(ledger, 2)
             ledger.close()
         ledgers = open_ledgers(str(tmp_path))
@@ -229,24 +197,22 @@ class TestOpenLedgers:
     def test_missing_dir_yields_no_ledgers(self, tmp_path):
         assert open_ledgers(str(tmp_path / "absent")) == {}
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_a_clean_ledger_exists_before_any_record(self, tmp_path, engine):
+    def test_a_clean_ledger_exists_before_any_record(self, tmp_path):
         """A run that detected nothing still leaves its ledger, so a
         clean run and a wrong path do not look alike."""
-        ConflictLedger(str(tmp_path / "us-east-conflicts"), engine=engine).close()
+        ConflictLedger(str(tmp_path / "us-east-conflicts")).close()
         ledgers = open_ledgers(str(tmp_path))
         assert sorted(ledgers) == ["us-east"]
         assert len(ledgers["us-east"]) == 0
         ledgers["us-east"].close()
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_a_reader_of_an_empty_ledger_loses_no_record(
-        self, tmp_path, engine, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         """A query opening a live, still-empty ledger must not truncate,
         replace or delete what the writer appends while it opens."""
         path = str(tmp_path / "us-east-conflicts")
-        writer = ConflictLedger(path, engine=engine)
+        writer = ConflictLedger(path)
         written: list = []
         engine_cls = type(writer._engine)
         load = engine_cls.load
@@ -265,7 +231,7 @@ class TestOpenLedgers:
         reader.close()
         writer.close()
         monkeypatch.undo()
-        assert ConflictLedger(path, engine=engine).records() == written
+        assert ConflictLedger(path).records() == written
 
 
 class TestConflictsCli:

@@ -1,17 +1,24 @@
-"""Behavioural identity across shard counts.
+"""One object map per replica lands on pinned digests.
 
-Sharding is a placement choice, never a semantics choice.  For any
-workload -- including seeded fault plans with drops, duplication,
-reordering, a partition and a crash/recovery window -- every replica
-must converge to byte-identical state digests whatever the shard count
-({1, 3, 8}).
+A replica's store is one plain dict.  For seeded schedules --
+including fault plans with drops, duplication, reordering, a partition
+and a crash/recovery window -- every replica must converge to the
+state digests and version vectors pinned below, recorded when the
+store could still split its keyspace across shards (every shard count
+landed on these same values).
 
 The scripted add-only schedule is fixed up-front from the seed (same
 trick as the batching equivalence suite), so the committed-record set
-is identical across configurations; the digests then compare the full
-pipeline -- routing, per-shard snapshots and recovery from the commit
-log -- against the historical single-dict behaviour.  The store holds
-nothing durable: a replica recovers from its commit log alone.
+is the same on every run; the digests then cover the full pipeline --
+snapshots and recovery from the commit log.  The store holds nothing
+durable: a replica recovers from its commit log alone.
+
+Recipe for the pinned values: for each ``(seed, n_ops, chaos)`` in
+:data:`PINNED`, run
+``scripted_run(seed=seed, n_ops=n_ops, faults=chaos_plan(seed) if chaos
+else None)`` and record ``cluster.state_digest()[region]`` (equal in
+every region) and ``dict(cluster.replica(region).vv.entries)`` (equal
+in every region once converged).
 """
 
 import random
@@ -28,7 +35,22 @@ from repro.sim.latency import EU_WEST, REGIONS, US_EAST, US_WEST, GeoLatencyMode
 from repro.store.cluster import Cluster, replica_state_digest
 from repro.store.registry import TypeRegistry
 
-SHARD_COUNTS = (1, 3, 8)
+#: ``(seed, n_ops, chaos) -> (state digest, version vector)``, the same
+#: in every region.
+PINNED = {
+    (7, 60, True): (
+        "71cf8afac057470a2a52b3ac3ea9a790495cd758a2959106c3293fab1a872cc8",
+        {US_EAST: 25, US_WEST: 21, EU_WEST: 14},
+    ),
+    (7, 20, True): (
+        "057f78242a1fb911dc4096e0fe541a5e440ec7ceacbd249be8813ea6091435e7",
+        {US_EAST: 9, US_WEST: 4, EU_WEST: 7},
+    ),
+    (9, 20, False): (
+        "74cce4a5b8b3cbdd7403974dc1fcef2c5a9c85288d6c2ca3bfe720733b842505",
+        {US_EAST: 6, US_WEST: 8, EU_WEST: 6},
+    ),
+}
 
 
 def make_registry() -> TypeRegistry:
@@ -59,15 +81,14 @@ def chaos_plan(seed):
     )
 
 
-def scripted_run(shards, seed=7, n_ops=60, faults=None):
-    """A fixed seeded schedule on one shard count."""
+def scripted_run(seed=7, n_ops=60, faults=None):
+    """A fixed seeded schedule."""
     sim = Simulator()
     cluster = Cluster(
         sim,
         make_registry(),
         latency=GeoLatencyModel(jitter=0.0),
         faults=faults,
-        shards=shards,
     )
     if faults is not None:
         cluster.start_antientropy(interval_ms=200.0, seed=seed + 1)
@@ -92,51 +113,36 @@ def scripted_run(shards, seed=7, n_ops=60, faults=None):
     return cluster, blocked
 
 
-class TestEngineShardMatrix:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS[1:])
-    def test_chaos_digests_identical_to_reference(self, shards):
-        """Drops, a partition and a crash/recovery window: every shard
-        count lands on the single-shard reference digest."""
-        reference, blocked_ref = scripted_run(1, faults=chaos_plan(7))
-        expected = reference.state_digest()
-        assert len(set(expected.values())) == 1
-        run, blocked = scripted_run(shards, faults=chaos_plan(7))
-        assert blocked == blocked_ref
-        assert run.state_digest() == expected
-        for region in REGIONS:
-            assert run.replica(region).vv.entries == reference.replica(region).vv.entries
-
-    def test_sharded_replicas_actually_shard(self):
-        run, _ = scripted_run(8)
-        replica = run.replica(US_EAST)
-        assert replica.n_shards == 8
-        populated = sum(1 for m in replica.storage.maps if m)
-        assert populated > 1
+@pytest.mark.parametrize("seed, n_ops, chaos", sorted(PINNED))
+def test_schedule_lands_on_pinned_digests(seed, n_ops, chaos):
+    """Drops, a partition and a crash/recovery window (or none): the
+    one-map store converges to the pinned digest and version vector."""
+    digest, entries = PINNED[(seed, n_ops, chaos)]
+    faults = chaos_plan(seed) if chaos else None
+    run, blocked = scripted_run(seed=seed, n_ops=n_ops, faults=faults)
+    assert blocked == []
+    assert run.state_digest() == {region: digest for region in REGIONS}
+    for region in REGIONS:
+        assert dict(run.replica(region).vv.entries) == entries
 
 
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     n_ops=st.integers(min_value=1, max_value=30),
-    shards=st.sampled_from(SHARD_COUNTS),
     chaos=st.booleans(),
 )
-@example(seed=7, n_ops=20, shards=1, chaos=True)
-@example(seed=7, n_ops=20, shards=4, chaos=True)
-@example(seed=9, n_ops=20, shards=4, chaos=False)
-def test_any_schedule_any_shard_count_same_digest(seed, n_ops, shards, chaos):
-    """Property: for any seeded schedule (faulty or perfect), any shard
-    count converges to the digests of the historical single-shard
-    store, and survives a reroute, a recovery and a snapshot install."""
+@example(seed=7, n_ops=20, chaos=True)
+@example(seed=9, n_ops=20, chaos=False)
+def test_any_schedule_survives_recovery_and_snapshot(seed, n_ops, chaos):
+    """Property: for any seeded schedule (faulty or perfect) every
+    replica converges, and a replica keeps its digest through a
+    recovery and a snapshot install."""
     faults = chaos_plan(seed) if chaos else None
-    reference, _ = scripted_run(1, seed=seed, n_ops=n_ops, faults=faults)
-    expected = reference.state_digest()
+    run, _ = scripted_run(seed=seed, n_ops=n_ops, faults=faults)
+    expected = run.state_digest()
     assert len(set(expected.values())) == 1
-    run, _ = scripted_run(shards, seed=seed, n_ops=n_ops, faults=faults)
-    assert run.state_digest() == expected
     replica, peer = run.replica(US_EAST), run.replica(US_WEST)
-    # Rerouted from the reference's single shard.
-    replica.storage.restore_shards(reference.replica(US_EAST).storage.snapshot_shards())
     # A key the log never wrote is dropped by recovery: with no
     # snapshot yet, that is ``clear`` plus a full replay.
     replica.storage.set("stray", AWSet())
@@ -150,7 +156,7 @@ class TestKillMidCommit:
     """A killed replica recovers from its commit log alone."""
 
     def test_memory_engine_recovers_from_log_alone(self):
-        run, _ = scripted_run(3, seed=13)
+        run, _ = scripted_run(seed=13)
         replica = run.replica(US_EAST)
         digest = replica_state_digest(replica)
         replica.rebuild_from_log()
