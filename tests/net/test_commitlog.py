@@ -5,10 +5,9 @@ any byte offset, or CRC-corrupt, replays to the intact prefix with a
 warning and a counter bump -- and the file is repaired in place.
 Damage followed by more bytes is not a crash signature and raises.
 
-A live server keeps exactly one ``{region}.commitlog`` file, a
-kill-and-replay of it rebuilds the same state digest, and mid-file
-damage under salvage keeps a prefix of the application order
-(:class:`TestOneLog`).
+An empty data directory replays to nothing and a first append creates
+exactly one log file (:class:`TestOneLog`); the live server's one log
+per replica is checked in ``test_sharded_log.py``.
 """
 
 import os
@@ -16,14 +15,10 @@ import zlib
 
 import pytest
 
-from repro.check.explorer import build_trial
 from repro.crdts import AWSet
 from repro.net import commitlog, wire
-from repro.net.oracle import record_trial
-from repro.net.server import ReplicaServer
 from repro.obs import REGISTRY
 from repro.store import framedlog
-from repro.store.cluster import replica_state_digest
 from repro.store.registry import TypeRegistry
 from repro.store.replica import Replica
 
@@ -239,67 +234,7 @@ class TestMalformedBodies:
         assert commitlog.replay(path) == records[:1]
 
 
-@pytest.fixture(scope="module")
-def deployment():
-    _, deployment = record_trial(build_trial("tournament", "Causal", 11, 0, n_ops=10))
-    return deployment
-
-
-def boot(deployment, data_dir):
-    """Construct a region's server; construction replays its log."""
-    region = deployment["trial"]["regions"][0]
-    return ReplicaServer(deployment, {}, region, str(data_dir))
-
-
-def drive(server, n=12):
-    """Commit through the app: ``n`` enrolments over ``n`` tournaments."""
-    players = [f"p{i}" for i in range(n)]
-    tournaments = [f"t{i}" for i in range(n)]
-    server.app.setup(players, tournaments, region=server.region)
-    for player, tournament in zip(players, tournaments):
-        server.app.enroll(server.region, player, tournament, lambda _op: None)
-
-
-def kill(server):
-    server.kill()
-    server.node.store.storage.close()
-
-
 class TestOneLog:
-    def test_one_log_file_per_replica(self, tmp_path, deployment):
-        server = boot(deployment, tmp_path)
-        drive(server)
-        logs = sorted(name for name in os.listdir(tmp_path) if name.endswith(".commitlog"))
-        assert logs == [f"{server.region}.commitlog"]
-        assert commitlog.replay(tmp_path / logs[0]) == server.node.store.log
-        kill(server)
-
-    def test_kill_and_replay_rebuilds_the_same_state(self, tmp_path, deployment):
-        server = boot(deployment, tmp_path)
-        drive(server)
-        digest = replica_state_digest(server.node.store)
-        records = list(server.node.store.log)
-        kill(server)
-        revived = boot(deployment, tmp_path)
-        assert revived.stats["net.recovered_records"] == len(records)
-        assert revived.node.store.log == records
-        assert replica_state_digest(revived.node.store) == digest
-        kill(revived)
-
-    def test_mid_file_damage_under_salvage_keeps_a_prefix(self, tmp_path, deployment):
-        server = boot(deployment, tmp_path)
-        drive(server)
-        records = list(server.node.store.log)
-        path = server.log.path
-        kill(server)
-        middle = len(records) // 2
-        assert framedlog.flip_bit(path, middle) is not None
-        revived = boot(deployment, tmp_path)
-        assert revived.stats["net.commitlog.salvaged"] == 1
-        assert revived.node.store.log == records[:middle]
-        assert commitlog.replay(path) == records[:middle]
-        kill(revived)
-
     def test_empty_dir_replays_empty(self, tmp_path):
         record = make_records(1)[0]
         with commitlog.CommitLog(tmp_path / "A.commitlog") as log:
